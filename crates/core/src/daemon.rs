@@ -56,9 +56,9 @@ use serde::json::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Sizing and policy knobs of the daemon.
@@ -262,7 +262,13 @@ pub struct Daemon {
     store: Option<Arc<Store>>,
     telemetry: Telemetry,
     state: Mutex<DaemonState>,
+    /// Wakes the idle scheduler: notified on every accepted submission
+    /// and on shutdown.
+    wake: Condvar,
     shutdown: AtomicBool,
+    /// The address [`Daemon::serve`] accepts on, so a shutdown can wake
+    /// its blocking `accept` with a connection of its own.
+    listen_addr: Mutex<Option<SocketAddr>>,
 }
 
 impl Daemon {
@@ -274,7 +280,9 @@ impl Daemon {
             store: None,
             telemetry: Telemetry::disabled(),
             state: Mutex::new(DaemonState::default()),
+            wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            listen_addr: Mutex::new(None),
         }
     }
 
@@ -298,9 +306,7 @@ impl Daemon {
     /// kept self-consistent under the lock, and the journal is the source
     /// of truth after a crash anyway.
     fn lock_state(&self) -> MutexGuard<'_, DaemonState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// True once a shutdown was requested.
@@ -406,7 +412,7 @@ impl Daemon {
             Request::Status(id) => self.status(id.as_deref()),
             Request::Report => self.report(),
             Request::Shutdown => {
-                self.shutdown.store(true, Ordering::Relaxed);
+                self.request_shutdown();
                 Response::ok(vec![(
                     "shutdown".to_string(),
                     Value::Str("draining".to_string()),
@@ -493,6 +499,7 @@ impl Daemon {
         self.telemetry.incr(Counter::DaemonJobsSubmitted);
         self.flush_journal_if_idle(&mut state);
         drop(state);
+        self.wake.notify_all();
         Response::ok(vec![
             ("id".to_string(), Value::Str(id)),
             ("epoch".to_string(), Value::Num(epoch as f64)),
@@ -513,6 +520,38 @@ impl Daemon {
                 eprintln!("daemon: journal flush: {e}");
             }
         }
+    }
+
+    /// Sets the shutdown flag and wakes everything that waits for work:
+    /// the idle scheduler (to drain and exit) and a blocking `accept` in
+    /// [`Daemon::serve`] (to stop taking connections).
+    fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::Relaxed);
+        // Taking the lock orders the flag before the scheduler's next
+        // predicate check, so the notification cannot be lost.
+        drop(self.lock_state());
+        self.wake.notify_all();
+        // One wake-up is enough: `accept` re-checks the flag on return.
+        let addr = self
+            .listen_addr
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(addr) = addr {
+            if let Err(e) = TcpStream::connect(addr) {
+                eprintln!("daemon: waking the listener at {addr}: {e}");
+            }
+        }
+    }
+
+    /// Blocks the idle scheduler until a submission lands in an epoch or
+    /// shutdown is requested.
+    fn wait_for_work(&self) {
+        let state = self.lock_state();
+        let _state = self
+            .wake
+            .wait_while(state, |s| s.epochs.is_empty() && !self.shutdown_requested())
+            .unwrap_or_else(PoisonError::into_inner);
     }
 
     fn cancel(&self, id: &str) -> Response {
@@ -712,13 +751,31 @@ impl Daemon {
 
     /// Serves requests on `listener` until a `shutdown` request drains the
     /// queue: a scheduler thread executes epochs as they accumulate while
-    /// connection threads stream NDJSON requests/responses.
+    /// connection threads stream NDJSON requests/responses. Nothing polls:
+    /// the scheduler sleeps until a submission or the shutdown wakes it,
+    /// and the listener blocks in `accept` until a client connects or the
+    /// shutdown connects to it.
     ///
     /// # Errors
     ///
-    /// Returns the listener's I/O error, or the first epoch error.
+    /// Returns the listener's set-up I/O error. Epoch errors and a failing
+    /// `accept` are reported on stderr; the latter also drains and stops
+    /// the daemon.
     pub fn serve(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
+        listener.set_nonblocking(false)?;
+        let mut addr = listener.local_addr()?;
+        if addr.ip().is_unspecified() {
+            let loopback = if addr.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            };
+            addr.set_ip(loopback);
+        }
+        *self
+            .listen_addr
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(addr);
         std::thread::scope(|scope| {
             let daemon = Arc::clone(self);
             scope.spawn(move || loop {
@@ -728,25 +785,27 @@ impl Daemon {
                         if daemon.shutdown_requested() {
                             break;
                         }
-                        std::thread::sleep(Duration::from_millis(20));
+                        daemon.wait_for_work();
                     }
                     Err(e) => eprintln!("daemon: epoch failed: {e}"),
                 }
             });
-            loop {
-                if self.shutdown_requested() {
-                    break;
-                }
+            // A shutdown requested after this check connects to the
+            // listener, so `accept` returns and the next check sees it.
+            while !self.shutdown_requested() {
                 match listener.accept() {
                     Ok((stream, _)) => {
+                        if self.shutdown_requested() {
+                            break;
+                        }
                         let daemon = Arc::clone(self);
                         scope.spawn(move || daemon.handle_connection(stream));
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
                     Err(e) => {
+                        // No client can reach the daemon any more: drain
+                        // what is queued and exit rather than idle forever.
                         eprintln!("daemon: accept: {e}");
+                        self.request_shutdown();
                         break;
                     }
                 }
@@ -828,6 +887,45 @@ mod tests {
         format!(
             r#"{{"op":"submit","job":{{"id":"{id}","tenant":"{tenant}","seed":{seed},"threads":1}}}}"#
         )
+    }
+
+    /// `serve` polls nothing: a submission wakes the idle scheduler, and
+    /// a shutdown both drains it and wakes the blocking `accept`, so the
+    /// call returns once the job has finished.
+    #[test]
+    fn serve_wakes_on_submit_and_returns_on_shutdown() {
+        let daemon = Arc::new(Daemon::new(DaemonConfig {
+            engine: tiny_engine(),
+            ..DaemonConfig::default()
+        }));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("bound address");
+        let server = {
+            let daemon = Arc::clone(&daemon);
+            std::thread::spawn(move || daemon.serve(listener))
+        };
+        let stream = TcpStream::connect(addr).expect("connects");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        let mut writer = stream;
+        let mut ask = |line: &str| {
+            writer
+                .write_all(format!("{line}\n").as_bytes())
+                .expect("writes");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("reads");
+            reply
+        };
+        assert!(ask(&submit_line("a", "acme", 1)).contains(r#""ok":true"#));
+        while !ask(r#"{"op":"status","id":"a"}"#).contains("disposition") {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(ask(r#"{"op":"shutdown"}"#).contains("draining"));
+        server
+            .join()
+            .expect("serve thread")
+            .expect("serve returns Ok");
+        assert!(daemon.shutdown_requested());
+        assert_eq!(daemon.pending_epochs(), 0, "drained");
     }
 
     #[test]

@@ -24,14 +24,16 @@
 //!    neighbor records lands in this job's report.
 //! 2. **Admission-time hydration.** A job's cache is hydrated from the
 //!    shared store once, at the **serial** admission point of its wave
-//!    ([`EvalCache::hydrate_space`]). Because the store surfaces pending
-//!    (unflushed) appends, hydrating lazily mid-run would race with
-//!    concurrent neighbors' inserts; hydrating at admission freezes the
-//!    job's view of the store before any neighbor starts.
+//!    ([`EvalCache::hydrate_space`]): it takes an `Arc` snapshot of the
+//!    store's eval index for its space, which freezes the job's view of
+//!    the store before any neighbor starts. Neighbors' appends reach the
+//!    store's index only at a flush, never a snapshot already taken.
 //! 3. **Flush between waves.** The store flushes after each wave joins, so
 //!    the records a later wave hydrates are exactly the completed earlier
 //!    waves' — a pure function of wave composition, which is itself a pure
-//!    function of the queue ([`JobQueue::fair_waves`]).
+//!    function of the queue ([`JobQueue::fair_waves`]). By then the wave's
+//!    caches are dropped, so folding the flush into the index copies
+//!    nothing.
 //! 4. **Width-independent parallel sections.** A job's lease width only
 //!    sets how many workers its `par_map_*` sections use, and every such
 //!    section reassembles results by index; all RNG draws happen before

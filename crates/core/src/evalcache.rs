@@ -36,10 +36,10 @@ use crate::surrogate::Surrogate;
 use isop_em::simulator::SimulationResult;
 use isop_ml::linalg::Matrix;
 use isop_ml::MlError;
-use isop_store::{EvalRecord, Store};
+use isop_store::{EvalIndex, EvalRecord, Store, StoredEval};
 use isop_telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -130,38 +130,63 @@ struct SpillFile {
 /// v2: entries carry the attempt count of the original evaluation.
 const SPILL_SCHEMA_VERSION: u32 = 2;
 
-/// Where a cached entry came from: this process (`Local`) or a
-/// persistent-store record written by a previous one (`CrossJob`). Hits on
-/// `CrossJob` entries are the cross-run reuse the store accounts for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Origin {
-    Local,
-    CrossJob,
+/// What an enabled [`EvalCache`] holds, behind one lock.
+#[derive(Debug, Default)]
+struct CacheState {
+    /// Entries this process put here: fresh inserts and JSON imports.
+    /// They shadow the store snapshots.
+    local: HashMap<DesignKey, CachedSim>,
+    /// Per-space snapshots of the store's eval index, taken at hydration;
+    /// a present key means the space is hydrated. Hits on them were
+    /// written by a previous job or process — the cross-job reuse the
+    /// store accounts for.
+    stored: HashMap<u64, Arc<EvalIndex>>,
+}
+
+impl CacheState {
+    /// The entry for `key`, and whether it came from a store snapshot.
+    fn get(&self, key: &DesignKey) -> Option<(CachedSim, bool)> {
+        if let Some(sim) = self.local.get(key) {
+            return Some((*sim, false));
+        }
+        let stored = self.stored.get(&key.space_id)?.get(&key.levels)?;
+        Some((cached_from_store(stored), true))
+    }
+}
+
+fn cached_from_store(stored: StoredEval) -> CachedSim {
+    let [z_diff, insertion_loss, next] = stored.metrics;
+    CachedSim {
+        result: SimulationResult {
+            z_diff,
+            insertion_loss,
+            next,
+        },
+        attempts: stored.attempts,
+    }
 }
 
 /// Shared state behind an enabled [`EvalCache`] handle.
 #[derive(Debug)]
 struct CacheInner {
-    map: Mutex<HashMap<DesignKey, (CachedSim, Origin)>>,
+    state: Mutex<CacheState>,
     /// Set on `insert`, cleared on save/load — a warm [`EvalCache::save_json`]
     /// with no new entries skips the disk entirely.
     dirty: AtomicBool,
     /// The persistent backing store, when attached.
     store: Option<Arc<Store>>,
-    /// Space fingerprints already hydrated from the store (each shard read
-    /// happens at most once per space per cache).
-    hydrated: Mutex<HashSet<u64>>,
 }
 
 /// A thread-safe, seed-independent cache of accurate EM results keyed by
 /// [`DesignKey`]. Clones share one store; the default/`disabled` handle
 /// stores nothing and reports every probe as a miss.
 ///
-/// With a persistent [`Store`] attached ([`EvalCache::with_store`]), probes
-/// lazily hydrate the probed space's shard, hits served from a previous
-/// process's records are reported to the store's cross-job ledger, and
-/// inserts are mirrored into the store's append buffer (persisted by
-/// [`EvalCache::persist`]).
+/// With a persistent [`Store`] attached ([`EvalCache::with_store`]), the
+/// first probe of a space hydrates it: the cache takes an `Arc` snapshot of
+/// the store's decoded index for that space instead of copying its
+/// records. Hits served from the snapshot are reported to the store's
+/// cross-job ledger, and inserts layer over it while also going to the
+/// store's append buffer (persisted by [`EvalCache::persist`]).
 #[derive(Debug, Clone, Default)]
 pub struct EvalCache {
     inner: Option<Arc<CacheInner>>,
@@ -171,26 +196,22 @@ impl EvalCache {
     /// An empty, collecting cache.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            inner: Some(Arc::new(CacheInner {
-                map: Mutex::new(HashMap::new()),
-                dirty: AtomicBool::new(false),
-                store: None,
-                hydrated: Mutex::new(HashSet::new()),
-            })),
-        }
+        Self::with_backing(None)
     }
 
     /// An empty cache backed by the persistent `store`: probes hydrate
     /// per-space from its shards and inserts append to it.
     #[must_use]
     pub fn with_store(store: Arc<Store>) -> Self {
+        Self::with_backing(Some(store))
+    }
+
+    fn with_backing(store: Option<Arc<Store>>) -> Self {
         Self {
             inner: Some(Arc::new(CacheInner {
-                map: Mutex::new(HashMap::new()),
+                state: Mutex::new(CacheState::default()),
                 dirty: AtomicBool::new(false),
-                store: Some(store),
-                hydrated: Mutex::new(HashSet::new()),
+                store,
             })),
         }
     }
@@ -214,12 +235,25 @@ impl EvalCache {
         self.inner.as_ref().and_then(|i| i.store.as_ref())
     }
 
-    /// Number of cached designs.
+    /// Number of cached designs: hydrated store entries plus local ones
+    /// they do not already hold.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.map.lock().expect("eval cache lock").len())
+        self.inner.as_ref().map_or(0, |i| {
+            let state = i.state.lock().expect("eval cache lock");
+            let stored: usize = state.stored.values().map(|index| index.len()).sum();
+            let shadowing = state
+                .local
+                .keys()
+                .filter(|k| {
+                    state
+                        .stored
+                        .get(&k.space_id)
+                        .is_some_and(|index| index.get(&k.levels).is_some())
+                })
+                .count();
+            stored + state.local.len() - shadowing
+        })
     }
 
     /// `true` when nothing is cached (always for a disabled handle).
@@ -245,70 +279,52 @@ impl EvalCache {
         })
     }
 
-    /// Merges the persistent store's records for `space_id` into the map
-    /// (insert-if-absent, tagged [`Origin::CrossJob`]); at most one shard
-    /// read per space per cache. Store read errors degrade to "no stored
-    /// entries" — corruption is already skip-counted inside the store.
-    fn hydrate(inner: &CacheInner, space_id: u64) {
+    /// Takes the store's snapshot of `space_id` unless this cache already
+    /// holds one — at most one per space per cache, so the view never
+    /// changes once taken. Store read errors degrade to an empty snapshot:
+    /// corruption is already skip-counted inside the store.
+    fn hydrate(inner: &CacheInner, state: &mut CacheState, space_id: u64) {
         let Some(store) = &inner.store else { return };
-        let mut hydrated = inner.hydrated.lock().expect("hydration lock");
-        if !hydrated.insert(space_id) {
-            return;
-        }
-        let Ok(records) = store.load_evals(space_id) else {
-            return;
-        };
-        let mut map = inner.map.lock().expect("eval cache lock");
-        for rec in records {
-            let [z_diff, insertion_loss, next] = rec.metrics;
-            map.entry(DesignKey {
-                space_id: rec.space_id,
-                levels: rec.levels,
-            })
-            .or_insert((
-                CachedSim {
-                    result: SimulationResult {
-                        z_diff,
-                        insertion_loss,
-                        next,
-                    },
-                    attempts: rec.attempts,
-                },
-                Origin::CrossJob,
-            ));
-        }
+        state
+            .stored
+            .entry(space_id)
+            .or_insert_with(|| store.eval_index(space_id).unwrap_or_default());
     }
 
-    /// Eagerly merges the persistent store's records for `space` into the
-    /// map, exactly as the first probe of that space would. No-op without a
-    /// store, and at most one store read per space per cache either way.
+    /// Hydrates `space` now, exactly as its first probe would: an `Arc`
+    /// snapshot of the store's decoded index for the space (O(1) once the
+    /// shard is loaded), with no per-cache copy of the records. No-op
+    /// without a store, and at most one snapshot per space per cache
+    /// either way.
     ///
-    /// This is the multi-job engine's determinism hook: because
-    /// [`Store::load_evals`] also surfaces *pending* (unflushed) appends,
-    /// lazily hydrating mid-run while a concurrent neighbor appends to the
-    /// shared store would make a job's cache contents timing-dependent.
-    /// Calling this at the engine's **serial admission point** freezes the
-    /// job's view of the store before any neighbor runs; the `hydrated`
-    /// guard then keeps the cache from ever re-reading the store mid-run.
+    /// This is the multi-job engine's determinism hook. Called at the
+    /// engine's **serial admission point**, it freezes the job's view of
+    /// the store before any neighbor runs: records a neighbor appends and
+    /// flushes later go into the store's index, never into a snapshot
+    /// already taken, and the job's own inserts layer over its snapshot.
     pub fn hydrate_space(&self, space: &ParamSpace) {
         if let Some(inner) = &self.inner {
-            Self::hydrate(inner, space_fingerprint(space));
+            let mut state = inner.state.lock().expect("eval cache lock");
+            Self::hydrate(inner, &mut state, space_fingerprint(space));
         }
     }
 
     /// Looks up `values` and ticks `em.cache.hits` / `em.cache.misses` on
     /// `telemetry`. Off-grid designs and every probe of a disabled cache
-    /// count as misses. With a store attached, the probed space's shard is
-    /// hydrated first, and a hit on a record written by a previous process
-    /// is additionally reported to the store's cross-job ledger.
+    /// count as misses. With a store attached, the probed space is
+    /// hydrated first, and a hit served from the store snapshot rather
+    /// than this cache's own inserts is additionally reported to the
+    /// store's cross-job ledger.
     #[must_use]
     pub fn probe(&self, space: &ParamSpace, values: &[f64], telemetry: &Telemetry) -> CacheProbe {
         let key = Self::key_for(space, values);
         let hit = match (&self.inner, &key) {
             (Some(inner), Some(k)) => {
-                Self::hydrate(inner, k.space_id);
-                let hit = inner.map.lock().expect("eval cache lock").get(k).copied();
-                if let Some((_, Origin::CrossJob)) = hit {
+                let mut state = inner.state.lock().expect("eval cache lock");
+                Self::hydrate(inner, &mut state, k.space_id);
+                let hit = state.get(k);
+                drop(state);
+                if let Some((_, true)) = hit {
                     if let Some(store) = &inner.store {
                         store.note_cross_job_hit();
                     }
@@ -325,10 +341,11 @@ impl EvalCache {
         CacheProbe { key, hit }
     }
 
-    /// Stores a fresh accurate result under `key`. Only final successes
-    /// reach this point — callers never cache failed attempts. No-op when
-    /// disabled. Marks the cache dirty and, with a store attached, buffers
-    /// the record for the store's next flush.
+    /// Stores a fresh accurate result under `key`, shadowing any store
+    /// snapshot entry for it. Only final successes reach this point —
+    /// callers never cache failed attempts. No-op when disabled. Marks the
+    /// cache dirty and, with a store attached, buffers the record for the
+    /// store's next flush.
     pub fn insert(&self, key: DesignKey, sim: CachedSim) {
         if let Some(inner) = &self.inner {
             if let Some(store) = &inner.store {
@@ -340,10 +357,11 @@ impl EvalCache {
                 });
             }
             inner
-                .map
+                .state
                 .lock()
                 .expect("eval cache lock")
-                .insert(key, (sim, Origin::Local));
+                .local
+                .insert(key, sim);
             inner.dirty.store(true, Ordering::Release);
         }
     }
@@ -392,19 +410,33 @@ impl EvalCache {
     ///
     /// Propagates filesystem errors.
     pub fn export_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut entries: Vec<SpillEntry> = self.inner.as_ref().map_or_else(Vec::new, |i| {
-            i.map
-                .lock()
-                .expect("eval cache lock")
-                .iter()
-                .map(|(k, (v, _))| SpillEntry {
-                    space_id: k.space_id,
-                    levels: k.levels.clone(),
-                    result: v.result,
-                    attempts: v.attempts,
-                })
-                .collect()
-        });
+        let mut entries: Vec<SpillEntry> = Vec::new();
+        if let Some(inner) = &self.inner {
+            let state = inner.state.lock().expect("eval cache lock");
+            for (&space_id, index) in &state.stored {
+                for (levels, stored) in index.iter() {
+                    let key = DesignKey {
+                        space_id,
+                        levels: levels.to_vec(),
+                    };
+                    if !state.local.contains_key(&key) {
+                        let sim = cached_from_store(stored);
+                        entries.push(SpillEntry {
+                            space_id,
+                            levels: key.levels,
+                            result: sim.result,
+                            attempts: sim.attempts,
+                        });
+                    }
+                }
+            }
+            entries.extend(state.local.iter().map(|(k, v)| SpillEntry {
+                space_id: k.space_id,
+                levels: k.levels.clone(),
+                result: v.result,
+                attempts: v.attempts,
+            }));
+        }
         // Deterministic file contents regardless of hash-map iteration order.
         entries.sort_by(|a, b| (a.space_id, &a.levels).cmp(&(b.space_id, &b.levels)));
         let file = SpillFile {
@@ -453,11 +485,11 @@ impl EvalCache {
             )));
         }
         let n = file.entries.len();
-        let mut guard = inner.map.lock().expect("eval cache lock");
+        let mut state = inner.state.lock().expect("eval cache lock");
         for e in file.entries {
             // Imported entries mirror into an attached store (that is what
-            // `isop cache import` does with the legacy spill); they count as
-            // Local — this process put them there, not a previous run's
+            // `isop cache import` does with the legacy spill); they are
+            // local — this process put them there, not a previous run's
             // shard record.
             if let Some(store) = &inner.store {
                 store.append_eval(&EvalRecord {
@@ -467,18 +499,15 @@ impl EvalCache {
                     attempts: e.attempts,
                 });
             }
-            guard.insert(
+            state.local.insert(
                 DesignKey {
                     space_id: e.space_id,
                     levels: e.levels,
                 },
-                (
-                    CachedSim {
-                        result: e.result,
-                        attempts: e.attempts,
-                    },
-                    Origin::Local,
-                ),
+                CachedSim {
+                    result: e.result,
+                    attempts: e.attempts,
+                },
             );
         }
         Ok(n)
@@ -817,6 +846,119 @@ mod tests {
         // The tally persists across the flush for `isop cache stats`.
         warm.persist().expect("flushes");
         assert_eq!(store.stats().expect("stats").cross_job_hits, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A synthetic cached simulation, distinct per `tag`.
+    fn sim(tag: u32, attempts: u32) -> CachedSim {
+        CachedSim {
+            result: SimulationResult {
+                z_diff: 80.0 + f64::from(tag),
+                insertion_loss: -0.5,
+                next: -40.0,
+            },
+            attempts,
+        }
+    }
+
+    /// The design `steps` grid levels above the low corner of parameter 0.
+    fn stepped(space: &ParamSpace, steps: u32) -> Vec<f64> {
+        let mut x: Vec<f64> = space.params().iter().map(|p| p.lo).collect();
+        x[0] += f64::from(steps) * space.params()[0].step;
+        x
+    }
+
+    /// A hydrated cache keeps the view it froze: a neighbor's later
+    /// flush reaches fresh caches only, the cache's own inserts shadow its
+    /// snapshot, and the counters tick as for the old eager copy.
+    #[test]
+    fn snapshot_keeps_the_frozen_view() {
+        let space = s1();
+        let (x_old, x_own, x_new) = (stepped(&space, 0), stepped(&space, 1), stepped(&space, 2));
+        let key = |x: &[f64]| EvalCache::key_for(&space, x).expect("on grid");
+        let dir = std::env::temp_dir().join(format!("isop-ec-snapshot-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        {
+            // A previous process stored two designs.
+            let store = Arc::new(isop_store::Store::open(&dir).expect("opens"));
+            let cache = EvalCache::with_store(Arc::clone(&store));
+            cache.insert(key(&x_old), sim(0, 1));
+            cache.insert(key(&x_own), sim(1, 1));
+            cache.persist().expect("flushes");
+        }
+        let engine_tele = Telemetry::enabled();
+        let store = Arc::new(
+            isop_store::Store::open(&dir)
+                .expect("reopens")
+                .with_telemetry(engine_tele.clone()),
+        );
+        let a = EvalCache::with_store(Arc::clone(&store));
+        a.hydrate_space(&space);
+        assert_eq!(a.len(), 2);
+
+        let neighbor = EvalCache::with_store(Arc::clone(&store));
+        neighbor.insert(key(&x_new), sim(2, 1));
+        neighbor.persist().expect("flushes");
+
+        let tele_a = Telemetry::enabled();
+        assert!(
+            a.probe(&space, &x_new, &tele_a).hit.is_none(),
+            "frozen view"
+        );
+        assert_eq!(a.probe(&space, &x_old, &tele_a).hit, Some(sim(0, 1)));
+        a.insert(key(&x_own), sim(1, 4));
+        assert_eq!(
+            a.probe(&space, &x_own, &tele_a).hit,
+            Some(sim(1, 4)),
+            "own insert shadows the snapshot"
+        );
+        assert_eq!(a.len(), 2);
+        assert_eq!(tele_a.counter(Counter::EmCacheHits), 2);
+        assert_eq!(tele_a.counter(Counter::EmCacheMisses), 1);
+        // Only the snapshot hit on x_old came from the store.
+        assert_eq!(engine_tele.counter(Counter::StoreCrossJobHits), 1);
+
+        let tele_b = Telemetry::enabled();
+        let b = EvalCache::with_store(Arc::clone(&store));
+        assert_eq!(b.probe(&space, &x_new, &tele_b).hit, Some(sim(2, 1)));
+        assert_eq!(tele_b.counter(Counter::EmCacheHits), 1);
+        assert_eq!(engine_tele.counter(Counter::StoreCrossJobHits), 2);
+        assert_eq!(b.len(), 3);
+        // One shard read served every hydration.
+        assert_eq!(engine_tele.counter(Counter::StoreShardLoads), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two stored records of one design: hydration serves the last one,
+    /// the same record `isop cache compact` keeps, so compaction never
+    /// changes what a cache replays.
+    #[test]
+    fn hydration_and_compaction_agree_on_the_last_record() {
+        let space = s1();
+        let x = grid_design(&space);
+        let key = EvalCache::key_for(&space, &x).expect("on grid");
+        let dir = std::env::temp_dir().join(format!("isop-ec-dup-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let tele = Telemetry::disabled();
+        {
+            let store = Arc::new(isop_store::Store::open(&dir).expect("opens"));
+            let cache = EvalCache::with_store(Arc::clone(&store));
+            cache.insert(key.clone(), sim(0, 1));
+            cache.insert(key, sim(0, 3));
+            cache.persist().expect("flushes");
+        }
+        let hydrate = || {
+            let store = Arc::new(isop_store::Store::open(&dir).expect("opens"));
+            EvalCache::with_store(store).probe(&space, &x, &tele).hit
+        };
+        let before = hydrate().expect("stored");
+        let compacted = isop_store::Store::open(&dir)
+            .expect("opens")
+            .compact()
+            .expect("compacts");
+        assert_eq!((compacted.records_before, compacted.records_after), (2, 1));
+        assert_eq!(hydrate(), Some(before));
+        assert_eq!(before, sim(0, 3), "the last record wins");
         std::fs::remove_dir_all(&dir).ok();
     }
 

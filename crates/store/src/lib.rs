@@ -23,14 +23,25 @@
 //! record*: payload_len u32 LE | kind u8 | fnv1a(payload) u64 LE | payload
 //! ```
 //!
-//! Records are **append-only**: a flush rewrites the shard as
-//! `existing valid records + pending appends` to a temp file and renames
-//! it into place, so a killed run can never leave a torn shard visible —
-//! readers at worst see the previous complete generation. Within a file,
-//! a checksum-failing record is *skipped and counted*
-//! (`store.records_skipped`), never fatal: one bad record costs itself,
-//! a torn tail costs only the tail (framing cannot resync past a bad
-//! length, which is exactly the case the atomic rename prevents).
+//! Records are **append-only**. A flush appends only the pending frames
+//! to the end of each dirty shard in one write, and checksums only those
+//! frames, so its cost follows the records written, not the records
+//! stored. A shard file is written whole (to a temp file renamed into
+//! place) only when it is created, healed, or compacted.
+//!
+//! **Crash model.** No write is fsynced. A killed process leaves at worst
+//! a torn tail: its last frame half-written. Readers skip and count it
+//! (`store.records_skipped`), as they do a checksum-failing record in the
+//! middle of a file — one bad record costs itself, a torn tail costs only
+//! the tail. A shard whose load skipped a frame is healed by its first
+//! flush, which rewrites it whole from its valid records plus the pending
+//! ones, so no record ever lands behind a torn frame.
+//!
+//! **Eval index.** Loading a shard decodes its eval records into one
+//! [`EvalIndex`] per space (one entry per design, the last record wins)
+//! and keeps no raw copy of them. [`Store::eval_index`] hands out an `Arc`
+//! snapshot of that index: the holder's view stays frozen while later
+//! flushes fold their appends into the store's own copy.
 //!
 //! Duplicate records are legal — later appends supersede earlier ones at
 //! read time (last record wins). [`Store::compact`] drops the superseded
@@ -58,10 +69,11 @@ pub mod codec;
 use codec::{fnv1a, read_varint, write_varint, CodecError};
 use isop_telemetry::{Counter, Telemetry};
 use serde::json::Value;
-use std::io;
+use std::collections::HashMap;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Shard-file magic, 8 bytes.
 pub const STORE_MAGIC: [u8; 8] = *b"ISOPSTR1";
@@ -367,15 +379,114 @@ impl RawRecord {
     }
 }
 
-/// Per-shard in-memory state: disk records are read lazily, pending
-/// appends wait for the next flush.
+/// Appends one on-disk frame (prefix + payload) to `out`.
+fn encode_frame(kind: RecordKind, payload: &[u8], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.push(kind as u8);
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// One stored evaluation as an [`EvalIndex`] holds it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StoredEval {
+    /// `[Z, L, NEXT]` of the successful simulation, exact bits.
+    pub metrics: [f64; 3],
+    /// Attempts the original evaluation took, including the final success.
+    pub attempts: u32,
+}
+
+/// The decoded evaluations of one design space: one entry per design,
+/// keyed by its grid levels. A later record of a design supersedes an
+/// earlier one — the same rule compaction applies.
+#[derive(Debug, Clone, Default)]
+pub struct EvalIndex {
+    entries: HashMap<Box<[u32]>, StoredEval>,
+}
+
+impl EvalIndex {
+    /// The stored evaluation of the design at `levels`, if any.
+    #[must_use]
+    pub fn get(&self, levels: &[u32]) -> Option<StoredEval> {
+        self.entries.get(levels).copied()
+    }
+
+    /// Number of designs held.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` when no design is held.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Every design's levels and evaluation, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u32], StoredEval)> {
+        self.entries.iter().map(|(levels, eval)| (&**levels, *eval))
+    }
+
+    /// The index as records of `space_id`, sorted by levels.
+    fn records(&self, space_id: u64) -> Vec<EvalRecord> {
+        let mut out: Vec<EvalRecord> = self
+            .iter()
+            .map(|(levels, eval)| EvalRecord {
+                space_id,
+                levels: levels.to_vec(),
+                metrics: eval.metrics,
+                attempts: eval.attempts,
+            })
+            .collect();
+        out.sort_by(|a, b| a.levels.cmp(&b.levels));
+        out
+    }
+
+    fn insert(&mut self, record: EvalRecord) {
+        self.entries.insert(
+            record.levels.into_boxed_slice(),
+            StoredEval {
+                metrics: record.metrics,
+                attempts: record.attempts,
+            },
+        );
+    }
+}
+
+/// Per-shard in-memory state: the file is read lazily, at most once, and
+/// pending appends wait for the next flush.
 #[derive(Debug, Default)]
 struct ShardState {
     loaded: bool,
-    /// Valid records read from disk, in file order.
+    /// Bytes of the shard file this process accounts for: its length at
+    /// load plus every append since (0 = no file yet).
+    disk_len: u64,
+    /// The load skipped a frame, or an append failed part-way: the next
+    /// flush rewrites the file whole instead of appending to it.
+    damaged: bool,
+    /// Decoded eval records by space fingerprint. Readers hold `Arc`
+    /// snapshots; a flush into a snapshotted space copies it first.
+    evals: HashMap<u64, Arc<EvalIndex>>,
+    /// Valid model, meta and journal records, in file order.
     records: Vec<RawRecord>,
     /// Appends since the last flush.
     pending: Vec<RawRecord>,
+}
+
+impl ShardState {
+    /// Folds one valid frame into the in-memory image. An eval payload
+    /// that does not decode is left out; it stays on disk until compaction.
+    fn absorb(&mut self, kind: RecordKind, payload: &[u8]) {
+        if kind != RecordKind::Eval {
+            self.records.push(RawRecord {
+                kind,
+                payload: payload.to_vec(),
+            });
+        } else if let Ok(eval) = EvalRecord::decode(payload) {
+            Arc::make_mut(self.evals.entry(eval.space_id).or_default()).insert(eval);
+        }
+    }
 }
 
 /// Aggregate result of one [`Store::flush`].
@@ -383,7 +494,10 @@ struct ShardState {
 pub struct FlushStats {
     /// Pending records written.
     pub records_written: u64,
-    /// Shard files rewritten (atomically, temp + rename).
+    /// Shard files the pending frames were appended to, in one write each.
+    pub shards_appended: u64,
+    /// Shard files written whole, atomically via temp + rename: created,
+    /// or healed after their load skipped a frame.
     pub shards_rewritten: u64,
 }
 
@@ -522,17 +636,18 @@ impl Store {
     /// panicked while holding the lock must not turn every later probe and
     /// flush into a panic cascade (fatal for a daemon). Recovery is sound
     /// because the in-memory image is only ever *extended* under the lock
-    /// (loaded flag, record/pending pushes) and the next flush rewrites the
-    /// shard from that image — disk state heals whatever a torn in-memory
-    /// update left behind.
+    /// (loaded flag, index inserts, record/pending pushes), and a flush
+    /// whose write fails re-queues its frames and marks the shard for a
+    /// whole rewrite — disk state heals whatever a torn update left behind.
     fn lock_shards(&self) -> std::sync::MutexGuard<'_, Vec<ShardState>> {
         self.shards
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Reads the shard file into `state.records` if not yet loaded,
-    /// skipping (and counting) corrupt records.
+    /// Reads the shard file into `state` if not yet loaded: evals into the
+    /// per-space index, other records raw. Corrupt records are skipped and
+    /// counted, and mark the shard for healing at its next flush.
     fn ensure_loaded(&self, state: &mut ShardState, shard: u32) -> io::Result<()> {
         if state.loaded {
             return Ok(());
@@ -545,43 +660,50 @@ impl Store {
             Err(e) => return Err(e),
         };
         self.telemetry.incr(Counter::StoreShardLoads);
-        let (records, skipped) = parse_shard(&bytes, &path)?;
-        self.telemetry
-            .add(Counter::StoreRecordsLoaded, records.len() as u64);
+        let mut loaded = 0u64;
+        let skipped = parse_shard(&bytes, &path, |kind, payload| {
+            loaded += 1;
+            state.absorb(kind, payload);
+        })?;
+        self.telemetry.add(Counter::StoreRecordsLoaded, loaded);
         self.telemetry.add(Counter::StoreRecordsSkipped, skipped);
-        state.records = records;
+        state.disk_len = bytes.len() as u64;
+        state.damaged = skipped > 0;
         Ok(())
     }
 
-    /// Every stored evaluation for `space_id`, oldest first (pending
-    /// appends from this process included, so two caches sharing one store
-    /// see each other's flushed-or-not entries identically).
+    /// A snapshot of the evaluations stored for `space_id`: every record
+    /// loaded from or flushed to its shard, last write wins. Appends still
+    /// pending join the store's index at the next flush, never a snapshot
+    /// already handed out — the holder's view is frozen. Once the shard is
+    /// loaded, a snapshot costs one `Arc` clone.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors; corrupt records are skipped, not
+    /// fatal.
+    pub fn eval_index(&self, space_id: u64) -> io::Result<Arc<EvalIndex>> {
+        let shard = self.shard_of(space_id);
+        let mut shards = self.lock_shards();
+        let state = &mut shards[shard as usize];
+        self.ensure_loaded(state, shard)?;
+        Ok(state.evals.get(&space_id).cloned().unwrap_or_default())
+    }
+
+    /// The latest stored evaluation of every design of `space_id`, sorted
+    /// by levels: the contents of [`Store::eval_index`] as records.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; corrupt records are skipped, not
     /// fatal.
     pub fn load_evals(&self, space_id: u64) -> io::Result<Vec<EvalRecord>> {
-        let shard = self.shard_of(space_id);
-        let mut shards = self.lock_shards();
-        let state = &mut shards[shard as usize];
-        self.ensure_loaded(state, shard)?;
-        let mut out = Vec::new();
-        for rec in state.records.iter().chain(state.pending.iter()) {
-            if rec.kind != RecordKind::Eval {
-                continue;
-            }
-            if let Ok(eval) = EvalRecord::decode(&rec.payload) {
-                if eval.space_id == space_id {
-                    out.push(eval);
-                }
-            }
-        }
-        Ok(out)
+        Ok(self.eval_index(space_id)?.records(space_id))
     }
 
-    /// Every stored evaluation across every shard, shard-then-file order —
-    /// the bulk read behind `isop cache export`.
+    /// The latest stored evaluation of every design across every shard,
+    /// sorted by shard, space, then levels — the bulk read behind
+    /// `isop cache export`. Pending appends are not included.
     ///
     /// # Errors
     ///
@@ -592,13 +714,10 @@ impl Store {
         for shard in 0..self.n_shards {
             let state = &mut shards[shard as usize];
             self.ensure_loaded(state, shard)?;
-            for rec in state.records.iter().chain(state.pending.iter()) {
-                if rec.kind != RecordKind::Eval {
-                    continue;
-                }
-                if let Ok(eval) = EvalRecord::decode(&rec.payload) {
-                    out.push(eval);
-                }
+            let mut spaces: Vec<_> = state.evals.iter().collect();
+            spaces.sort_by_key(|(&space_id, _)| space_id);
+            for (&space_id, index) in spaces {
+                out.extend(index.records(space_id));
             }
         }
         Ok(out)
@@ -701,14 +820,18 @@ impl Store {
         self.cross_job_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Writes every shard with pending records atomically (temp file +
-    /// rename), folding this process's cross-job hit tally into a meta
-    /// record on shard 0. A flush with nothing pending and no hits is a
-    /// complete no-op — no file is touched.
+    /// Writes every shard's pending records, folding this process's
+    /// cross-job hit tally into a meta record on shard 0. Each dirty shard
+    /// gets its pending frames appended in one write; a shard with no file
+    /// yet, or whose load skipped a frame, is instead written whole (temp
+    /// file + rename), which heals it. Flushed evals join the store's eval
+    /// index. A flush with nothing pending and no hits is a complete no-op
+    /// — no file is touched.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
+    /// Propagates filesystem errors. The failing shard keeps its pending
+    /// records and is rewritten whole by the next flush.
     pub fn flush(&self) -> io::Result<FlushStats> {
         let mut shards = self.lock_shards();
         let hits = self.cross_job_hits.swap(0, Ordering::Relaxed);
@@ -726,43 +849,96 @@ impl Store {
             if state.pending.is_empty() {
                 continue;
             }
-            // Appending rewrites the shard from its in-memory image, so
-            // load first: prior generations are preserved verbatim and a
-            // torn tail (if any) is healed by the rewrite.
+            // Load first: an append must know whether the file is damaged,
+            // and the index must hold the file's records before these.
             self.ensure_loaded(state, shard)?;
             let pending = std::mem::take(&mut state.pending);
+            let mut frames = Vec::new();
+            for rec in &pending {
+                encode_frame(rec.kind, &rec.payload, &mut frames);
+            }
+            let written = if state.damaged || state.disk_len == 0 {
+                stats.shards_rewritten += 1;
+                self.rewrite_shard(shard, state.disk_len, &frames)
+            } else {
+                stats.shards_appended += 1;
+                self.append_frames(shard, &frames)
+                    .map(|()| state.disk_len + frames.len() as u64)
+            };
+            match written {
+                Ok(len) => {
+                    state.disk_len = len;
+                    state.damaged = false;
+                }
+                Err(e) => {
+                    // A failed append may have left a partial frame behind.
+                    state.damaged = true;
+                    state.pending = pending;
+                    return Err(e);
+                }
+            }
             stats.records_written += pending.len() as u64;
-            state.records.extend(pending);
-            self.write_shard(shard, &state.records)?;
-            stats.shards_rewritten += 1;
+            for rec in &pending {
+                state.absorb(rec.kind, &rec.payload);
+            }
         }
         self.telemetry
             .add(Counter::StoreRecordsWritten, stats.records_written);
         Ok(stats)
     }
 
-    /// Atomically replaces the shard file with `records`.
-    fn write_shard(&self, shard: u32, records: &[RawRecord]) -> io::Result<()> {
-        let mut bytes = Vec::with_capacity(HEADER_LEN);
+    /// Appends encoded `frames` to the end of the shard file in one write.
+    fn append_frames(&self, shard: u32, frames: &[u8]) -> io::Result<()> {
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(self.shard_path(shard))?
+            .write_all(frames)
+    }
+
+    /// Writes the shard whole: the valid records among the first
+    /// `committed` bytes of its file (bytes past them are an append that
+    /// failed part-way), then `frames`. Returns the new file length.
+    fn rewrite_shard(&self, shard: u32, committed: u64, frames: &[u8]) -> io::Result<u64> {
+        let mut body = Vec::new();
+        if committed > 0 {
+            let path = self.shard_path(shard);
+            let bytes = match std::fs::read(&path) {
+                Ok(b) => b,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+                Err(e) => return Err(e),
+            };
+            if !bytes.is_empty() {
+                let end = bytes.len().min(committed as usize);
+                parse_shard(&bytes[..end], &path, |kind, payload| {
+                    encode_frame(kind, payload, &mut body);
+                })?;
+            }
+        }
+        body.extend_from_slice(frames);
+        self.write_shard(shard, &body)
+    }
+
+    /// Atomically replaces the shard file with a header plus `frames`
+    /// (temp file + rename). Returns the new file length.
+    fn write_shard(&self, shard: u32, frames: &[u8]) -> io::Result<u64> {
+        let mut bytes = Vec::with_capacity(HEADER_LEN + frames.len());
         bytes.extend_from_slice(&STORE_MAGIC);
         bytes.extend_from_slice(&STORE_SCHEMA_VERSION.to_le_bytes());
         bytes.extend_from_slice(&self.n_shards.to_le_bytes());
-        for rec in records {
-            bytes.extend_from_slice(&(rec.payload.len() as u32).to_le_bytes());
-            bytes.push(rec.kind as u8);
-            bytes.extend_from_slice(&fnv1a(&rec.payload).to_le_bytes());
-            bytes.extend_from_slice(&rec.payload);
-        }
+        bytes.extend_from_slice(frames);
         let path = self.shard_path(shard);
         let tmp = self.dir.join(format!("shard_{shard:03}.bin.tmp"));
         std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, &path)
+        std::fs::rename(&tmp, &path)?;
+        Ok(bytes.len() as u64)
     }
 
     /// Drops superseded record generations: within each shard, only the
     /// last record per identity survives, and meta tallies collapse into
-    /// one summed record. Pending appends are flushed first. Idempotent —
-    /// compacting a compacted store rewrites nothing further.
+    /// one summed record. Pending appends are flushed first, then every
+    /// shard file is re-read from disk; a shard that shrinks is rewritten
+    /// whole (temp file + rename). Idempotent — compacting a compacted
+    /// store rewrites nothing further.
     ///
     /// # Errors
     ///
@@ -772,15 +948,39 @@ impl Store {
         let mut shards = self.lock_shards();
         let mut stats = CompactStats::default();
         for shard in 0..self.n_shards {
-            let state = &mut shards[shard as usize];
-            self.ensure_loaded(state, shard)?;
-            stats.records_before += state.records.len() as u64;
-            let compacted = compact_records(&state.records);
+            let path = self.shard_path(shard);
+            let bytes = match std::fs::read(&path) {
+                Ok(b) => b,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+                Err(e) => return Err(e),
+            };
+            let mut records = Vec::new();
+            parse_shard(&bytes, &path, |kind, payload| {
+                records.push(RawRecord {
+                    kind,
+                    payload: payload.to_vec(),
+                });
+            })?;
+            stats.records_before += records.len() as u64;
+            let compacted = compact_records(&records);
             stats.records_after += compacted.len() as u64;
-            if compacted.len() != state.records.len() {
-                state.records = compacted;
-                self.write_shard(shard, &state.records)?;
+            if compacted.len() == records.len() {
+                continue;
             }
+            let mut frames = Vec::new();
+            for rec in &compacted {
+                encode_frame(rec.kind, &rec.payload, &mut frames);
+            }
+            let disk_len = self.write_shard(shard, &frames)?;
+            let mut state = ShardState {
+                loaded: true,
+                disk_len,
+                ..ShardState::default()
+            };
+            for rec in &compacted {
+                state.absorb(rec.kind, &rec.payload);
+            }
+            shards[shard as usize] = state;
         }
         Ok(stats)
     }
@@ -801,24 +1001,25 @@ impl Store {
                 Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
                 Err(e) => return Err(e),
             };
-            let (records, mut skipped) = parse_shard(&bytes, &path)?;
             // verify decodes payloads too — a record whose checksum holds
             // but whose payload no longer parses is as unusable as a torn
             // one.
             let mut valid = 0u64;
-            for rec in &records {
-                let ok = match rec.kind {
-                    RecordKind::Eval => EvalRecord::decode(&rec.payload).is_ok(),
-                    RecordKind::Model => ModelRecord::decode(&rec.payload).is_ok(),
-                    RecordKind::Meta => read_varint(&rec.payload, &mut 0).is_ok(),
-                    RecordKind::Job => JobRecord::decode(&rec.payload).is_ok(),
+            let mut undecodable = 0u64;
+            let torn = parse_shard(&bytes, &path, |kind, payload| {
+                let ok = match kind {
+                    RecordKind::Eval => EvalRecord::decode(payload).is_ok(),
+                    RecordKind::Model => ModelRecord::decode(payload).is_ok(),
+                    RecordKind::Meta => read_varint(payload, &mut 0).is_ok(),
+                    RecordKind::Job => JobRecord::decode(payload).is_ok(),
                 };
                 if ok {
                     valid += 1;
                 } else {
-                    skipped += 1;
+                    undecodable += 1;
                 }
-            }
+            })?;
+            let skipped = torn + undecodable;
             out.push(ShardVerify {
                 shard,
                 valid,
@@ -848,18 +1049,14 @@ impl Store {
             };
             stats.shards += 1;
             stats.bytes += bytes.len() as u64;
-            let (records, skipped) = parse_shard(&bytes, &path)?;
-            stats.skipped += skipped;
-            for rec in &records {
-                match rec.kind {
-                    RecordKind::Eval => stats.eval_records += 1,
-                    RecordKind::Model => stats.model_records += 1,
-                    RecordKind::Job => stats.job_records += 1,
-                    RecordKind::Meta => {
-                        stats.cross_job_hits += read_varint(&rec.payload, &mut 0).unwrap_or(0);
-                    }
+            stats.skipped += parse_shard(&bytes, &path, |kind, payload| match kind {
+                RecordKind::Eval => stats.eval_records += 1,
+                RecordKind::Model => stats.model_records += 1,
+                RecordKind::Job => stats.job_records += 1,
+                RecordKind::Meta => {
+                    stats.cross_job_hits += read_varint(payload, &mut 0).unwrap_or(0);
                 }
-            }
+            })?;
         }
         Ok(stats)
     }
@@ -901,13 +1098,17 @@ fn parse_header(bytes: &[u8], path: &Path) -> io::Result<u32> {
     Ok(n_shards)
 }
 
-/// Parses a shard file body: valid records in file order plus the skipped
+/// Walks a shard file's frames, calling `visit(kind, payload)` on each
+/// record whose checksum holds, in file order, and returns the skipped
 /// count. A checksum-failing record with intact framing is skipped alone;
 /// a torn frame (truncated length/payload or an unknown kind) ends the
 /// scan, costing one more skip for the tail.
-fn parse_shard(bytes: &[u8], path: &Path) -> io::Result<(Vec<RawRecord>, u64)> {
+fn parse_shard(
+    bytes: &[u8],
+    path: &Path,
+    mut visit: impl FnMut(RecordKind, &[u8]),
+) -> io::Result<u64> {
     parse_header(bytes, path)?;
-    let mut records = Vec::new();
     let mut skipped = 0u64;
     let mut pos = HEADER_LEN;
     while pos < bytes.len() {
@@ -931,47 +1132,46 @@ fn parse_shard(bytes: &[u8], path: &Path) -> io::Result<(Vec<RawRecord>, u64)> {
         };
         let payload = &bytes[body_start..body_end];
         if fnv1a(payload) == checksum {
-            records.push(RawRecord {
-                kind,
-                payload: payload.to_vec(),
-            });
+            visit(kind, payload);
         } else {
             skipped += 1; // framing intact, payload corrupt: skip just it
         }
         pos = body_end;
     }
-    Ok((records, skipped))
+    Ok(skipped)
 }
 
 /// Keep-last-per-identity compaction, preserving first-appearance order of
 /// the survivors; meta tallies sum into a single record.
 fn compact_records(records: &[RawRecord]) -> Vec<RawRecord> {
     let mut meta_total = 0u64;
-    let mut keep: Vec<(Option<Vec<u8>>, RawRecord)> = Vec::new();
+    let mut keep: Vec<RawRecord> = Vec::new();
+    let mut slot_of: HashMap<Vec<u8>, usize> = HashMap::new();
     for rec in records {
         if rec.kind == RecordKind::Meta {
             meta_total += read_varint(&rec.payload, &mut 0).unwrap_or(0);
             continue;
         }
-        let id = rec.identity();
-        match id
-            .as_ref()
-            .and_then(|id| keep.iter().position(|(k, _)| k.as_deref() == Some(id)))
-        {
-            Some(at) => keep[at].1 = rec.clone(),
-            None => keep.push((id, rec.clone())),
+        match rec.identity() {
+            Some(id) => match slot_of.get(&id) {
+                Some(&at) => keep[at] = rec.clone(),
+                None => {
+                    slot_of.insert(id, keep.len());
+                    keep.push(rec.clone());
+                }
+            },
+            None => keep.push(rec.clone()),
         }
     }
-    let mut out: Vec<RawRecord> = keep.into_iter().map(|(_, r)| r).collect();
     if meta_total > 0 {
         let mut payload = Vec::new();
         write_varint(meta_total, &mut payload);
-        out.push(RawRecord {
+        keep.push(RawRecord {
             kind: RecordKind::Meta,
             payload,
         });
     }
-    out
+    keep
 }
 
 #[cfg(test)]
@@ -1129,6 +1329,171 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn job_frame(id: &str) -> JobRecord {
+        JobRecord {
+            epoch: 0,
+            state: JobState::Started,
+            job_id: id.to_string(),
+            payload: Value::Null,
+        }
+    }
+
+    /// A flush appends: the populated shard keeps its inode, its old bytes
+    /// stay a byte-identical prefix, and it grows by exactly the new
+    /// frame — whether or not this handle had read the shard before.
+    #[cfg(unix)]
+    #[test]
+    fn flush_appends_one_frame_in_place() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = temp_dir("append");
+        let store = Store::open_with_shards(&dir, 1).expect("opens");
+        for level in 0..50 {
+            store.append_eval(&eval(5, level, 85.0));
+        }
+        store.append_job(&job_frame("a"));
+        store.flush().expect("flushes");
+        let path = dir.join("shard_000.bin");
+        let before = std::fs::read(&path).expect("reads");
+        let ino = std::fs::metadata(&path).expect("stat").ino();
+        let reopened = Store::open(&dir).expect("reopens");
+        // The writing handle, then one that has not read the shard yet.
+        for (store, id) in [(&store, "b"), (&reopened, "c")] {
+            let frame = job_frame(id);
+            let old = std::fs::read(&path).expect("reads");
+            store.append_job(&frame);
+            let stats = store.flush().expect("flushes");
+            assert_eq!(
+                stats,
+                FlushStats {
+                    records_written: 1,
+                    shards_appended: 1,
+                    shards_rewritten: 0,
+                }
+            );
+            let new = std::fs::read(&path).expect("reads");
+            assert_eq!(std::fs::metadata(&path).expect("stat").ino(), ino);
+            assert_eq!(&new[..old.len()], &old[..], "old bytes are a prefix");
+            assert_eq!(new.len(), old.len() + FRAME_PREFIX + frame.encode().len());
+        }
+        assert!(std::fs::read(&path).expect("reads").starts_with(&before));
+        let last = Store::open(&dir).expect("reopens");
+        assert_eq!(last.load_jobs().expect("loads").len(), 3);
+        assert_eq!(last.load_evals(5).expect("loads").len(), 50);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A torn tail on a shard this handle never read before its first
+    /// append is healed by that flush: the new record cannot land behind
+    /// the torn frame.
+    #[test]
+    fn torn_tail_of_an_unread_shard_is_healed_by_the_first_flush() {
+        let dir = temp_dir("torn-unread");
+        let store = Store::open(&dir).expect("opens");
+        store.append_eval(&eval(9, 0, 85.0));
+        store.append_eval(&eval(9, 1, 86.0));
+        store.flush().expect("flushes");
+        let path = dir.join(format!("shard_{:03}.bin", store.shard_of(9)));
+        drop(store);
+        let bytes = std::fs::read(&path).expect("reads");
+        std::fs::write(&path, &bytes[..bytes.len() - 7]).expect("tears");
+
+        let fresh = Store::open(&dir).expect("opens");
+        fresh.append_eval(&eval(9, 2, 87.0));
+        let stats = fresh.flush().expect("flushes");
+        assert_eq!((stats.shards_appended, stats.shards_rewritten), (0, 1));
+        let reopened = Store::open(&dir).expect("reopens");
+        let levels: Vec<u32> = reopened
+            .load_evals(9)
+            .expect("loads")
+            .iter()
+            .map(|e| e.levels[0])
+            .collect();
+        assert_eq!(levels, vec![0, 2], "the survivor and the new record");
+        let v = reopened.verify().expect("verifies");
+        assert_eq!(v.iter().map(|v| v.skipped).sum::<u64>(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checksum-corrupt record in the middle of a shard is healed by the
+    /// shard's first flush, and later flushes go back to appending.
+    #[test]
+    fn mid_file_corrupt_record_is_healed_by_the_first_flush() {
+        let dir = temp_dir("corrupt-heal");
+        let store = Store::open_with_shards(&dir, 1).expect("opens");
+        for level in 0..3 {
+            store.append_eval(&eval(3, level, 85.0));
+        }
+        store.flush().expect("flushes");
+        drop(store);
+        let path = dir.join("shard_000.bin");
+        let mut bytes = std::fs::read(&path).expect("reads");
+        let frame = FRAME_PREFIX + eval(3, 0, 85.0).encode().len();
+        bytes[HEADER_LEN + frame + FRAME_PREFIX + 2] ^= 0xFF; // second record
+        std::fs::write(&path, &bytes).expect("corrupts");
+
+        let fresh = Store::open(&dir).expect("opens");
+        fresh.append_eval(&eval(3, 7, 88.0));
+        assert_eq!(fresh.flush().expect("heals").shards_rewritten, 1);
+        let v = fresh.verify().expect("verifies");
+        assert_eq!((v[0].valid, v[0].skipped), (3, 0));
+        fresh.append_eval(&eval(3, 8, 89.0));
+        assert_eq!(fresh.flush().expect("appends").shards_appended, 1);
+        let levels: Vec<u32> = Store::open(&dir)
+            .expect("reopens")
+            .load_evals(3)
+            .expect("loads")
+            .iter()
+            .map(|e| e.levels[0])
+            .collect();
+        assert_eq!(levels, vec![0, 2, 7, 8]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A flush whose append fails keeps its records pending; the next
+    /// flush writes the shard whole with them.
+    #[test]
+    fn failed_append_keeps_its_records_for_the_next_flush() {
+        let dir = temp_dir("append-fail");
+        let store = Store::open_with_shards(&dir, 1).expect("opens");
+        store.append_eval(&eval(4, 0, 85.0));
+        store.flush().expect("flushes");
+        let path = dir.join("shard_000.bin");
+        std::fs::remove_file(&path).expect("removes");
+        store.append_eval(&eval(4, 1, 86.0));
+        assert!(store.flush().is_err(), "nothing to append to");
+        assert_eq!(store.load_evals(4).expect("loads").len(), 1, "not flushed");
+        let stats = store.flush().expect("rewrites");
+        assert_eq!((stats.records_written, stats.shards_rewritten), (1, 1));
+        let v = store.verify().expect("verifies");
+        assert_eq!((v[0].valid, v[0].skipped), (1, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Snapshots are frozen: a flush folds its appends into the store's
+    /// index, never into an `Arc` already handed out, and the index keeps
+    /// the last record of a design.
+    #[test]
+    fn eval_index_snapshots_are_frozen_and_last_write_wins() {
+        let dir = temp_dir("snapshot");
+        let store = Store::open(&dir).expect("opens");
+        store.append_eval(&eval(6, 0, 85.0));
+        store.append_eval(&EvalRecord {
+            attempts: 5,
+            ..eval(6, 0, 85.0)
+        });
+        store.flush().expect("flushes");
+        let before = store.eval_index(6).expect("indexes");
+        assert_eq!(before.len(), 1);
+        assert_eq!(before.get(&[0, 1]).expect("held").attempts, 5);
+        store.append_eval(&eval(6, 1, 86.0));
+        assert_eq!(store.eval_index(6).expect("indexes").len(), 1, "pending");
+        store.flush().expect("flushes");
+        assert_eq!(before.len(), 1, "the snapshot did not move");
+        assert_eq!(store.eval_index(6).expect("indexes").len(), 2);
+        assert!(store.eval_index(7).expect("indexes").is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn compaction_drops_superseded_and_is_idempotent() {
         let dir = temp_dir("compact");
@@ -1193,7 +1558,7 @@ mod tests {
         store.append_job(&frame(0, JobState::Submitted, "b", 1.5));
         store.append_job(&frame(0, JobState::Started, "a", 0.0));
         store.append_job(&frame(0, JobState::Finished, "a", 42.25));
-        // Pending frames are visible before the flush, same as evals.
+        // Pending frames are visible before the flush.
         assert_eq!(store.load_jobs().expect("loads pending").len(), 4);
         store.flush().expect("flushes");
         drop(store);
