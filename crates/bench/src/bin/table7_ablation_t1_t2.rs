@@ -22,23 +22,15 @@ fn main() {
     // One EM-result cache across every variant of every cell: the three
     // ablations of a task round to the same handful of grid designs, so
     // later variants replay earlier accurate simulations instead of
-    // re-running them. With ISOP_CACHE_DIR set the persistent sharded
-    // store carries the reuse across invocations (and processes); without
-    // it the legacy JSON spill does, as before. Outcomes are bit-identical
-    // with or without either.
+    // re-running them. The persistent sharded store (ISOP_CACHE_DIR)
+    // carries the reuse across invocations and processes; when it cannot
+    // be opened the cache lives in memory for this run. Outcomes are
+    // bit-identical either way.
     let store = isop_bench::open_store(&cfg);
     let em_cache = match &store {
         Some(s) => isop::evalcache::EvalCache::with_store(std::sync::Arc::clone(s)),
         None => isop::evalcache::EvalCache::new(),
     };
-    let spill = cfg.results_dir.join("em_cache.json");
-    if store.is_none() {
-        match em_cache.load_json(&spill) {
-            Ok(n) if n > 0 => eprintln!("[isop-bench] em-cache: {n} spilled sims loaded"),
-            Ok(_) => {}
-            Err(e) => eprintln!("[isop-bench] em-cache: ignoring unreadable spill: {e}"),
-        }
-    }
 
     let mut rows: Vec<AblationRow> = Vec::new();
     for (task, label, space) in table_cells([TaskId::T1, TaskId::T2]) {
@@ -61,12 +53,8 @@ fn main() {
             }
         }
     }
-    if store.is_some() {
-        if let Err(e) = em_cache.persist() {
-            eprintln!("[isop-bench] em-cache: store not flushed: {e}");
-        }
-    } else if let Err(e) = em_cache.save_json(&spill) {
-        eprintln!("[isop-bench] em-cache: spill not written: {e}");
+    if let Err(e) = em_cache.persist() {
+        eprintln!("[isop-bench] em-cache: store not flushed: {e}");
     }
     let table = render_ablation(&rows, false);
     emit(

@@ -16,21 +16,12 @@ fn main() {
 
     // Shared EM-result cache, exactly as in table7: variants of one task
     // reuse each other's accurate sims, and the persistent store
-    // (ISOP_CACHE_DIR) or legacy JSON spill shares them across the two
-    // ablation binaries.
+    // (ISOP_CACHE_DIR) shares them across the two ablation binaries.
     let store = isop_bench::open_store(&cfg);
     let em_cache = match &store {
         Some(s) => isop::evalcache::EvalCache::with_store(std::sync::Arc::clone(s)),
         None => isop::evalcache::EvalCache::new(),
     };
-    let spill = cfg.results_dir.join("em_cache.json");
-    if store.is_none() {
-        match em_cache.load_json(&spill) {
-            Ok(n) if n > 0 => eprintln!("[isop-bench] em-cache: {n} spilled sims loaded"),
-            Ok(_) => {}
-            Err(e) => eprintln!("[isop-bench] em-cache: ignoring unreadable spill: {e}"),
-        }
-    }
 
     let mut rows: Vec<AblationRow> = Vec::new();
     for (task, label, space) in table_cells([TaskId::T3, TaskId::T4]) {
@@ -53,12 +44,8 @@ fn main() {
             }
         }
     }
-    if store.is_some() {
-        if let Err(e) = em_cache.persist() {
-            eprintln!("[isop-bench] em-cache: store not flushed: {e}");
-        }
-    } else if let Err(e) = em_cache.save_json(&spill) {
-        eprintln!("[isop-bench] em-cache: spill not written: {e}");
+    if let Err(e) = em_cache.persist() {
+        eprintln!("[isop-bench] em-cache: store not flushed: {e}");
     }
     let table = render_ablation(&rows, true);
     emit(

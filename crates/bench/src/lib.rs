@@ -13,7 +13,7 @@
 //! | `ISOP_DATASET` | 32000 | surrogate-training samples (paper: 90 000) |
 //! | `ISOP_EPOCHS` | 60 | neural-surrogate training epochs |
 //! | `ISOP_RESULTS_DIR` | `results` | artifact output directory |
-//! | `ISOP_CACHE_DIR` | unset | persistent sharded eval-store directory; when set, the ablation bins read/write it instead of the legacy `em_cache.json` spill |
+//! | `ISOP_CACHE_DIR` | `target/isop-cache/em_store` | persistent sharded eval-store directory the ablation bins share accurate EM results through |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,9 +40,9 @@ pub struct BenchConfig {
     pub epochs: usize,
     /// Output directory for generated tables.
     pub results_dir: PathBuf,
-    /// Persistent sharded eval-store directory (`ISOP_CACHE_DIR`); `None`
-    /// keeps the legacy per-invocation JSON spill behavior.
-    pub cache_dir: Option<PathBuf>,
+    /// Persistent sharded eval-store directory (`ISOP_CACHE_DIR`, default
+    /// [`cache_path`]`("em_store")`).
+    pub cache_dir: PathBuf,
 }
 
 impl Default for BenchConfig {
@@ -67,7 +67,8 @@ impl BenchConfig {
             results_dir: std::env::var("ISOP_RESULTS_DIR")
                 .unwrap_or_else(|_| "results".to_string())
                 .into(),
-            cache_dir: std::env::var("ISOP_CACHE_DIR").ok().map(PathBuf::from),
+            cache_dir: std::env::var("ISOP_CACHE_DIR")
+                .map_or_else(|_| cache_path("em_store"), PathBuf::from),
         }
     }
 
@@ -78,7 +79,7 @@ impl BenchConfig {
             dataset_size: 90_000,
             epochs: 40,
             results_dir: "results".into(),
-            cache_dir: None,
+            cache_dir: cache_path("em_store"),
         }
     }
 }
@@ -121,11 +122,11 @@ pub fn cache_path(name: &str) -> PathBuf {
     PathBuf::from("target").join("isop-cache").join(name)
 }
 
-/// Opens the persistent eval store named by `ISOP_CACHE_DIR`, or `None`
-/// when the knob is unset or the directory is unusable (a warning is
-/// printed — persistence is always best-effort for the harnesses).
+/// Opens the persistent eval store at [`BenchConfig::cache_dir`], or
+/// `None` when the directory is unusable (a warning is printed —
+/// persistence is always best-effort for the harnesses).
 pub fn open_store(cfg: &BenchConfig) -> Option<std::sync::Arc<isop_store::Store>> {
-    let dir = cfg.cache_dir.as_ref()?;
+    let dir = &cfg.cache_dir;
     match isop_store::Store::open(dir) {
         Ok(store) => {
             eprintln!(
@@ -387,7 +388,6 @@ pub fn isop_config() -> isop::pipeline::IsopConfig {
         // way (see `isop::exec`).
         parallelism: isop::exec::Parallelism::from_env(),
         retry: isop::prelude::RetryPolicy::default(),
-        schedule: isop::scheduler::RolloutSchedule::default(),
     }
 }
 

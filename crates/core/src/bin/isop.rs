@@ -24,8 +24,9 @@
 //! `--cache-dir` (off by default) points `optimize` at a persistent sharded
 //! evaluation store: accurate EM results are served from records previous
 //! runs wrote (`store.cross_job_hits` in the report) and fresh ones are
-//! appended for the next run. `isop cache` administers such a store; the
-//! legacy whole-file JSON spill survives as its import/export format.
+//! appended for the next run. `isop cache` administers such a store and
+//! moves its evaluations to and from a JSON exchange file (`export` /
+//! `import`).
 //! `--report` attaches a telemetry handle to the pipeline and the verifying
 //! simulator, prints the per-stage span/counter table, and writes the
 //! machine-readable [`RunReport`] JSON for the CI bench gate.
@@ -64,7 +65,7 @@
 
 use isop::prelude::*;
 use isop_em::fdsolver::FdConfig;
-use isop_em::simulator::{AnalyticalSolver, EmSimulator, FieldSolver, SimulationResult};
+use isop_em::simulator::{AnalyticalSolver, EmSimulator, FieldSolver};
 use isop_em::stackup::DiffStripline;
 use isop_hpo::budget::Budget;
 use isop_store::Store;
@@ -218,7 +219,6 @@ fn cmd_optimize(flags: &HashMap<String, String>) -> Result<(), String> {
             parallelism: isop::exec::Parallelism::new(threads),
             retry: RetryPolicy {
                 max_attempts: em_retries,
-                ..RetryPolicy::default()
             },
             ..IsopConfig::default()
         };
@@ -712,7 +712,7 @@ fn cmd_report(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Administers a persistent evaluation store: inspect, checksum-verify,
-/// compact, and exchange records with the legacy JSON spill format.
+/// compact, and exchange records through the JSON exchange file.
 fn cmd_cache(action: &str, flags: &HashMap<String, String>) -> Result<(), String> {
     let dir = flags
         .get("cache-dir")
@@ -797,38 +797,15 @@ fn cmd_cache(action: &str, flags: &HashMap<String, String>) -> Result<(), String
         }
         "export" => {
             let out = flags.get("out").ok_or("export requires --out FILE")?;
-            let records = store.load_all_evals().map_err(|e| e.to_string())?;
-            let cache = isop::evalcache::EvalCache::new();
-            let n = records.len();
-            for rec in records {
-                cache.insert(
-                    isop::evalcache::DesignKey {
-                        space_id: rec.space_id,
-                        levels: rec.levels,
-                    },
-                    isop::evalcache::CachedSim {
-                        result: SimulationResult {
-                            z_diff: rec.metrics[0],
-                            insertion_loss: rec.metrics[1],
-                            next: rec.metrics[2],
-                        },
-                        attempts: rec.attempts,
-                    },
-                );
-            }
-            cache
-                .export_json(std::path::Path::new(out))
+            let n = isop::evalcache::export_json(&store, std::path::Path::new(out))
                 .map_err(|e| e.to_string())?;
             println!("exported {n} record(s) to {out}");
             Ok(())
         }
         "import" => {
             let file = flags.get("file").ok_or("import requires --file FILE")?;
-            let cache = isop::evalcache::EvalCache::with_store(Arc::new(store));
-            let n = cache
-                .load_json(std::path::Path::new(file))
+            let n = isop::evalcache::import_json(&store, std::path::Path::new(file))
                 .map_err(|e| e.to_string())?;
-            cache.persist().map_err(|e| e.to_string())?;
             println!("imported {n} record(s) from {file} into {dir}");
             Ok(())
         }

@@ -55,7 +55,7 @@ use isop_telemetry::{Counter, Telemetry};
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -158,6 +158,10 @@ impl Request {
     }
 }
 
+/// Longest request line the daemon reads, newline excluded. A longer line
+/// gets a typed `line_too_long` error and its connection is closed.
+const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
 /// A daemon reply (one JSON line on the wire): `{"ok":true,...}` on
 /// success, `{"ok":false,"error":KIND,"message":...}` on a typed error.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,7 +169,7 @@ pub enum Response {
     /// Success; the payload's fields are merged after `"ok":true`.
     Ok(Vec<(String, Value)>),
     /// Typed refusal: `bad_request`, `duplicate_id`, `unknown_task`,
-    /// `unknown_space`, `quota_exceeded`, or `not_found`.
+    /// `unknown_space`, `quota_exceeded`, `not_found`, or `line_too_long`.
     Error {
         /// Stable machine-readable error kind.
         kind: String,
@@ -814,26 +818,42 @@ impl Daemon {
         Ok(())
     }
 
-    /// One NDJSON connection: request line in, response line out.
+    /// One NDJSON connection: request line in, response line out. A line
+    /// longer than [`MAX_REQUEST_LINE_BYTES`] is answered with a typed
+    /// `line_too_long` error and the connection is closed, so a client that
+    /// never sends a newline cannot grow the daemon's memory.
     fn handle_connection(&self, stream: TcpStream) {
         let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
         let mut writer = match stream.try_clone() {
             Ok(w) => w,
             Err(_) => return,
         };
+        let mut reply = |response: Response| {
+            let mut out = response.to_json_line();
+            out.push('\n');
+            writer.write_all(out.as_bytes())
+        };
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
+        let mut line: Vec<u8> = Vec::new();
         loop {
-            match reader.read_line(&mut line) {
+            // Room for one byte past the cap, so an over-long line shows
+            // as a full buffer without a newline.
+            let room = (MAX_REQUEST_LINE_BYTES + 1 - line.len()) as u64;
+            match (&mut reader).take(room).read_until(b'\n', &mut line) {
                 Ok(0) => break,
                 Ok(_) => {
-                    if !line.trim().is_empty() {
-                        let response = self.handle_line(line.trim());
-                        let mut out = response.to_json_line();
-                        out.push('\n');
-                        if writer.write_all(out.as_bytes()).is_err() {
-                            break;
-                        }
+                    if line.last() != Some(&b'\n') && line.len() > MAX_REQUEST_LINE_BYTES {
+                        let _ = reply(Response::error(
+                            "line_too_long",
+                            format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
+                        ));
+                        break;
+                    }
+                    let Ok(text) = std::str::from_utf8(&line) else {
+                        break;
+                    };
+                    if !text.trim().is_empty() && reply(self.handle_line(text.trim())).is_err() {
+                        break;
                     }
                     line.clear();
                 }
@@ -926,6 +946,44 @@ mod tests {
             .expect("serve returns Ok");
         assert!(daemon.shutdown_requested());
         assert_eq!(daemon.pending_epochs(), 0, "drained");
+    }
+
+    /// A client that sends more than [`MAX_REQUEST_LINE_BYTES`] without a
+    /// newline gets a typed `line_too_long` refusal and a closed
+    /// connection; the daemon keeps serving new connections.
+    #[test]
+    fn over_long_request_line_is_refused_and_the_daemon_keeps_serving() {
+        let daemon = Arc::new(Daemon::new(DaemonConfig {
+            engine: tiny_engine(),
+            ..DaemonConfig::default()
+        }));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("bound address");
+        let server = {
+            let daemon = Arc::clone(&daemon);
+            std::thread::spawn(move || daemon.serve(listener))
+        };
+        let ask = |line: &[u8]| {
+            let mut stream = TcpStream::connect(addr).expect("connects");
+            stream.write_all(line).expect("writes");
+            let mut reader = BufReader::new(stream);
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("reads");
+            let mut rest = String::new();
+            (reply, reader.read_line(&mut rest))
+        };
+
+        let (reply, after) = ask(&vec![b'x'; MAX_REQUEST_LINE_BYTES + 1]);
+        assert!(reply.contains(r#""ok":false"#), "{reply}");
+        assert!(reply.contains(r#""error":"line_too_long""#), "{reply}");
+        assert_eq!(after.expect("clean close"), 0, "connection closed");
+
+        let (reply, _) = ask(b"{\"op\":\"status\"}\n{\"op\":\"shutdown\"}\n");
+        assert!(reply.contains(r#""ok":true"#), "{reply}");
+        server
+            .join()
+            .expect("serve thread")
+            .expect("serve returns Ok");
     }
 
     #[test]

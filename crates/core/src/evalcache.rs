@@ -16,9 +16,10 @@
 //!   simulator counters a real run would, and move the batch wall-clock into
 //!   the *seconds-saved* ledger instead of the charged one. Only **final
 //!   successes** are cached; a hit bypasses the fault-tolerant retry path
-//!   entirely, so retry counters and backoff charges never replay. An
-//!   optional JSON spill (`results/em_cache.json`) lets the table VII/VIII
-//!   ablation bins reuse simulations across variants of the same task.
+//!   entirely, so retry counters never replay. The persistent sharded
+//!   [`Store`] is the only on-disk form of the cache; [`export_json`] and
+//!   [`import_json`] move a store's evaluations to and from the
+//!   schema-versioned JSON exchange file of `isop cache export|import`.
 //! * [`SurrogateMemo`] + [`MemoizedSurrogate`] — a sibling memo for repeated
 //!   designs inside Harmonica's adaptive-reweighting loop. It stores the
 //!   surrogate's *metrics* (`[Z, L, NEXT]`), never the weighted objective
@@ -40,7 +41,8 @@ use isop_store::{EvalIndex, EvalRecord, Store, StoredEval};
 use isop_telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// The canonical identity of a discrete design: one grid level per
@@ -88,9 +90,9 @@ fn space_fingerprint(space: &ParamSpace) -> u64 {
 ///
 /// Only **final successes** ever enter the cache — transiently failed
 /// attempts are never stored, and a hit bypasses the retry path entirely
-/// (no retry counters tick, no backoff is charged). The stored `attempts`
-/// exist so a warm run can replay the candidate's attempt count
-/// bit-exactly and produce candidates identical to the cold run.
+/// (no retry counters tick). The stored `attempts` exist so a warm run
+/// can replay the candidate's attempt count bit-exactly and produce
+/// candidates identical to the cold run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CachedSim {
     /// The successful simulation.
@@ -111,30 +113,112 @@ pub struct CacheProbe {
     pub hit: Option<CachedSim>,
 }
 
-/// One entry of the JSON spill file.
+/// One record of the JSON exchange file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct SpillEntry {
+struct ExchangeEntry {
     space_id: u64,
     levels: Vec<u32>,
     result: SimulationResult,
     attempts: u32,
 }
 
-/// On-disk shape of the spill (`results/em_cache.json`).
+/// On-disk shape of the `isop cache export|import` exchange file.
 #[derive(Debug, Serialize, Deserialize)]
-struct SpillFile {
+struct ExchangeFile {
     schema_version: u32,
-    entries: Vec<SpillEntry>,
+    entries: Vec<ExchangeEntry>,
 }
 
 /// v2: entries carry the attempt count of the original evaluation.
-const SPILL_SCHEMA_VERSION: u32 = 2;
+const EXCHANGE_SCHEMA_VERSION: u32 = 2;
+
+/// Writes every evaluation `store` holds (the latest record per design) to
+/// `path` as the schema-versioned JSON exchange file, sorted by
+/// `(space_id, levels)` so equal stores export equal bytes. The write is
+/// atomic — a temp file in the target directory is renamed into place —
+/// and creates parent directories as needed. Returns the records written.
+///
+/// # Errors
+///
+/// Propagates store read and filesystem errors.
+pub fn export_json(store: &Store, path: &Path) -> io::Result<usize> {
+    let mut entries: Vec<ExchangeEntry> = store
+        .load_all_evals()?
+        .into_iter()
+        .map(|r| {
+            let [z_diff, insertion_loss, next] = r.metrics;
+            ExchangeEntry {
+                space_id: r.space_id,
+                levels: r.levels,
+                result: SimulationResult {
+                    z_diff,
+                    insertion_loss,
+                    next,
+                },
+                attempts: r.attempts,
+            }
+        })
+        .collect();
+    entries.sort_by(|a, b| (a.space_id, &a.levels).cmp(&(b.space_id, &b.levels)));
+    let n = entries.len();
+    let file = ExchangeFile {
+        schema_version: EXCHANGE_SCHEMA_VERSION,
+        entries,
+    };
+    let json = serde_json::to_string(&file).map_err(|e| io::Error::other(format!("{e:?}")))?;
+    if let Some(dir) = path.parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir)?;
+        }
+    }
+    let file_name = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .unwrap_or("em_cache.json");
+    let tmp = path.with_file_name(format!("{file_name}.tmp"));
+    std::fs::write(&tmp, json)?;
+    std::fs::rename(&tmp, path)?;
+    Ok(n)
+}
+
+/// Appends every record of an exchange file written by [`export_json`] to
+/// `store` and flushes it, returning how many records were imported. A
+/// missing file imports zero records (not an error).
+///
+/// # Errors
+///
+/// Returns an error on unreadable or malformed JSON, on a schema version
+/// other than the current one, or when the flush fails.
+pub fn import_json(store: &Store, path: &Path) -> io::Result<usize> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
+        Err(e) => return Err(e),
+    };
+    let file: ExchangeFile = serde_json::from_str(&text)
+        .map_err(|e| io::Error::other(format!("{}: {e:?}", path.display())))?;
+    if file.schema_version != EXCHANGE_SCHEMA_VERSION {
+        return Err(io::Error::other(format!(
+            "exchange schema v{} != supported v{EXCHANGE_SCHEMA_VERSION}",
+            file.schema_version
+        )));
+    }
+    for e in &file.entries {
+        store.append_eval(&EvalRecord {
+            space_id: e.space_id,
+            levels: e.levels.clone(),
+            metrics: e.result.to_array(),
+            attempts: e.attempts,
+        });
+    }
+    store.flush()?;
+    Ok(file.entries.len())
+}
 
 /// What an enabled [`EvalCache`] holds, behind one lock.
 #[derive(Debug, Default)]
 struct CacheState {
-    /// Entries this process put here: fresh inserts and JSON imports.
-    /// They shadow the store snapshots.
+    /// Entries this process inserted. They shadow the store snapshots.
     local: HashMap<DesignKey, CachedSim>,
     /// Per-space snapshots of the store's eval index, taken at hydration;
     /// a present key means the space is hydrated. Hits on them were
@@ -170,9 +254,6 @@ fn cached_from_store(stored: StoredEval) -> CachedSim {
 #[derive(Debug)]
 struct CacheInner {
     state: Mutex<CacheState>,
-    /// Set on `insert`, cleared on save/load — a warm [`EvalCache::save_json`]
-    /// with no new entries skips the disk entirely.
-    dirty: AtomicBool,
     /// The persistent backing store, when attached.
     store: Option<Arc<Store>>,
 }
@@ -210,7 +291,6 @@ impl EvalCache {
         Self {
             inner: Some(Arc::new(CacheInner {
                 state: Mutex::new(CacheState::default()),
-                dirty: AtomicBool::new(false),
                 store,
             })),
         }
@@ -343,9 +423,8 @@ impl EvalCache {
 
     /// Stores a fresh accurate result under `key`, shadowing any store
     /// snapshot entry for it. Only final successes reach this point —
-    /// callers never cache failed attempts. No-op when disabled. Marks the
-    /// cache dirty and, with a store attached, buffers the record for the
-    /// store's next flush.
+    /// callers never cache failed attempts. No-op when disabled. With a
+    /// store attached, also buffers the record for the store's next flush.
     pub fn insert(&self, key: DesignKey, sim: CachedSim) {
         if let Some(inner) = &self.inner {
             if let Some(store) = &inner.store {
@@ -362,7 +441,6 @@ impl EvalCache {
                 .expect("eval cache lock")
                 .local
                 .insert(key, sim);
-            inner.dirty.store(true, Ordering::Release);
         }
     }
 
@@ -372,145 +450,11 @@ impl EvalCache {
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn persist(&self) -> std::io::Result<()> {
+    pub fn persist(&self) -> io::Result<()> {
         if let Some(store) = self.store() {
             store.flush()?;
         }
         Ok(())
-    }
-
-    /// Serializes every entry to `path` as schema-versioned JSON — but only
-    /// when the cache is *dirty* (new entries since the last save/load).
-    /// A warm save with nothing new is a complete no-op that returns
-    /// `Ok(false)`; disabled handles never write. The write itself is
-    /// atomic: a temp file in the target directory is renamed into place,
-    /// so a killed run can never leave a torn spill.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save_json(&self, path: &std::path::Path) -> std::io::Result<bool> {
-        let Some(inner) = &self.inner else {
-            return Ok(false);
-        };
-        if !inner.dirty.load(Ordering::Acquire) {
-            return Ok(false);
-        }
-        self.export_json(path)?;
-        inner.dirty.store(false, Ordering::Release);
-        Ok(true)
-    }
-
-    /// Unconditionally serializes every entry to `path` (the legacy JSON
-    /// spill shape, now the import/export format), atomically, creating
-    /// parent directories as needed. A disabled handle exports an empty
-    /// spill.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn export_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut entries: Vec<SpillEntry> = Vec::new();
-        if let Some(inner) = &self.inner {
-            let state = inner.state.lock().expect("eval cache lock");
-            for (&space_id, index) in &state.stored {
-                for (levels, stored) in index.iter() {
-                    let key = DesignKey {
-                        space_id,
-                        levels: levels.to_vec(),
-                    };
-                    if !state.local.contains_key(&key) {
-                        let sim = cached_from_store(stored);
-                        entries.push(SpillEntry {
-                            space_id,
-                            levels: key.levels,
-                            result: sim.result,
-                            attempts: sim.attempts,
-                        });
-                    }
-                }
-            }
-            entries.extend(state.local.iter().map(|(k, v)| SpillEntry {
-                space_id: k.space_id,
-                levels: k.levels.clone(),
-                result: v.result,
-                attempts: v.attempts,
-            }));
-        }
-        // Deterministic file contents regardless of hash-map iteration order.
-        entries.sort_by(|a, b| (a.space_id, &a.levels).cmp(&(b.space_id, &b.levels)));
-        let file = SpillFile {
-            schema_version: SPILL_SCHEMA_VERSION,
-            entries,
-        };
-        let json =
-            serde_json::to_string(&file).map_err(|e| std::io::Error::other(format!("{e:?}")))?;
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let file_name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("em_cache.json");
-        let tmp = path.with_file_name(format!("{file_name}.tmp"));
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Merges entries from a spill file written by [`EvalCache::save_json`]
-    /// into this cache, returning how many were loaded. Missing files load
-    /// zero entries (not an error); a disabled handle loads nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on unreadable or malformed JSON, or on a spill
-    /// schema mismatch.
-    pub fn load_json(&self, path: &std::path::Path) -> std::io::Result<usize> {
-        let Some(inner) = &self.inner else {
-            return Ok(0);
-        };
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e),
-        };
-        let file: SpillFile = serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::other(format!("{}: {e:?}", path.display())))?;
-        if file.schema_version != SPILL_SCHEMA_VERSION {
-            return Err(std::io::Error::other(format!(
-                "spill schema v{} != supported v{SPILL_SCHEMA_VERSION}",
-                file.schema_version
-            )));
-        }
-        let n = file.entries.len();
-        let mut state = inner.state.lock().expect("eval cache lock");
-        for e in file.entries {
-            // Imported entries mirror into an attached store (that is what
-            // `isop cache import` does with the legacy spill); they are
-            // local — this process put them there, not a previous run's
-            // shard record.
-            if let Some(store) = &inner.store {
-                store.append_eval(&EvalRecord {
-                    space_id: e.space_id,
-                    levels: e.levels.clone(),
-                    metrics: e.result.to_array(),
-                    attempts: e.attempts,
-                });
-            }
-            state.local.insert(
-                DesignKey {
-                    space_id: e.space_id,
-                    levels: e.levels,
-                },
-                CachedSim {
-                    result: e.result,
-                    attempts: e.attempts,
-                },
-            );
-        }
-        Ok(n)
     }
 }
 
@@ -736,74 +680,121 @@ mod tests {
         assert!(cache.is_empty());
     }
 
+    /// A stored evaluation with exact metric bits.
+    fn record(space_id: u64, levels: Vec<u32>, metrics: [f64; 3], attempts: u32) -> EvalRecord {
+        EvalRecord {
+            space_id,
+            levels,
+            metrics,
+            attempts,
+        }
+    }
+
+    /// `isop cache export|import` round trip: attempt counts and the exact
+    /// metric bits (`-0.0` and a subnormal included) survive, the file is
+    /// sorted by `(space_id, levels)` whatever the shard and insertion
+    /// order, an imported retried design replays its attempt count through
+    /// the cache, and import-then-export reproduces the file byte for byte.
     #[test]
-    fn json_spill_round_trips() {
+    fn export_import_round_trips_records_bit_exactly() {
         let space = s1();
         let x = grid_design(&space);
-        let cache = EvalCache::new();
-        let tele = Telemetry::disabled();
-        let probe = cache.probe(&space, &x, &tele);
-        // A retried entry: the attempt count must survive the spill so warm
-        // runs replay candidates bit-exactly.
+        let key = EvalCache::key_for(&space, &x).expect("on grid");
         let retried = CachedSim {
             attempts: 3,
             ..simulate(&x)
         };
-        cache.insert(probe.key.expect("on grid"), retried);
+        let root = std::env::temp_dir().join(format!("isop-ec-exchange-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let written = vec![
+            record(0x5105, vec![2, 0, 1], [-0.0, 0.1 + 0.2, 5e-324], 3),
+            record(
+                key.space_id,
+                key.levels.clone(),
+                retried.result.to_array(),
+                3,
+            ),
+            record(7, vec![1, 9], [85.0, -0.41, -40.25], 1),
+            record(0x5105, vec![1, 4, 4], [1e300, -1e-300, 0.0], 2),
+            record(7, vec![0, 11], [90.5, -0.5, f64::MIN_POSITIVE], 1),
+        ];
+        let source = Store::open(&root.join("source")).expect("opens");
+        for r in &written {
+            source.append_eval(r);
+        }
+        source.flush().expect("flushes");
+        let exported = root.join("out").join("em_cache.json");
+        assert_eq!(export_json(&source, &exported).expect("exports"), 5);
 
-        let dir = std::env::temp_dir().join("isop-evalcache-test");
-        let path = dir.join("em_cache.json");
-        cache.save_json(&path).expect("writes");
+        let file: ExchangeFile =
+            serde_json::from_str(&std::fs::read_to_string(&exported).expect("reads"))
+                .expect("parses");
+        assert_eq!(file.schema_version, EXCHANGE_SCHEMA_VERSION);
+        let order: Vec<(u64, Vec<u32>)> = file
+            .entries
+            .iter()
+            .map(|e| (e.space_id, e.levels.clone()))
+            .collect();
+        let mut sorted = order.clone();
+        sorted.sort();
+        assert_eq!(order, sorted, "entries sorted by (space_id, levels)");
 
-        let fresh = EvalCache::new();
-        assert_eq!(fresh.load_json(&path).expect("reads"), 1);
+        let target = Arc::new(Store::open(&root.join("target")).expect("opens"));
+        assert_eq!(import_json(&target, &exported).expect("imports"), 5);
+        let bits = |r: &EvalRecord| {
+            (
+                r.space_id,
+                r.levels.clone(),
+                r.metrics.map(f64::to_bits),
+                r.attempts,
+            )
+        };
+        let mut want: Vec<_> = written.iter().map(bits).collect();
+        want.sort();
+        let mut got: Vec<_> = target
+            .load_all_evals()
+            .expect("loads")
+            .iter()
+            .map(bits)
+            .collect();
+        got.sort();
+        assert_eq!(got, want, "attempts and metric bits survive the file");
+        let probe =
+            EvalCache::with_store(Arc::clone(&target)).probe(&space, &x, &Telemetry::disabled());
+        assert_eq!(probe.hit, Some(retried), "warm runs replay the attempts");
+
+        let again = root.join("again.json");
+        export_json(&target, &again).expect("exports");
         assert_eq!(
-            fresh.probe(&space, &x, &tele).hit.expect("reloaded"),
-            retried
+            std::fs::read(&again).expect("reads"),
+            std::fs::read(&exported).expect("reads"),
+            "import then export is byte-identical"
         );
-        // Missing files are an empty load, not an error.
-        assert_eq!(fresh.load_json(&dir.join("absent.json")).expect("ok"), 0);
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
-    fn warm_save_with_no_new_entries_is_a_noop() {
-        let space = s1();
-        let x = grid_design(&space);
-        let cache = EvalCache::new();
-        let tele = Telemetry::disabled();
-        let dir = std::env::temp_dir().join(format!("isop-dirty-{}", std::process::id()));
-        let path = dir.join("em_cache.json");
-        std::fs::remove_dir_all(&dir).ok();
-
-        // A fresh cache is clean: saving writes nothing, not even an empty
-        // spill.
-        assert!(!cache.save_json(&path).expect("clean save"));
-        assert!(!path.exists());
-
-        let probe = cache.probe(&space, &x, &tele);
-        cache.insert(probe.key.expect("on grid"), simulate(&x));
-        assert!(
-            cache.save_json(&path).expect("dirty save"),
-            "first save writes"
-        );
-        let stamp = std::fs::metadata(&path).expect("exists").modified().ok();
-
-        // No inserts since: the warm save must not touch the file.
-        assert!(!cache.save_json(&path).expect("warm save"));
+    fn import_rejects_other_schemas_and_skips_missing_files() {
+        let root = std::env::temp_dir().join(format!("isop-ec-schema-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let store = Store::open(&root.join("store")).expect("opens");
+        // Missing files are an empty import, not an error.
         assert_eq!(
-            std::fs::metadata(&path).expect("exists").modified().ok(),
-            stamp
+            import_json(&store, &root.join("absent.json")).expect("ok"),
+            0
         );
-        // Re-inserting the same entry still marks dirty (by design — the
-        // flag tracks writes, not semantic novelty).
-        let probe = cache.probe(&space, &x, &tele);
-        cache.insert(probe.key.expect("on grid"), simulate(&x));
-        assert!(cache.save_json(&path).expect("re-dirty save"));
-        // A disabled handle never writes; export_json always does.
-        assert!(!EvalCache::disabled().save_json(&path).expect("disabled"));
-        cache.export_json(&path).expect("export");
-        std::fs::remove_dir_all(&dir).ok();
+        // A v1 header over entries that would otherwise parse: the version
+        // check alone must refuse it.
+        let v1 = root.join("v1.json");
+        std::fs::write(
+            &v1,
+            r#"{"schema_version":1,"entries":[{"space_id":7,"levels":[1],"result":{"z_diff":85.0,"insertion_loss":-0.4,"next":-40.0},"attempts":1}]}"#,
+        )
+        .expect("writes");
+        let err = import_json(&store, &v1).expect_err("schema v1 is rejected");
+        assert!(err.to_string().contains("schema"), "{err}");
+        assert!(store.load_all_evals().expect("loads").is_empty());
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

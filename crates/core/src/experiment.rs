@@ -218,25 +218,33 @@ pub struct IsopCellOutcome {
 }
 
 impl ExperimentContext<'_> {
-    /// Runs ISOP+ for `n_trials` and returns per-trial results, the average
-    /// (samples, algorithm wall-clock) the baselines will match, and the
-    /// degraded-roll-out record.
-    pub fn run_isop(&self, objective: &Objective) -> IsopCellOutcome {
+    /// A fresh optimizer for one trial, sharing this cell's telemetry,
+    /// eval cache, and surrogate memo.
+    fn optimizer(&self) -> IsopOptimizer<'_> {
+        IsopOptimizer::new(
+            self.space,
+            self.surrogate,
+            self.simulator,
+            self.isop_config.clone(),
+        )
+        .with_telemetry(self.telemetry.clone())
+        .with_eval_cache(self.eval_cache.clone())
+        .with_surrogate_memo(self.surrogate_memo.clone())
+    }
+
+    /// Folds the trials' outcomes, in trial order, into the cell outcome:
+    /// per-trial results, the averages the baselines match, and the
+    /// degraded roll-outs.
+    fn fold_cell(
+        &self,
+        objective: &Objective,
+        outcomes: impl IntoIterator<Item = IsopOutcome>,
+    ) -> IsopCellOutcome {
         let mut results = Vec::with_capacity(self.n_trials);
         let mut degraded = Vec::new();
         let mut total_samples = 0.0;
         let mut total_algo = 0.0;
-        for i in 0..self.n_trials {
-            let opt = IsopOptimizer::new(
-                self.space,
-                self.surrogate,
-                self.simulator,
-                self.isop_config.clone(),
-            )
-            .with_telemetry(self.telemetry.clone())
-            .with_eval_cache(self.eval_cache.clone())
-            .with_surrogate_memo(self.surrogate_memo.clone());
-            let outcome = opt.run(objective.clone(), Budget::unlimited(), self.seed + i as u64);
+        for (i, outcome) in outcomes.into_iter().enumerate() {
             total_samples += outcome.samples_seen as f64;
             total_algo += outcome.algorithm_seconds;
             if outcome.resolution != RolloutResolution::Full {
@@ -255,33 +263,32 @@ impl ExperimentContext<'_> {
         }
     }
 
+    /// Runs ISOP+ for `n_trials` and returns per-trial results, the average
+    /// (samples, algorithm wall-clock) the baselines will match, and the
+    /// degraded-roll-out record. Each trial's `algorithm_seconds` covers
+    /// its whole run, roll-out included.
+    pub fn run_isop(&self, objective: &Objective) -> IsopCellOutcome {
+        self.fold_cell(
+            objective,
+            (0..self.n_trials).map(|i| {
+                self.optimizer()
+                    .run(objective.clone(), Budget::unlimited(), self.seed + i as u64)
+            }),
+        )
+    }
+
     /// Runs ISOP+ for `n_trials` like [`run_isop`](Self::run_isop), but
-    /// drives every trial's stage-3 roll-out through *one* async scheduler
-    /// pass, so flights from different trials interleave into full EM
-    /// batches (`em.sched.interleaved` counts the batches that span
-    /// trials). Stages 1–2 still run per trial at `seed + i`, so the
-    /// candidate pools — and hence the delivered candidate sets — match
-    /// the sequential cell; only batch packing (and with it the charged
-    /// ledger) changes. The config's
-    /// [`schedule`](crate::pipeline::IsopConfig::schedule) knob is ignored
-    /// here: interleaving across trials is only defined for the async
-    /// scheduler. Per-trial `algorithm_seconds` covers that trial's own
-    /// stages 1–2; the shared scheduler pass is simulated EM time and lands
-    /// in the EM ledgers, not the algorithm clock.
+    /// drives every trial's stage-3 roll-out through *one* scheduler pass,
+    /// so flights from different trials interleave into full EM batches
+    /// (`em.sched.interleaved` counts the batches that span trials).
+    /// Stages 1–2 still run per trial at `seed + i`, so the candidate
+    /// pools — and hence the delivered candidate sets — match the
+    /// sequential cell; only batch packing (and with it the charged
+    /// ledger) changes. Per-trial `algorithm_seconds` covers that trial's
+    /// own stages 1–2; the shared scheduler pass is simulated EM time and
+    /// lands in the EM ledgers, not the algorithm clock.
     pub fn run_isop_interleaved(&self, objective: &Objective) -> IsopCellOutcome {
-        let opts: Vec<IsopOptimizer<'_>> = (0..self.n_trials)
-            .map(|_| {
-                IsopOptimizer::new(
-                    self.space,
-                    self.surrogate,
-                    self.simulator,
-                    self.isop_config.clone(),
-                )
-                .with_telemetry(self.telemetry.clone())
-                .with_eval_cache(self.eval_cache.clone())
-                .with_surrogate_memo(self.surrogate_memo.clone())
-            })
-            .collect();
+        let opts: Vec<IsopOptimizer<'_>> = (0..self.n_trials).map(|_| self.optimizer()).collect();
         let mut preps = Vec::with_capacity(self.n_trials);
         let mut algo_seconds = Vec::with_capacity(self.n_trials);
         for (i, opt) in opts.iter().enumerate() {
@@ -309,28 +316,14 @@ impl ExperimentContext<'_> {
             };
             scheduler::run_async(&jobs, &ctx)
         };
-        let mut results = Vec::with_capacity(self.n_trials);
-        let mut degraded = Vec::new();
-        let mut total_samples = 0.0;
-        let mut total_algo = 0.0;
-        for (i, ((opt, prep), rollout)) in opts.iter().zip(preps).zip(rollouts).enumerate() {
-            let outcome = opt.finalize(prep, rollout, algo_seconds[i]);
-            total_samples += outcome.samples_seen as f64;
-            total_algo += outcome.algorithm_seconds;
-            if outcome.resolution != RolloutResolution::Full {
-                degraded.push((i, outcome.resolution));
-            }
-            if let Some(r) = TrialResult::from_isop(&outcome, objective) {
-                results.push(r);
-            }
-        }
-        let n = self.n_trials.max(1) as f64;
-        IsopCellOutcome {
-            results,
-            avg_samples: total_samples / n,
-            avg_algo_seconds: total_algo / n,
-            degraded,
-        }
+        self.fold_cell(
+            objective,
+            opts.iter()
+                .zip(preps)
+                .zip(rollouts)
+                .zip(algo_seconds)
+                .map(|(((opt, prep), rollout), secs)| opt.finalize(prep, rollout, secs)),
+        )
     }
 
     /// Runs the SA baseline matched to ISOP+'s budget.

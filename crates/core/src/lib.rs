@@ -22,8 +22,8 @@
 //! * [`tasks`] — benchmark tasks T1–T4 (Table II);
 //! * [`surrogate`] / [`data`] — surrogate training against the simulator;
 //! * [`pipeline`] — the three-stage ISOP+ optimizer (Algorithm 1);
-//! * [`scheduler`] — deterministic EM roll-out scheduling: the reference
-//!   synchronous waves and the default async batch stream;
+//! * [`scheduler`] — deterministic EM roll-out scheduling: one async
+//!   batch stream of retries, top-ups, and fresh candidates;
 //! * [`baselines`] / [`experiment`] — the SA/BO comparison protocol and
 //!   statistics of Tables IV/V/VII/VIII;
 //! * [`manual`] — the published Table IX reference designs;
@@ -104,9 +104,7 @@ pub mod prelude {
     pub use crate::pipeline::{
         DesignCandidate, IsopConfig, IsopOptimizer, IsopOutcome, PreparedRollout, RolloutResolution,
     };
-    pub use crate::scheduler::{
-        JobRollout, PoolEntry, RolloutJob, RolloutSchedule, SchedulerCtx, EM_BATCH_SLOTS,
-    };
+    pub use crate::scheduler::{JobRollout, PoolEntry, RolloutJob, SchedulerCtx, EM_BATCH_SLOTS};
     pub use crate::surrogate::{
         CnnSurrogate, InstrumentedSurrogate, MlpSurrogate, MlpXgbSurrogate, NeuralSurrogate,
         OracleSurrogate, Surrogate,

@@ -14,17 +14,17 @@
 //! 3. **Candidate roll-out** — round to the grid (Eq. 6), evaluate the
 //!    `cand_num` best with the *accurate* simulator, rank by the exact
 //!    objective `g`. The roll-out is fault-tolerant: transient simulator
-//!    failures retry under a bounded exponential-backoff policy (charged
-//!    as simulated seconds, never slept), permanently failed designs are
-//!    replaced by the next-best from the surplus surrogate-scored pool,
-//!    and the outcome reports an explicit resolution (full / degraded /
-//!    all simulations failed).
+//!    failures retry within a bounded attempt budget, each retry taking a
+//!    slot in a later batch of the [`scheduler`] stream; permanently
+//!    failed designs are replaced by the next-best from the surplus
+//!    surrogate-scored pool, and the outcome reports an explicit
+//!    resolution (full / degraded / all simulations failed).
 
 use crate::evalcache::{EvalCache, MemoizedSurrogate, SurrogateMemo};
 use crate::exec::{par_map_indexed, Parallelism, RunControl};
 use crate::objective::Objective;
 use crate::params::ParamSpace;
-use crate::scheduler::{self, JobRollout, PoolEntry, RolloutJob, RolloutSchedule, SchedulerCtx};
+use crate::scheduler::{self, JobRollout, PoolEntry, RolloutJob, SchedulerCtx};
 use crate::surrogate::{InstrumentedSurrogate, Surrogate};
 use crate::weights::{SampleRecord, WeightAdapter};
 use isop_em::fault::RetryPolicy;
@@ -72,14 +72,8 @@ pub struct IsopConfig {
     /// replicas, stage-2 Adam refinements, stage-3 roll-out). Outcomes are
     /// identical for any thread count at a fixed seed.
     pub parallelism: Parallelism,
-    /// Retry schedule for transient EM failures at roll-out. Backoff is
-    /// charged to the EM ledger as simulated seconds, never slept.
+    /// Retry budget for transient EM failures at roll-out.
     pub retry: RetryPolicy,
-    /// Which stage-3 schedule drives the accurate simulator. The default
-    /// async batched scheduler interleaves retries and top-ups into full
-    /// batches; the synchronous wave loop is kept as the reference its
-    /// ledger is gated against.
-    pub schedule: RolloutSchedule,
 }
 
 impl IsopConfig {
@@ -110,7 +104,6 @@ impl Default for IsopConfig {
             weight_adapter: WeightAdapter::default(),
             parallelism: Parallelism::default(),
             retry: RetryPolicy::default(),
-            schedule: RolloutSchedule::default(),
         }
     }
 }
@@ -663,8 +656,8 @@ impl<'a> IsopOptimizer<'a> {
         }
     }
 
-    /// Stage 3: drives the accurate simulator over the prepared pool under
-    /// the configured [`RolloutSchedule`], drawing in score order until
+    /// Stage 3: drives the accurate simulator over the prepared pool through
+    /// the [`scheduler`] batch stream, drawing in score order until
     /// `cand_num` designs have been successfully simulated or the pool runs
     /// dry (every draw past the first wave is a top-up replacing a
     /// permanently failed design).
@@ -676,12 +669,9 @@ impl<'a> IsopOptimizer<'a> {
             pool: &prep.pool,
             target: self.config.cand_num.max(1),
         };
-        match self.config.schedule {
-            RolloutSchedule::Synchronous => scheduler::run_synchronous(job, &ctx),
-            RolloutSchedule::AsyncBatched => scheduler::run_async(&[job], &ctx)
-                .pop()
-                .expect("one rollout per job"),
-        }
+        scheduler::run_async(&[job], &ctx)
+            .pop()
+            .expect("one rollout per job")
     }
 
     /// Turns a scheduler roll-out into the final [`IsopOutcome`]: exact

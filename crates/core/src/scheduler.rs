@@ -2,28 +2,24 @@
 //!
 //! Stage 3 of the pipeline hands the accurate simulator a stream of
 //! surrogate-ranked designs. This module owns *when* each simulation runs
-//! and what the paper's charging model bills for it, in two schedules:
+//! and what the paper's charging model bills for it. [`run_async`] drives
+//! one global batch stream that interleaves fresh candidates, retry
+//! chains, and top-ups — and, across experiment cells, flights from
+//! multiple jobs — into batches of [`EM_BATCH_SLOTS`]. Every batch of up
+//! to three concurrent solver attempts costs exactly one nominal charge:
+//! a retry occupies a slot in a later batch, so failures cost batch slots
+//! and nothing else.
 //!
-//! * [`run_synchronous`] — the classic wave loop: draw `cand_num` designs,
-//!   let every retry chain finish, charge one `nominal_seconds()` per batch
-//!   of three delivered designs plus a per-failure surcharge (each failed
-//!   solver attempt costs a nominal run, and every re-issue waits out its
-//!   exponential backoff). A transient failure stalls its whole wave.
-//! * [`run_async`] — the asynchronous batched scheduler (the default): a
-//!   global batch stream that interleaves fresh candidates, retry chains,
-//!   and top-ups — and, across experiment cells, flights from multiple
-//!   jobs — into full batches of [`EM_BATCH_SLOTS`]. Every batch of up to
-//!   three concurrent solver attempts costs exactly one nominal charge;
-//!   there is no separate failure surcharge and no backoff billing, because
-//!   a retry simply occupies a slot in a later batch instead of idling a
-//!   reserved wave. The charged ledger therefore lands at or strictly below
-//!   the synchronous schedule for the same candidate set — strictly below
-//!   whenever any retry fires (the synchronous schedule then pays backoff
-//!   on top of per-attempt charges, while the async stream only pays for
-//!   batches), and bit-identical when no fault fires (both schedules then
-//!   run the same full batches).
+//! A wave schedule — every retry chain finishing inside its wave, each
+//! failed attempt billed at one nominal plus an exponential backoff —
+//! charges more for the same candidates. That comparison is kept as pinned
+//! constants: 70.67 s against this stream's 30.33 s on the bench gate's
+//! faulted smoke (`sched_smoke` in `bench_gate.rs`), and 151.17 s against
+//! 45.5 s when every design fails twice before succeeding
+//! (`tests/em_fault_tolerance.rs`).
 //!
-//! ## The logical clock, and why the async schedule is deterministic
+//! ## The logical clock, and why the schedule is deterministic
+
 //!
 //! The scheduler never asks "which simulation finished first" — wall-clock
 //! arrival order would make batch composition depend on thread scheduling.
@@ -68,28 +64,13 @@
 use crate::evalcache::{CachedSim, EvalCache};
 use crate::exec::par_map_indexed;
 use crate::params::ParamSpace;
-use isop_em::fault::{PermanentFault, RetryPolicy, SimError};
+use isop_em::fault::{RetryPolicy, SimError};
 use isop_em::simulator::{EmSimulator, SimulationResult};
 use isop_em::stackup::DiffStripline;
 use isop_telemetry::{Counter, Telemetry};
-use serde::{Deserialize, Serialize};
 
 /// Slots per charged EM batch — the paper's "three runs in parallel".
 pub const EM_BATCH_SLOTS: usize = 3;
-
-/// Which stage-3 schedule drives the accurate simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RolloutSchedule {
-    /// The classic wave loop: retry chains complete inside their wave, and
-    /// failed attempts are surcharged per run plus simulated backoff. Kept
-    /// as the reference schedule the async ledger is compared against.
-    Synchronous,
-    /// The deterministic async batch stream (default): retries and top-ups
-    /// share batches with fresh candidates, one nominal charge per batch,
-    /// no surcharge and no backoff billing.
-    #[default]
-    AsyncBatched,
-}
 
 /// One surrogate-scored roll-out pool entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,9 +149,8 @@ pub struct SchedulerCtx<'a> {
     pub threads: usize,
 }
 
-/// Outcome of one fresh (uncached) roll-out evaluation: either the full
-/// retry chain of the synchronous schedule, or the accumulated attempts of
-/// one async flight.
+/// Outcome of one fresh (uncached) roll-out evaluation: the accumulated
+/// attempts of one flight.
 #[derive(Debug, Clone, Copy)]
 struct RolloutSim {
     /// Final successful simulation, if any attempt succeeded.
@@ -180,10 +160,6 @@ struct RolloutSim {
     attempts: u32,
     /// Transient failures observed across the attempts.
     transient_failures: u32,
-    /// The design never reached the solver: vector-to-layer conversion or
-    /// fail-fast geometry validation rejected it, so no solver time is
-    /// charged for the rejecting attempt.
-    geometry_rejected: bool,
 }
 
 /// One in-flight design of the async scheduler.
@@ -215,45 +191,6 @@ struct JobState {
     active: usize,
 }
 
-/// Runs one design through the accurate simulator under `policy`:
-/// transient failures retry up to the attempt budget, permanent failures
-/// abort immediately (they would recur forever). Nothing sleeps here —
-/// backoff is charged as simulated seconds by the synchronous schedule's
-/// serial accounting section. The async schedule never calls this: each
-/// flight attempt is a single `simulate` call in its own batch slot.
-fn simulate_with_retry(sim: &dyn EmSimulator, x: &[f64], policy: RetryPolicy) -> RolloutSim {
-    let mut out = RolloutSim {
-        result: None,
-        attempts: 0,
-        transient_failures: 0,
-        geometry_rejected: false,
-    };
-    let Ok(layer) = DiffStripline::from_vector(x) else {
-        out.geometry_rejected = true;
-        return out;
-    };
-    let budget = policy.attempt_budget();
-    loop {
-        out.attempts += 1;
-        match sim.simulate(&layer) {
-            Ok(r) => {
-                out.result = Some(r);
-                return out;
-            }
-            Err(SimError::Transient(_)) => {
-                out.transient_failures += 1;
-                if out.attempts >= budget {
-                    return out;
-                }
-            }
-            Err(SimError::Permanent(p)) => {
-                out.geometry_rejected = matches!(p, PermanentFault::Geometry(_));
-                return out;
-            }
-        }
-    }
-}
-
 /// Folds a job's fresh-simulation records into its rollout accounting and
 /// the telemetry counters (serial, so totals are width-independent).
 fn fold_fault_accounting(out: &mut JobRollout, fresh: &[RolloutSim], ctx: &SchedulerCtx<'_>) {
@@ -269,128 +206,6 @@ fn fold_fault_accounting(out: &mut JobRollout, fresh: &[RolloutSim], ctx: &Sched
     ctx.telemetry
         .add(Counter::EmFailuresPermanent, out.em_failures_permanent);
     ctx.telemetry.add(Counter::EmToppedUp, out.em_topped_up);
-}
-
-/// The classic synchronous wave schedule, bit-for-bit the pre-scheduler
-/// pipeline behavior: draw a wave, let every retry chain finish, charge
-/// one nominal per batch of three delivered designs plus the per-failure
-/// surcharge (failed attempts at nominal cost, re-issues at simulated
-/// backoff). Retained as the reference the async ledger is gated against.
-pub fn run_synchronous(job: RolloutJob<'_>, ctx: &SchedulerCtx<'_>) -> JobRollout {
-    let mut out = JobRollout::default();
-    let target = job.target.max(1);
-    let first_wave = target.min(job.pool.len());
-    let mut served_from_cache: Vec<bool> = Vec::new();
-    let mut fresh_records: Vec<RolloutSim> = Vec::new();
-    let mut next = 0usize;
-    let mut delivered = 0usize;
-    while delivered < target && next < job.pool.len() {
-        let take = (target - delivered).min(job.pool.len() - next);
-        let wave = &job.pool[next..next + take];
-        let wave_base = next;
-        next += take;
-        // Probe the evaluation cache serially, in draw order, before the
-        // parallel section — hit/miss counters come out identical at any
-        // thread width. Only successful simulations are ever cached, so a
-        // hit replays the simulator's counter footprint (attempted +
-        // succeeded) and the stored attempt count while bypassing the
-        // retry path entirely.
-        let probes: Vec<_> = wave
-            .iter()
-            .map(|e| ctx.eval_cache.probe(ctx.space, &e.values, ctx.telemetry))
-            .collect();
-        for p in &probes {
-            if p.hit.is_some() {
-                ctx.telemetry.incr(Counter::EmSimAttempted);
-                ctx.telemetry.incr(Counter::EmSimSucceeded);
-            }
-        }
-        // Simulate only the cache misses, concurrently — one worker owns a
-        // design's whole retry chain and results collect by index, so the
-        // merge below sees the same order at any thread count.
-        let miss_inputs: Vec<Vec<f64>> = wave
-            .iter()
-            .zip(&probes)
-            .filter(|(_, p)| p.hit.is_none())
-            .map(|(e, _)| e.values.clone())
-            .collect();
-        let miss_runs = par_map_indexed(ctx.threads, &miss_inputs, |_, x| {
-            simulate_with_retry(ctx.simulator, x, ctx.retry)
-        });
-        // Merge hits and fresh outcomes back into draw order; fresh
-        // successes enter the cache serially, after the parallel section.
-        let mut fresh = miss_runs.into_iter();
-        for (offset, probe) in probes.into_iter().enumerate() {
-            let pool_index = wave_base + offset;
-            let (sim, attempts, from_cache) = if let Some(hit) = probe.hit {
-                (Some(hit.result), hit.attempts, true)
-            } else {
-                let run = fresh.next().expect("one outcome per cache miss");
-                if let (Some(result), Some(key)) = (run.result, probe.key) {
-                    ctx.eval_cache.insert(
-                        key,
-                        CachedSim {
-                            result,
-                            attempts: run.attempts,
-                        },
-                    );
-                }
-                fresh_records.push(run);
-                (run.result, run.attempts, false)
-            };
-            let Some(sim) = sim else {
-                continue;
-            };
-            delivered += 1;
-            served_from_cache.push(from_cache);
-            out.delivered.push(DeliveredSim {
-                pool_index,
-                result: sim,
-                attempts,
-                from_cache,
-            });
-        }
-    }
-    out.drawn = next;
-    out.em_topped_up = (next - first_wave) as u64;
-    fold_fault_accounting(&mut out, &fresh_records, ctx);
-    // EM wall-clock: each batch of up to three *successful* simulations
-    // runs in parallel and occupies the wall-clock of a single run. Charge
-    // once per batch, not per run, and not for designs the simulator
-    // rejected. A batch served entirely from cache costs nothing — its
-    // wall-clock lands in the saved ledger instead, so charged + saved is
-    // invariant under toggling the cache.
-    for batch in served_from_cache.chunks(EM_BATCH_SLOTS) {
-        let nominal = ctx.simulator.nominal_seconds();
-        ctx.telemetry.incr(Counter::EmBatchesCharged);
-        if batch.iter().all(|&from_cache| from_cache) {
-            out.em_seconds_saved += nominal;
-            ctx.telemetry.save_em_seconds(nominal);
-        } else {
-            out.em_seconds += nominal;
-            ctx.telemetry.charge_em_seconds(nominal);
-        }
-    }
-    // Retry surcharge: every failed attempt that reached the tool costs
-    // one nominal run, and each re-issue waits out its exponential backoff
-    // — all charged as *simulated* seconds (no real sleeps). The final
-    // successful attempt is already covered by its batch charge above, and
-    // fail-fast geometry rejections never reach the solver. Accumulated
-    // serially in draw order so the f64 ledger is bit-identical at any
-    // thread width.
-    let nominal = ctx.simulator.nominal_seconds();
-    for r in &fresh_records {
-        let charged_runs = r
-            .attempts
-            .saturating_sub(u32::from(r.geometry_rejected))
-            .saturating_sub(u32::from(r.result.is_some()));
-        let surcharge = f64::from(charged_runs) * nominal + ctx.retry.total_backoff(r.attempts);
-        if surcharge > 0.0 {
-            out.em_seconds += surcharge;
-            ctx.telemetry.charge_em_seconds(surcharge);
-        }
-    }
-    out
 }
 
 /// The deterministic asynchronous batched scheduler. Runs every job's
@@ -440,7 +255,6 @@ pub fn run_async(jobs: &[RolloutJob<'_>], ctx: &SchedulerCtx<'_>) -> Vec<JobRoll
                         result: None,
                         attempts: 0,
                         transient_failures: 0,
-                        geometry_rejected: true,
                     });
                     continue;
                 };
@@ -544,7 +358,6 @@ pub fn run_async(jobs: &[RolloutJob<'_>], ctx: &SchedulerCtx<'_>) -> Vec<JobRoll
                         result: Some(result),
                         attempts: f.attempts,
                         transient_failures: f.transient_failures,
-                        geometry_rejected: false,
                     });
                     dead[i] = true;
                 }
@@ -558,18 +371,16 @@ pub fn run_async(jobs: &[RolloutJob<'_>], ctx: &SchedulerCtx<'_>) -> Vec<JobRoll
                             result: None,
                             attempts: f.attempts,
                             transient_failures: f.transient_failures,
-                            geometry_rejected: false,
                         });
                         dead[i] = true;
                     }
                 }
-                Err(SimError::Permanent(ref p)) => {
+                Err(SimError::Permanent(_)) => {
                     state[f.job].active -= 1;
                     fresh_records[f.job].push(RolloutSim {
                         result: None,
                         attempts: f.attempts,
                         transient_failures: f.transient_failures,
-                        geometry_rejected: matches!(p, PermanentFault::Geometry(_)),
                     });
                     dead[i] = true;
                 }
@@ -615,15 +426,6 @@ pub fn run_async(jobs: &[RolloutJob<'_>], ctx: &SchedulerCtx<'_>) -> Vec<JobRoll
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn schedule_serde_defaults_to_async() {
-        assert_eq!(RolloutSchedule::default(), RolloutSchedule::AsyncBatched);
-        let json = serde_json::to_string(&RolloutSchedule::AsyncBatched).expect("serializes");
-        assert_eq!(json, "\"AsyncBatched\"");
-        let back: RolloutSchedule = serde_json::from_str("\"Synchronous\"").expect("parses");
-        assert_eq!(back, RolloutSchedule::Synchronous);
-    }
 
     #[test]
     fn batch_width_matches_paper_charging_model() {

@@ -23,10 +23,9 @@
 //! (snapped to grid levels before simulation), so equal value bits are
 //! equivalent to equal grid indices.
 //!
-//! [`RetryPolicy`] bounds attempts and shapes an exponential backoff whose
-//! waits are *simulated* time: the pipeline charges them to the telemetry
-//! EM-seconds ledger instead of sleeping, mirroring how the paper accounts
-//! simulator wall-clock without running the commercial tool.
+//! [`RetryPolicy`] bounds how many attempts a design gets. A retry waits
+//! for nothing: the roll-out scheduler re-issues it in a later batch, and
+//! the only cost it bills is that batch's slot.
 
 use crate::simulator::{EmSimulator, SimulationResult};
 use crate::stackup::{DiffStripline, GeometryError};
@@ -121,34 +120,20 @@ impl From<GeometryError> for SimError {
     }
 }
 
-/// Bounded-retry schedule for transient EM failures.
+/// Bounded-retry budget for transient EM failures.
 ///
-/// Attempt 1 carries no wait; before attempt `k >= 2` the roll-out charges
-/// `min(cap, base * factor^(k-2))` *simulated* seconds of backoff to the
-/// EM ledger (no real sleep). With the defaults (3 attempts, 5 s base,
-/// factor 2, 60 s cap) a design that succeeds on its third attempt costs
-/// two extra solver runs plus `5 + 10 = 15` seconds of backoff.
+/// With the default of 3 attempts, a design may fail transiently twice
+/// and still be delivered by its third attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Maximum simulation attempts per design (including the first);
     /// clamped to at least 1.
     pub max_attempts: u32,
-    /// Simulated wait before the first retry, seconds.
-    pub backoff_base_seconds: f64,
-    /// Multiplier applied per further retry.
-    pub backoff_factor: f64,
-    /// Ceiling on any single simulated wait, seconds.
-    pub backoff_cap_seconds: f64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            backoff_base_seconds: 5.0,
-            backoff_factor: 2.0,
-            backoff_cap_seconds: 60.0,
-        }
+        Self { max_attempts: 3 }
     }
 }
 
@@ -159,30 +144,8 @@ impl RetryPolicy {
         self.max_attempts.max(1)
     }
 
-    /// Simulated backoff charged before attempt `attempt` (1-based);
-    /// attempt 1 is free.
-    #[must_use]
-    pub fn backoff_before(&self, attempt: u32) -> f64 {
-        if attempt < 2 {
-            return 0.0;
-        }
-        let wait = self.backoff_base_seconds * self.backoff_factor.powi(attempt as i32 - 2);
-        wait.min(self.backoff_cap_seconds)
-    }
-
-    /// Total simulated backoff accrued by a design that ran `attempts`
-    /// attempts (the sum of `backoff_before(2..=attempts)`).
-    #[must_use]
-    pub fn total_backoff(&self, attempts: u32) -> f64 {
-        let mut total = 0.0;
-        for k in 2..=attempts {
-            total += self.backoff_before(k);
-        }
-        total
-    }
-
     /// Retries still available to a flight that has already run `attempts`
-    /// attempts — the async scheduler's re-enqueue predicate. Zero means
+    /// attempts — the roll-out scheduler's re-enqueue predicate. Zero means
     /// the next transient failure is terminal (the design counts as a
     /// permanent failure and the scheduler draws a top-up instead).
     #[must_use]
@@ -403,24 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn backoff_schedule_is_exponential_and_capped() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff_before(1), 0.0);
-        assert_eq!(p.backoff_before(2), 5.0);
-        assert_eq!(p.backoff_before(3), 10.0);
-        assert_eq!(p.total_backoff(1), 0.0);
-        assert_eq!(p.total_backoff(3), 15.0);
-        let capped = RetryPolicy {
-            max_attempts: 10,
-            backoff_cap_seconds: 12.0,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(capped.backoff_before(4), 12.0, "20 s capped to 12 s");
-        let degenerate = RetryPolicy {
-            max_attempts: 0,
-            ..RetryPolicy::default()
-        };
+    fn attempt_budget_never_drops_below_one() {
+        assert_eq!(RetryPolicy::default().attempt_budget(), 3);
+        let degenerate = RetryPolicy { max_attempts: 0 };
         assert_eq!(degenerate.attempt_budget(), 1);
+        assert_eq!(degenerate.retries_remaining(0), 1);
     }
 
     #[test]

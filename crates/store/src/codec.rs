@@ -1,8 +1,7 @@
 //! Exact-bit binary codec over the vendored serde [`Value`] tree.
 //!
-//! The JSON spill format cannot carry every `f64`: the vendored writer
-//! prints whole numbers as integers (losing the sign of `-0.0`) and parses
-//! `NaN` without preserving payload bits. Model weights and cached metrics
+//! JSON text cannot carry every `f64`: the vendored writer and parser do
+//! not preserve `NaN` payload bits. Model weights and cached metrics
 //! must survive a disk round-trip **bit for bit** — a warm run that loads a
 //! stored surrogate has to predict exactly what the cold-trained one did.
 //! This codec therefore serializes any [`Serialize`] type generically
@@ -272,7 +271,7 @@ mod tests {
 
     #[test]
     fn pathological_floats_round_trip_bit_exactly() {
-        // Exactly the values the JSON spill cannot carry.
+        // Values JSON text handles badly or not at all.
         for bits in [
             (-0.0f64).to_bits(),
             f64::NAN.to_bits() | 0xdead,

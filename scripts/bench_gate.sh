@@ -21,9 +21,10 @@
 # (max_fault_seconds).
 #
 # A scheduler smoke phase then gates the async batched roll-out: under a
-# fixed fault config the async schedule must deliver the synchronous
-# schedule's candidate set while charging strictly less EM time, and the
-# faulted async run must be bit-identical at 1 vs 4 threads. Its
+# fixed fault config it must deliver the pinned candidate count of a
+# synchronous wave schedule while charging strictly less EM time than that
+# schedule's pinned charge (70.67 s), and the faulted run must be
+# bit-identical at 1 vs 4 threads. Its
 # em.sched.batches / em.sched.slack_slots / em.sched.interleaved counters
 # land in the counter budget, and the phase has its own wall-clock budget
 # (max_sched_seconds).
