@@ -10,7 +10,8 @@
 //!   the budget allows. Values below threshold only warn (run `--update`
 //!   to tighten the budget).
 //! * **Wall-clock** is noisy, so it fails only beyond a 10% margin over
-//!   the threshold.
+//!   the threshold. Every timed phase in [`PHASES`] has one
+//!   `max_{phase}_seconds` budget, and one loop checks them all.
 //!
 //! The smoke workload runs the seeded pipeline **twice** on one telemetry
 //! handle, sharing one evaluation cache and surrogate memo across the two
@@ -24,42 +25,29 @@
 //!
 //! A training smoke phase then gates the data-parallel training engine: a
 //! random forest and a dropout MLP each train serially and at 4 workers,
-//! the fits must be bit-identical, the phase's wall-clock has its own
-//! budget (`max_train_seconds`), and — only on hosts that actually have
+//! the fits must be bit-identical, and — only on hosts that actually have
 //! >= 4 cores — the forest fit must be at least 2x faster in parallel.
 //!
 //! A fault-injection smoke phase then gates the roll-out's fault
-//! tolerance: a rate-0 run through the [`FaultInjector`] must be
-//! bit-identical to a run without the fault layer (candidates, ledgers,
-//! every counter), and at a fixed fault rate the outcome and all fault
-//! counters must be bit-identical at 1 vs 4 threads, with retries actually
-//! exercised. The faulted serial run's counters fold into the budgeted
-//! report, so `em.retries` / `em.failures_*` / `em.topped_up` regressions
-//! (e.g. a retry storm) trip the gate like any other counter; the phase's
-//! wall-clock has its own budget (`max_fault_seconds`).
-//!
-//! A scheduler smoke phase then gates the async batched roll-out: under
-//! the same fault config it must deliver the pinned candidate count of a
+//! tolerance and the async batched scheduler: a rate-0 run through the
+//! [`FaultInjector`] must be bit-identical to a run without the fault
+//! layer (candidates, ledgers, every counter), and at a fixed fault rate
+//! the outcome and every counter, the `em.sched.*` gauges included, must
+//! be bit-identical at 1 vs 4 threads, with retries actually exercised.
+//! The faulted run must also deliver the pinned candidate count of a
 //! synchronous wave schedule while charging **strictly less** EM time than
 //! that schedule's pinned charge ([`SYNC_SMOKE_EM_SECONDS`], the retry
-//! surcharge the batch stream exists to absorb), and the faulted run must
-//! be bit-identical at 1 vs 4 threads — candidates, both ledgers, and
-//! every counter including the `em.sched.*` gauges. The serial run's
-//! counters fold into the budgeted report, so batch and slack regressions
-//! trip the gate; the phase's wall-clock has its own budget
-//! (`max_sched_seconds`).
+//! surcharge the batch stream exists to absorb). The faulted serial run's
+//! counters fold into the budgeted report once, so `em.retries` /
+//! `em.failures_*` / `em.topped_up` / `em.sched.*` regressions (e.g. a
+//! retry storm) trip the gate like any other counter.
 //!
 //! A batched-sweep smoke phase then gates the structure-of-arrays EM
 //! frequency sweep: a fleet of link-level channels is swept once through
 //! the scalar per-point path and once through a shared
-//! [`SweepPlan`](isop_em::sweep::SweepPlan), the
-//! two must agree **bit for bit** at every (channel, frequency) point, and
-//! lane width 1 vs 4 must also be bit-identical. The identity checks run
-//! on every build; the >= [`MIN_SWEEP_SPEEDUP`]x batched-over-scalar
-//! throughput requirement is enforced only when the crate was compiled
-//! with the `simd-lanes` feature (`lanes_compiled()`), mirroring how the
-//! training speedup is only enforced on hosts with enough cores. The
-//! phase's wall-clock has its own budget (`max_sweep_seconds`).
+//! [`SweepPlan`](isop_em::sweep::SweepPlan); the two must agree **bit for
+//! bit** at every (channel, frequency) point, and the batched pass must be
+//! at least [`MIN_SWEEP_SPEEDUP`]x faster.
 //!
 //! A warm-store smoke phase then gates the persistent evaluation store and
 //! the trained-model registry: the seeded pipeline runs cold against a
@@ -69,28 +57,21 @@
 //! (full-hit replay elides 100%), the two warm widths must agree on every
 //! counter, and a zoo surrogate fitted through the registry must reload
 //! warm with zero training work — no `ml.fit.*` span, `train.chunks` = 0 —
-//! and bit-identical predictions. The phase's wall-clock has its own
-//! budget (`max_store_seconds`), its serial handles' counters fold into
-//! the budgeted report so the `store.*` read/write volumes are gated, and
-//! the cold-vs-warm wall-clock comparison is written to `BENCH_pr8.json`
-//! next to the CI report.
+//! and bit-identical predictions. Its serial handles' counters fold into
+//! the budgeted report so the `store.*` read/write volumes are gated.
 //!
 //! A multi-job engine smoke phase then gates the shared-executor job
-//! scheduler: a four-job mixed-space batch (two tenants, each one fresh
-//! space and one rerun of it) runs once serially (one core permit, one
-//! wave slot) and once concurrently (host cores, two wave slots), each
-//! against its own fresh store. Always enforced: a job run **solo** is
-//! bit-identical — candidates, both EM ledgers, every per-job counter —
-//! to the same job running beside its wave neighbors, in both the serial
-//! and the concurrent batch; the rerun jobs elide their accurate EM time
-//! entirely through cross-job store hits; and the core budget's peak
-//! outstanding permits never exceed the grant. Only on hosts with at
-//! least [`ENGINE_SPEEDUP_CORES`] cores, the concurrent batch must beat
-//! the serial batch by [`MIN_ENGINE_SPEEDUP`]x wall-clock. The serial
-//! batch's per-job and engine counters fold into the budgeted report, the
-//! phase's wall-clock has its own budget (`max_engine_seconds`), and the
-//! serial-vs-concurrent comparison is written to `BENCH_pr9.json` next to
-//! the CI report.
+//! scheduler: the four-job demo batch ([`demo_specs`]) runs once serially
+//! (one core permit, one wave slot) and once concurrently (host cores, two
+//! wave slots), each against its own fresh store. Always enforced: a job
+//! run **solo** is bit-identical — candidates, both EM ledgers, every
+//! per-job counter — to the same job running beside its wave neighbors,
+//! in both the serial and the concurrent batch; the rerun jobs elide their
+//! accurate EM time entirely through cross-job store hits; and the core
+//! budget's peak outstanding permits never exceed the grant. Only on hosts
+//! with at least [`ENGINE_SPEEDUP_CORES`] cores, the concurrent batch must
+//! beat the serial batch by [`MIN_ENGINE_SPEEDUP`]x wall-clock. The serial
+//! batch's per-job and engine counters fold into the budgeted report.
 //!
 //! A daemon smoke phase finally gates the live optimization daemon: a
 //! real [`Daemon`] serves the four-job demo over a loopback TCP socket
@@ -103,9 +84,8 @@
 //! and every per-job counter, with the journal holding exactly one
 //! `Finished` frame per job (zero double-charged EM seconds). The
 //! synchronous legs' counters fold into the budgeted report, so the
-//! `daemon.*` volumes are gated, the phase's wall-clock has its own
-//! budget (`max_daemon_seconds`), and the kill-vs-calm comparison is
-//! written to `BENCH_pr10.json` next to the CI report.
+//! `daemon.*` volumes are gated, and the recovered journal is copied to
+//! `daemon_journal/` next to the CI report.
 //!
 //! ```text
 //! bench_gate [--thresholds scripts/bench_thresholds.json]
@@ -127,6 +107,7 @@ use isop_ml::registry::ModelRegistry;
 use isop_ml::train::TrainContext;
 use isop_ml::Regressor;
 use isop_store::Store;
+use serde::json::{Error, Value};
 use serde::{Deserialize, Serialize};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -158,17 +139,16 @@ const FAULT_PERMANENT_RATE: f64 = 0.30;
 /// Seed of the injected fault stream (independent of the pipeline seed).
 const FAULT_SEED: u64 = 2;
 /// Candidates a synchronous wave schedule (every retry chain finishing
-/// inside its wave) delivered on the scheduler smoke, measured with that
-/// schedule and pinned so the gate needs no second scheduler.
+/// inside its wave) delivered on the fault smoke's faulted run, measured
+/// with that schedule and pinned so the gate needs no second scheduler.
 const SYNC_SMOKE_CANDIDATES: usize = 3;
 /// EM seconds the same synchronous schedule charged there: one nominal
 /// per batch of three deliveries plus one nominal per failed attempt and
 /// an exponential backoff per re-issue. The async stream must stay
 /// strictly below it.
 const SYNC_SMOKE_EM_SECONDS: f64 = 70.66666666666666;
-/// Minimum batched-over-scalar sweep speedup, enforced only when the
-/// `simd-lanes` feature is compiled in ([`isop_em::sweep::lanes_compiled`])
-/// — bit-identity of the two paths is enforced everywhere.
+/// Minimum batched-over-scalar sweep speedup (cold plan, interning cost
+/// included).
 const MIN_SWEEP_SPEEDUP: f64 = 2.0;
 /// Frequency points of the sweep smoke grid.
 const SWEEP_POINTS: usize = 256;
@@ -188,135 +168,62 @@ const MIN_ENGINE_SPEEDUP: f64 = 1.5;
 /// (two concurrent jobs x two leased threads each).
 const ENGINE_SPEEDUP_CORES: usize = 4;
 
+/// The timed phases of one smoke pass, in run order. Each is gated by the
+/// `max_{phase}_seconds` wall budget of the thresholds file.
+const PHASES: [&str; 7] = [
+    "wall", "train", "fault", "sweep", "store", "engine", "daemon",
+];
+
+/// Measured wall-clock seconds per phase, in [`PHASES`] order.
+type PhaseWalls = Vec<(&'static str, f64)>;
+
 /// The checked-in perf budget the gate compares against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct GateThresholds {
     /// Must match [`RunReport::SCHEMA_VERSION`] of the measuring binary.
     schema_version: u32,
     /// Seed the counter budget was recorded at.
     seed: u64,
-    /// Wall-clock budget for the whole smoke run, seconds (compared with
-    /// a [`WALL_MARGIN`] tolerance).
-    max_wall_seconds: f64,
-    /// Wall-clock budget for the training smoke (serial + parallel fits),
-    /// seconds (compared with a [`WALL_MARGIN`] tolerance).
-    max_train_seconds: f64,
-    /// Wall-clock budget for the fault-injection smoke (four pipeline
-    /// runs), seconds (compared with a [`WALL_MARGIN`] tolerance).
-    max_fault_seconds: f64,
-    /// Wall-clock budget for the scheduler smoke (the faulted roll-out at
-    /// 1 and 4 threads, its ledger compared with the pinned synchronous
-    /// charge), seconds (compared with a [`WALL_MARGIN`] tolerance).
-    max_sched_seconds: f64,
-    /// Wall-clock budget for the batched-sweep smoke (scalar + batched +
-    /// lane-width passes), seconds (compared with a [`WALL_MARGIN`]
-    /// tolerance).
-    max_sweep_seconds: f64,
-    /// Wall-clock budget for the warm-store smoke (cold run + two warm
-    /// replays + registry round-trip), seconds (compared with a
-    /// [`WALL_MARGIN`] tolerance).
-    max_store_seconds: f64,
-    /// Wall-clock budget for the multi-job engine smoke (solo reference +
-    /// serial batch + concurrent batch), seconds (compared with a
-    /// [`WALL_MARGIN`] tolerance).
-    max_engine_seconds: f64,
-    /// Wall-clock budget for the daemon smoke (TCP demo + kill/restart
-    /// replay + calm reference), seconds (compared with a [`WALL_MARGIN`]
-    /// tolerance).
-    max_daemon_seconds: f64,
+    /// Wall-clock budget per phase, seconds (compared with a
+    /// [`WALL_MARGIN`] tolerance), stored as `max_{phase}_seconds` keys.
+    walls: Vec<(String, f64)>,
     /// Exact counter budget, one entry per [`Counter`].
     counters: Vec<isop_telemetry::CounterEntry>,
 }
 
-/// Cold-vs-warm measurement of the warm-store smoke, written to
-/// `BENCH_pr8.json` next to the CI report so the cross-run speedup is a
-/// tracked artifact rather than a log line.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct StoreSmokeSummary {
-    /// Wall-clock of the cold pipeline run (store writes included), s.
-    cold_wall_seconds: f64,
-    /// Wall-clock of the warm serial replay (store reads included), s.
-    warm_wall_seconds: f64,
-    /// EM seconds the cold run charged.
-    cold_em_charged_seconds: f64,
-    /// EM seconds the warm replay still charged (0 at full hit rate).
-    warm_em_charged_seconds: f64,
-    /// EM seconds the warm replay served from the store.
-    warm_em_saved_seconds: f64,
-    /// Store records the warm replay was served from other "jobs".
-    warm_cross_job_hits: u64,
-    /// Wall-clock of the cold zoo fit (training + store write), s.
-    cold_fit_wall_seconds: f64,
-    /// Wall-clock of the warm zoo load (store read, zero training), s.
-    warm_fit_wall_seconds: f64,
+impl Serialize for GateThresholds {
+    fn to_value(&self) -> Value {
+        let mut obj = vec![
+            ("schema_version".to_string(), self.schema_version.to_value()),
+            ("seed".to_string(), self.seed.to_value()),
+        ];
+        obj.extend(
+            self.walls
+                .iter()
+                .map(|(phase, secs)| (format!("max_{phase}_seconds"), secs.to_value())),
+        );
+        obj.push(("counters".to_string(), self.counters.to_value()));
+        Value::Obj(obj)
+    }
 }
 
-/// Serial-vs-concurrent measurement of the multi-job engine smoke,
-/// written to `BENCH_pr9.json` next to the CI report so the batch
-/// throughput and cross-job-elision numbers are tracked artifacts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct EngineSmokeSummary {
-    /// Cores the host reported (the concurrent batch's permit budget).
-    host_cores: usize,
-    /// Wall-clock of the four-job batch at one permit, one wave slot, s.
-    serial_wall_seconds: f64,
-    /// Wall-clock of the same batch at host cores, two wave slots, s.
-    concurrent_wall_seconds: f64,
-    /// `serial_wall_seconds / concurrent_wall_seconds` (enforced >=
-    /// [`MIN_ENGINE_SPEEDUP`] only at [`ENGINE_SPEEDUP_CORES`]+ cores).
-    speedup: f64,
-    /// Simulated EM seconds the concurrent batch charged.
-    em_seconds_charged: f64,
-    /// Simulated EM seconds the concurrent batch's rerun jobs elided.
-    em_seconds_saved: f64,
-    /// Store records the concurrent batch served across jobs.
-    cross_job_hits: u64,
-    /// Peak simultaneously leased core permits of the concurrent batch.
-    peak_core_permits: usize,
-    /// Admission waves of the concurrent batch.
-    waves: u64,
-}
-
-/// Kill-vs-calm measurement of the daemon smoke, written to
-/// `BENCH_pr10.json` next to the CI report so the journal-replay and
-/// crash-recovery numbers are tracked artifacts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct DaemonSmokeSummary {
-    /// Wall-clock of the live TCP leg (serve + stream + drain), s.
-    tcp_wall_seconds: f64,
-    /// Jobs the TCP daemon finished and journaled.
-    tcp_jobs_finished: u64,
-    /// Wall-clock of the kill + recover + resume leg, s.
-    recovery_wall_seconds: f64,
-    /// Finished jobs the restarted daemon replayed from the journal.
-    jobs_replayed: u64,
-    /// Interrupted jobs the restarted daemon re-ran in place.
-    jobs_resumed: u64,
-    /// EM seconds the never-killed reference daemon charged.
-    calm_em_charged_seconds: f64,
-    /// EM seconds the killed + restarted daemon charged in total (journal
-    /// replay + resumed wave; must equal the calm ledger bit for bit).
-    recovered_em_charged_seconds: f64,
-    /// `Finished` journal frames after recovery (one per job — more would
-    /// mean a double-charged EM second).
-    finished_frames: u64,
-}
-
-/// Everything one full smoke pass measures: the budgeted report, each
-/// phase's wall-clock, and the store/engine/daemon smokes' summaries.
-struct SmokeMeasurement {
-    report: RunReport,
-    wall: f64,
-    train_wall: f64,
-    fault_wall: f64,
-    sched_wall: f64,
-    sweep_wall: f64,
-    store_wall: f64,
-    store: StoreSmokeSummary,
-    engine_wall: f64,
-    engine: EngineSmokeSummary,
-    daemon_wall: f64,
-    daemon: DaemonSmokeSummary,
+impl Deserialize for GateThresholds {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let obj = v.as_obj().ok_or_else(|| Error::mismatch("object", v))?;
+        let walls = obj
+            .iter()
+            .filter_map(|(key, secs)| {
+                let phase = key.strip_prefix("max_")?.strip_suffix("_seconds")?;
+                Some(f64::from_value(secs).map(|secs| (phase.to_string(), secs)))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            schema_version: u32::from_value(Value::field(obj, "schema_version"))?,
+            seed: u64::from_value(Value::field(obj, "seed"))?,
+            walls,
+            counters: Vec::from_value(Value::field(obj, "counters"))?,
+        })
+    }
 }
 
 /// Fraction of total EM wall-clock the cache must elide over the two-run
@@ -412,13 +319,7 @@ fn train_smoke(telemetry: &Telemetry) -> Result<f64, String> {
     Ok(total)
 }
 
-/// Runs the seeded smoke pipeline twice on one telemetry handle, sharing
-/// one evaluation cache + surrogate memo across the runs (both disabled
-/// under `--no-cache`), then runs the [`train_smoke`] phase on the same
-/// handle. Returns (report, pipeline wall seconds, training wall seconds),
-/// or an error if the runs are not bit-identical, (cache on) the saved-EM
-/// fraction falls under [`MIN_SAVED_FRACTION`], or the training smoke
-/// breaks its determinism/speedup contract.
+/// The pipeline config every smoke runs, at `threads` workers.
 fn smoke_config(threads: usize) -> IsopConfig {
     IsopConfig {
         harmonica: HarmonicaConfig {
@@ -440,7 +341,38 @@ fn smoke_config(threads: usize) -> IsopConfig {
     }
 }
 
-fn run_smoke(use_cache: bool, journal_dir: &std::path::Path) -> Result<SmokeMeasurement, String> {
+/// The four-job demo batch of the engine and daemon smokes: tenants
+/// `acme` and `blue`, each submitting a fresh space and a rerun of it, so
+/// fair admission at two slots puts the fresh pair in wave 0 and the
+/// reruns in wave 1.
+fn demo_specs() -> [JobSpec; 4] {
+    let spec = |id: &str, tenant: &str, space: &str| JobSpec {
+        id: id.to_string(),
+        tenant: tenant.to_string(),
+        space: space.to_string(),
+        seed: SMOKE_SEED,
+        threads: SMOKE_THREADS,
+        ..JobSpec::default()
+    };
+    [
+        spec("acme-s1", "acme", "s1"),
+        spec("acme-s1-rerun", "acme", "s1"),
+        spec("blue-s2", "blue", "s2"),
+        spec("blue-s2-rerun", "blue", "s2"),
+    ]
+}
+
+/// Runs the seeded smoke pipeline twice on one telemetry handle, sharing
+/// one evaluation cache + surrogate memo across the runs (both disabled
+/// under `--no-cache`), then every other smoke phase on the same handle.
+/// Returns the budgeted report and each of [`PHASES`]' wall-clock, or an
+/// error if the runs are not bit-identical, (cache on) the saved-EM
+/// fraction falls under [`MIN_SAVED_FRACTION`], or any phase breaks its
+/// contract.
+fn run_smoke(
+    use_cache: bool,
+    journal_dir: &std::path::Path,
+) -> Result<(RunReport, PhaseWalls), String> {
     let space = isop::spaces::s1();
     let surrogate = OracleSurrogate::new(AnalyticalSolver::new());
     let telemetry = Telemetry::enabled();
@@ -507,15 +439,11 @@ fn run_smoke(use_cache: bool, journal_dir: &std::path::Path) -> Result<SmokeMeas
     // any future training counters) land in the budgeted report.
     let train_wall = train_smoke(&telemetry)?;
 
-    // Fault-injection phase: runs on scratch handles, then folds the
-    // faulted serial run's counters into the main handle so the retry
-    // budgets land in the gated report.
+    // Fault-injection phase: the rate-0 transparency run, the faulted
+    // roll-out's thread-width identity and its ledger against the pinned
+    // synchronous charge, folding the faulted serial run's counters into
+    // the main handle once so the retry and `em.sched.*` budgets are gated.
     let fault_wall = fault_smoke(&telemetry)?;
-
-    // Scheduler phase: the async ledger against the pinned synchronous
-    // charge plus the thread-width identity run, folding the serial
-    // counters into the main handle so the `em.sched.*` budgets are gated.
-    let sched_wall = sched_smoke(&telemetry)?;
 
     // Batched-sweep phase: pure-function identity checks, no telemetry.
     let sweep_wall = sweep_smoke()?;
@@ -523,19 +451,19 @@ fn run_smoke(use_cache: bool, journal_dir: &std::path::Path) -> Result<SmokeMeas
     // Warm-store phase: cold-vs-warm persistent replay plus the model
     // registry round-trip, folding the store counters into the main
     // handle so the `store.*` budgets are gated.
-    let (store_wall, store) = store_smoke(&telemetry)?;
+    let store_wall = store_smoke(&telemetry)?;
 
     // Multi-job engine phase: solo-vs-batched bit-identity, cross-job EM
     // elision, and the serial-vs-concurrent throughput comparison, folding
     // the serial batch's counters into the main handle so the `engine.*`
     // budgets are gated.
-    let (engine_wall, engine) = engine_smoke(&telemetry)?;
+    let engine_wall = engine_smoke(&telemetry)?;
 
     // Daemon phase: a live TCP round-trip plus the deterministic
     // kill-mid-epoch / journal-replay contract, folding the synchronous
     // legs' counters into the main handle so the `daemon.*` budgets are
     // gated.
-    let (daemon_wall, daemon) = daemon_smoke(&telemetry, journal_dir)?;
+    let daemon_wall = daemon_smoke(&telemetry, journal_dir)?;
 
     let mut report = telemetry.run_report();
     report.task = TaskId::T1.to_string();
@@ -547,35 +475,40 @@ fn run_smoke(use_cache: bool, journal_dir: &std::path::Path) -> Result<SmokeMeas
     report.invalid_seen = first.invalid_seen + second.invalid_seen;
     report.algorithm_seconds = first.algorithm_seconds + second.algorithm_seconds;
     report.resolution = first.resolution.as_str().to_string();
-    Ok(SmokeMeasurement {
-        report,
+    let walls: [f64; PHASES.len()] = [
         wall,
         train_wall,
         fault_wall,
-        sched_wall,
         sweep_wall,
         store_wall,
-        store,
         engine_wall,
-        engine,
         daemon_wall,
-        daemon,
-    })
+    ];
+    Ok((report, PHASES.into_iter().zip(walls).collect()))
 }
 
-/// The fault-tolerant roll-out's smoke. Four pipeline runs on scratch
-/// telemetry handles (no shared cache, so each roll-out is cold):
+/// The fault-tolerant, async batched roll-out's smoke. Four pipeline runs
+/// on scratch telemetry handles (no shared cache, so each roll-out is
+/// cold):
 ///
 /// 1. a plain run without the fault layer;
 /// 2. a rate-0 run *through* [`FaultInjector`] — must be bit-identical to
 ///    (1) in candidates, success, both EM ledgers, and every counter (the
 ///    disabled fault layer is invisible);
-/// 3. a faulted run at 1 thread and 4. at 4 threads — the per-design fault
-///    stream must make them bit-identical to each other, with retries and
-///    transient failures actually observed.
+/// 3. a faulted run at 1 thread and 4. at 4 threads, at the
+///    [`FAULT_RATE`]/[`FAULT_PERMANENT_RATE`] fault config — bit-identical
+///    to each other in candidates, both ledgers, and every counter (batch
+///    composition is a pure function of design identity and the logical
+///    clock, never thread arrival order), with retries, transient failures
+///    and live batches actually observed. They deliver
+///    [`SYNC_SMOKE_CANDIDATES`] designs with a full resolution, and the
+///    charged ledger lands **strictly below** [`SYNC_SMOKE_EM_SECONDS`],
+///    the pinned charge of a synchronous schedule whose per-record retry
+///    surcharge and backoff the batch stream absorbs into shared slots.
 ///
-/// Folds run (3)'s counters into `main`, so `em.retries` and friends are
-/// gated by the checked-in counter budgets. Returns the phase wall-clock.
+/// Folds run (3)'s counters into `main` once, so `em.retries`, the
+/// `em.sched.*` gauges and friends are gated by the checked-in counter
+/// budgets. Returns the phase wall-clock.
 fn fault_smoke(main: &Telemetry) -> Result<f64, String> {
     let space = isop::spaces::s1();
     let surrogate = OracleSurrogate::new(AnalyticalSolver::new());
@@ -658,83 +591,6 @@ fn fault_smoke(main: &Telemetry) -> Result<f64, String> {
              the retry budgets below gate nothing"
         ));
     }
-    for c in Counter::ALL {
-        main.add(c, serial_tele.counter(c));
-    }
-    println!(
-        "bench_gate: fault smoke: rate-0 transparent; 1 vs 4 threads bit-identical \
-         ({} retries, {} transient, {} permanent, {} topped up, resolution {})",
-        serial_tele.counter(Counter::EmRetries),
-        serial_tele.counter(Counter::EmFailuresTransient),
-        serial_tele.counter(Counter::EmFailuresPermanent),
-        serial_tele.counter(Counter::EmToppedUp),
-        serial.resolution
-    );
-    Ok(t0.elapsed().as_secs_f64())
-}
-
-/// The async batched scheduler's smoke. Two faulted pipeline runs on
-/// scratch telemetry handles (no shared cache, so every roll-out is cold)
-/// at the [`FAULT_RATE`]/[`FAULT_PERMANENT_RATE`] fault config, at 1 and
-/// at 4 threads.
-///
-/// Gated properties: the two runs are bit-identical to each other
-/// (candidates, both ledgers, every counter — batch composition is a pure
-/// function of design identity and the logical clock, never thread
-/// arrival order); they deliver [`SYNC_SMOKE_CANDIDATES`] designs with a
-/// full resolution; and — because retries genuinely fired — the charged
-/// ledger lands **strictly below** [`SYNC_SMOKE_EM_SECONDS`], the pinned
-/// charge of a synchronous schedule whose per-record retry surcharge and
-/// backoff the batch stream absorbs into shared slots. Folds the serial
-/// run's counters into `main`, so the `em.sched.*` budgets gate
-/// batch-count and slack regressions like any other counter. Returns the
-/// phase wall-clock.
-fn sched_smoke(main: &Telemetry) -> Result<f64, String> {
-    let space = isop::spaces::s1();
-    let surrogate = OracleSurrogate::new(AnalyticalSolver::new());
-    let t0 = Instant::now();
-    let run = |threads: usize, telemetry: &Telemetry| {
-        let solver = AnalyticalSolver::new().with_telemetry(telemetry.clone());
-        let injector = FaultInjector::new(
-            solver,
-            FaultConfig {
-                transient_rate: FAULT_RATE,
-                permanent_rate: FAULT_PERMANENT_RATE,
-                seed: FAULT_SEED,
-            },
-        )
-        .with_telemetry(telemetry.clone());
-        IsopOptimizer::new(&space, &surrogate, &injector, smoke_config(threads))
-            .with_telemetry(telemetry.clone())
-            .run(
-                isop::tasks::objective_for(TaskId::T1, vec![]),
-                Budget::unlimited(),
-                SMOKE_SEED,
-            )
-    };
-    let serial_tele = Telemetry::enabled();
-    let serial = run(1, &serial_tele);
-    let wide_tele = Telemetry::enabled();
-    let wide = run(4, &wide_tele);
-
-    if serial.candidates != wide.candidates
-        || serial.resolution != wide.resolution
-        || serial.em_seconds.to_bits() != wide.em_seconds.to_bits()
-        || serial.em_seconds_saved.to_bits() != wide.em_seconds_saved.to_bits()
-    {
-        return Err(
-            "scheduler determinism violation: async outcome diverged between 1 and 4 threads"
-                .into(),
-        );
-    }
-    for c in Counter::ALL {
-        if serial_tele.counter(c) != wide_tele.counter(c) {
-            return Err(format!(
-                "scheduler determinism violation: counter {} diverged between 1 and 4 threads",
-                c.name()
-            ));
-        }
-    }
     if serial.candidates.len() != SYNC_SMOKE_CANDIDATES
         || serial.resolution != RolloutResolution::Full
     {
@@ -743,12 +599,6 @@ fn sched_smoke(main: &Telemetry) -> Result<f64, String> {
              the synchronous schedule {SYNC_SMOKE_CANDIDATES} (full)",
             serial.candidates.len(),
             serial.resolution
-        ));
-    }
-    if serial_tele.counter(Counter::EmRetries) == 0 {
-        return Err(format!(
-            "scheduler smoke inert: rate {FAULT_RATE} produced no retries at seed \
-             {SMOKE_SEED} — the ledger comparison below proves nothing"
         ));
     }
     if serial.em_seconds >= SYNC_SMOKE_EM_SECONDS {
@@ -765,9 +615,15 @@ fn sched_smoke(main: &Telemetry) -> Result<f64, String> {
         main.add(c, serial_tele.counter(c));
     }
     println!(
-        "bench_gate: sched smoke: async charged {:.2}s < pinned sync {SYNC_SMOKE_EM_SECONDS:.2}s \
-         at equal candidates; 1 vs 4 threads bit-identical ({} batches, {} slack slots, \
-         {} interleaved)",
+        "bench_gate: fault smoke: rate-0 transparent; 1 vs 4 threads bit-identical \
+         ({} retries, {} transient, {} permanent, {} topped up, resolution {}); async \
+         charged {:.2}s < pinned sync {SYNC_SMOKE_EM_SECONDS:.2}s at equal candidates \
+         ({} batches, {} slack slots, {} interleaved)",
+        serial_tele.counter(Counter::EmRetries),
+        serial_tele.counter(Counter::EmFailuresTransient),
+        serial_tele.counter(Counter::EmFailuresPermanent),
+        serial_tele.counter(Counter::EmToppedUp),
+        serial.resolution,
         serial.em_seconds,
         serial_tele.counter(Counter::EmSchedBatches),
         serial_tele.counter(Counter::EmSchedSlackSlots),
@@ -792,15 +648,14 @@ fn collect_sweep_bits(view: isop_em::sweep::SweepView<'_>, out: &mut Vec<u64>) {
 /// through the scalar per-point path and once through a shared cold
 /// [`SweepPlan`](isop_em::sweep::SweepPlan).
 ///
-/// Always enforced: the two passes are bit-identical at every (channel,
-/// frequency) point, and lane width 1 equals lane width 4 bit for bit.
-/// Enforced only when the `simd-lanes` feature is compiled in: the batched
-/// pass (interning cost included) is at least [`MIN_SWEEP_SPEEDUP`]x
-/// faster than the scalar pass. Returns the phase wall-clock, seconds.
+/// Enforced: the two passes are bit-identical at every (channel,
+/// frequency) point, and the batched pass (interning cost included) is at
+/// least [`MIN_SWEEP_SPEEDUP`]x faster than the scalar pass. Returns the
+/// phase wall-clock, seconds.
 fn sweep_smoke() -> Result<f64, String> {
     use isop_em::channel::{Channel, Element};
     use isop_em::stackup::DiffStripline;
-    use isop_em::sweep::{lanes_compiled, LaneWidth, SweepPlan};
+    use isop_em::sweep::SweepPlan;
     use isop_em::via::Via;
 
     let t0 = Instant::now();
@@ -857,32 +712,17 @@ fn sweep_smoke() -> Result<f64, String> {
         return Err("sweep identity violation: batched sweep diverged from the scalar path".into());
     }
 
-    // Lane-determinism contract: width 1 must reproduce width 4 bit for bit.
-    let mut narrow = SweepPlan::log_spaced(1e8, 4e10, SWEEP_POINTS).with_lanes(LaneWidth::W1);
-    let mut narrow_bits: Vec<u64> = Vec::with_capacity(batched_bits.len());
-    narrow.sweep_channels(&channels, |_, view| {
-        collect_sweep_bits(view, &mut narrow_bits)
-    });
-    if narrow_bits != batched_bits {
-        return Err("sweep lane determinism violation: lane width 1 diverged from width 4".into());
-    }
-
     let speedup = scalar_secs / batched_secs.max(1e-9);
-    if lanes_compiled() && speedup < MIN_SWEEP_SPEEDUP {
+    if speedup < MIN_SWEEP_SPEEDUP {
         return Err(format!(
             "sweep speedup regression: batched {speedup:.2}x < {MIN_SWEEP_SPEEDUP:.1}x \
              over the scalar path ({scalar_secs:.3}s vs {batched_secs:.3}s)"
         ));
     }
     println!(
-        "bench_gate: sweep smoke: {} channels x {SWEEP_POINTS} points bit-identical, \
-         lanes 1 == 4 (scalar {scalar_secs:.3}s, batched {batched_secs:.3}s, {speedup:.2}x{})",
+        "bench_gate: sweep smoke: {} channels x {SWEEP_POINTS} points bit-identical \
+         (scalar {scalar_secs:.3}s, batched {batched_secs:.3}s, {speedup:.2}x)",
         channels.len(),
-        if lanes_compiled() {
-            ""
-        } else {
-            "; lanes off — speedup not enforced"
-        }
     );
     Ok(t0.elapsed().as_secs_f64())
 }
@@ -906,9 +746,8 @@ fn sweep_smoke() -> Result<f64, String> {
 ///
 /// Folds the cold and warm-serial handles' counters into `main` so the
 /// `store.*` read/write volumes (and the registry hit/miss split) are
-/// budgeted like any other counter. Returns the phase wall-clock and the
-/// cold-vs-warm summary for `BENCH_pr8.json`.
-fn store_smoke(main: &Telemetry) -> Result<(f64, StoreSmokeSummary), String> {
+/// budgeted like any other counter. Returns the phase wall-clock.
+fn store_smoke(main: &Telemetry) -> Result<f64, String> {
     let space = isop::spaces::s1();
     let surrogate = OracleSurrogate::new(AnalyticalSolver::new());
     let t0 = Instant::now();
@@ -940,9 +779,7 @@ fn store_smoke(main: &Telemetry) -> Result<(f64, StoreSmokeSummary), String> {
     };
 
     let cold_tele = Telemetry::enabled();
-    let t_cold = Instant::now();
     let cold = run(SMOKE_THREADS, &cold_tele, true)?;
-    let cold_wall = t_cold.elapsed().as_secs_f64();
     if cold.em_seconds <= 0.0 {
         return Err("store smoke inert: the cold run charged no EM seconds".into());
     }
@@ -988,9 +825,7 @@ fn store_smoke(main: &Telemetry) -> Result<(f64, StoreSmokeSummary), String> {
     // byte-identical between the two widths, and a full-hit replay has
     // nothing new to write anyway).
     let warm_tele = Telemetry::enabled();
-    let t_warm = Instant::now();
     let warm = run(1, &warm_tele, false)?;
-    let warm_wall = t_warm.elapsed().as_secs_f64();
     let wide_tele = Telemetry::enabled();
     let wide = run(4, &wide_tele, false)?;
 
@@ -1094,19 +929,7 @@ fn store_smoke(main: &Telemetry) -> Result<(f64, StoreSmokeSummary), String> {
         warm_fit_wall,
         cold_fit_wall,
     );
-    Ok((
-        t0.elapsed().as_secs_f64(),
-        StoreSmokeSummary {
-            cold_wall_seconds: cold_wall,
-            warm_wall_seconds: warm_wall,
-            cold_em_charged_seconds: cold.em_seconds,
-            warm_em_charged_seconds: warm.em_seconds,
-            warm_em_saved_seconds: warm.em_seconds_saved,
-            warm_cross_job_hits: warm_tele.counter(Counter::StoreCrossJobHits),
-            cold_fit_wall_seconds: cold_fit_wall,
-            warm_fit_wall_seconds: warm_fit_wall,
-        },
-    ))
+    Ok(t0.elapsed().as_secs_f64())
 }
 
 /// Compares one job's outcome across two engine runs: candidates, both EM
@@ -1120,10 +943,8 @@ fn engine_jobs_identical(a: &isop::engine::JobResult, b: &isop::engine::JobResul
         && a.report.counters == b.report.counters
 }
 
-/// The multi-job engine's smoke. A four-job mixed-space batch — tenants
-/// `acme` and `blue`, each submitting a fresh space and a rerun of it, so
-/// fair admission at two slots puts the fresh pair in wave 0 and the
-/// reruns in wave 1 — runs three ways against fresh store directories:
+/// The multi-job engine's smoke. The four-job demo batch ([`demo_specs`])
+/// runs three ways against fresh store directories:
 ///
 /// 1. job `acme-s1` **solo** (the reference the identity clause compares
 ///    against);
@@ -1139,28 +960,12 @@ fn engine_jobs_identical(a: &isop::engine::JobResult, b: &isop::engine::JobResul
 /// [`MIN_ENGINE_SPEEDUP`]x wall-clock. Folds the serial batch's per-job
 /// and engine/store counters into `main` so the `engine.*` wave/job
 /// counts and the batch's EM volumes are budgeted. Returns the phase
-/// wall-clock and the serial-vs-concurrent summary for `BENCH_pr9.json`.
-fn engine_smoke(main: &Telemetry) -> Result<(f64, EngineSmokeSummary), String> {
-    use isop::engine::{Engine, EngineConfig};
-    use isop::jobs::{JobQueue, JobSpec};
-
+/// wall-clock.
+fn engine_smoke(main: &Telemetry) -> Result<f64, String> {
     let t0 = Instant::now();
     let scratch = std::env::temp_dir().join(format!("isop-bench-engine-{}", std::process::id()));
     std::fs::remove_dir_all(&scratch).ok();
-    let spec = |id: &str, tenant: &str, space: &str| JobSpec {
-        id: id.to_string(),
-        tenant: tenant.to_string(),
-        space: space.to_string(),
-        seed: SMOKE_SEED,
-        threads: SMOKE_THREADS,
-        ..JobSpec::default()
-    };
-    let batch = [
-        spec("acme-s1", "acme", "s1"),
-        spec("acme-s1-rerun", "acme", "s1"),
-        spec("blue-s2", "blue", "s2"),
-        spec("blue-s2-rerun", "blue", "s2"),
-    ];
+    let batch = demo_specs();
     let run = |label: &str, specs: &[JobSpec], cores: usize, wave_slots: usize| {
         let mut queue = JobQueue::new();
         for s in specs {
@@ -1269,20 +1074,7 @@ fn engine_smoke(main: &Telemetry) -> Result<(f64, EngineSmokeSummary), String> {
         concurrent.em_seconds_saved,
         concurrent.cross_job_hits
     );
-    Ok((
-        t0.elapsed().as_secs_f64(),
-        EngineSmokeSummary {
-            host_cores,
-            serial_wall_seconds: serial_wall,
-            concurrent_wall_seconds: concurrent_wall,
-            speedup,
-            em_seconds_charged: concurrent.em_seconds_charged,
-            em_seconds_saved: concurrent.em_seconds_saved,
-            cross_job_hits: concurrent.cross_job_hits,
-            peak_core_permits: concurrent.peak_core_permits,
-            waves: concurrent.waves,
-        },
-    ))
+    Ok(t0.elapsed().as_secs_f64())
 }
 
 /// The live daemon's smoke, in two legs.
@@ -1306,14 +1098,9 @@ fn engine_smoke(main: &Telemetry) -> Result<(f64, EngineSmokeSummary), String> {
 /// synchronous legs' counters into `main` so the `daemon.*` volumes are
 /// budgeted, and copies the recovered journal's shards into `journal_dir`
 /// so CI can upload the exact frames the replay identity was proven from.
-/// Returns the phase wall-clock and the `BENCH_pr10.json` summary.
-fn daemon_smoke(
-    main: &Telemetry,
-    journal_dir: &std::path::Path,
-) -> Result<(f64, DaemonSmokeSummary), String> {
-    use isop::jobs::JobSpec;
+/// Returns the phase wall-clock.
+fn daemon_smoke(main: &Telemetry, journal_dir: &std::path::Path) -> Result<f64, String> {
     use isop_store::JobState;
-    use serde::json::Value;
     use std::io::{BufRead, BufReader, Write};
     use std::net::{TcpListener, TcpStream};
 
@@ -1321,20 +1108,7 @@ fn daemon_smoke(
     let scratch = std::env::temp_dir().join(format!("isop-bench-daemon-{}", std::process::id()));
     std::fs::remove_dir_all(&scratch).ok();
 
-    let spec = |id: &str, tenant: &str, space: &str| JobSpec {
-        id: id.to_string(),
-        tenant: tenant.to_string(),
-        space: space.to_string(),
-        seed: SMOKE_SEED,
-        threads: SMOKE_THREADS,
-        ..JobSpec::default()
-    };
-    let demo = [
-        spec("acme-s1", "acme", "s1"),
-        spec("acme-s1-rerun", "acme", "s1"),
-        spec("blue-s2", "blue", "s2"),
-        spec("blue-s2-rerun", "blue", "s2"),
-    ];
+    let demo = demo_specs();
     let build = |label: &str, chaos: u64, telemetry: &Telemetry| -> Result<Daemon, String> {
         let store = Arc::new(
             Store::open(&scratch.join(label))
@@ -1570,19 +1344,7 @@ fn daemon_smoke(
         recovery.jobs_replayed,
         recovery.jobs_resumed,
     );
-    Ok((
-        t0.elapsed().as_secs_f64(),
-        DaemonSmokeSummary {
-            tcp_wall_seconds: tcp_wall,
-            tcp_jobs_finished: tcp_finished,
-            recovery_wall_seconds: recovery_wall,
-            jobs_replayed: recovery.jobs_replayed,
-            jobs_resumed: recovery.jobs_resumed,
-            calm_em_charged_seconds: calm_charged,
-            recovered_em_charged_seconds: recovered_charged,
-            finished_frames,
-        },
-    ))
+    Ok(t0.elapsed().as_secs_f64())
 }
 
 fn write_file(path: &str, contents: &str) -> Result<(), String> {
@@ -1594,74 +1356,66 @@ fn write_file(path: &str, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| e.to_string())
 }
 
+/// Checks every measured phase's wall-clock against its budget x
+/// [`WALL_MARGIN`]. Returns one failure per phase over its limit, per
+/// phase without a budget, and per budget that names no measured phase.
+fn wall_failures(budgets: &[(String, f64)], walls: &[(&str, f64)]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for &(phase, secs) in walls {
+        let Some(&(_, budget)) = budgets.iter().find(|(p, _)| p == phase) else {
+            failures.push(format!(
+                "wall-clock budget missing: phase {phase} has no max_{phase}_seconds"
+            ));
+            continue;
+        };
+        let limit = budget * WALL_MARGIN;
+        if secs > limit {
+            failures.push(format!(
+                "wall-clock regression in phase {phase}: {secs:.2}s > {limit:.2}s \
+                 ({budget:.2}s budget x {WALL_MARGIN} margin)"
+            ));
+        } else {
+            println!("bench_gate: {phase} phase {secs:.2}s within {limit:.2}s limit");
+        }
+    }
+    for (phase, _) in budgets {
+        if !walls.iter().any(|(p, _)| p == phase) {
+            failures.push(format!(
+                "wall-clock budget max_{phase}_seconds names no smoke phase"
+            ));
+        }
+    }
+    failures
+}
+
 fn gate(
     thresholds_path: &str,
     out_path: &str,
     update: bool,
     use_cache: bool,
 ) -> Result<(), String> {
-    let SmokeMeasurement {
-        report,
-        wall,
-        train_wall,
-        fault_wall,
-        sched_wall,
-        sweep_wall,
-        store_wall,
-        store,
-        engine_wall,
-        engine,
-        daemon_wall,
-        daemon,
-    } = run_smoke(
+    let (report, walls) = run_smoke(
         use_cache,
         &std::path::Path::new(out_path).with_file_name("daemon_journal"),
     )?;
     write_file(out_path, &report.to_json().map_err(|e| format!("{e:?}"))?)?;
-    let pr8_path = std::path::Path::new(out_path)
-        .with_file_name("BENCH_pr8.json")
-        .to_string_lossy()
-        .into_owned();
-    write_file(
-        &pr8_path,
-        &serde_json::to_string(&store).map_err(|e| format!("{e:?}"))?,
-    )?;
-    let pr9_path = std::path::Path::new(out_path)
-        .with_file_name("BENCH_pr9.json")
-        .to_string_lossy()
-        .into_owned();
-    write_file(
-        &pr9_path,
-        &serde_json::to_string(&engine).map_err(|e| format!("{e:?}"))?,
-    )?;
-    let pr10_path = std::path::Path::new(out_path)
-        .with_file_name("BENCH_pr10.json")
-        .to_string_lossy()
-        .into_owned();
-    write_file(
-        &pr10_path,
-        &serde_json::to_string(&daemon).map_err(|e| format!("{e:?}"))?,
-    )?;
+    let timings: Vec<String> = walls
+        .iter()
+        .map(|(phase, secs)| format!("{phase} {secs:.2}s"))
+        .collect();
     println!(
-        "bench_gate: smoke run took {wall:.2}s (+{train_wall:.2}s training, \
-         +{fault_wall:.2}s faults, +{sched_wall:.2}s scheduler, +{sweep_wall:.2}s sweep, \
-         +{store_wall:.2}s store, +{engine_wall:.2}s engine, +{daemon_wall:.2}s daemon), \
-         report at {out_path}, cold-vs-warm at {pr8_path}, serial-vs-concurrent at \
-         {pr9_path}, kill-vs-calm at {pr10_path}"
+        "bench_gate: smoke phases took {}; report at {out_path}",
+        timings.join(", ")
     );
 
     if update {
         let thresholds = GateThresholds {
             schema_version: RunReport::SCHEMA_VERSION,
             seed: SMOKE_SEED,
-            max_wall_seconds: wall * WALL_UPDATE_HEADROOM,
-            max_train_seconds: train_wall * WALL_UPDATE_HEADROOM,
-            max_fault_seconds: fault_wall * WALL_UPDATE_HEADROOM,
-            max_sched_seconds: sched_wall * WALL_UPDATE_HEADROOM,
-            max_sweep_seconds: sweep_wall * WALL_UPDATE_HEADROOM,
-            max_store_seconds: store_wall * WALL_UPDATE_HEADROOM,
-            max_engine_seconds: engine_wall * WALL_UPDATE_HEADROOM,
-            max_daemon_seconds: daemon_wall * WALL_UPDATE_HEADROOM,
+            walls: walls
+                .iter()
+                .map(|&(phase, secs)| (phase.to_string(), secs * WALL_UPDATE_HEADROOM))
+                .collect(),
             counters: report.counters.clone(),
         };
         let json = serde_json::to_string(&thresholds).map_err(|e| format!("{e:?}"))?;
@@ -1703,98 +1457,7 @@ fn gate(
             );
         }
     }
-    let wall_limit = thresholds.max_wall_seconds * WALL_MARGIN;
-    if wall > wall_limit {
-        failures.push(format!(
-            "wall-clock regression: {wall:.2}s > {wall_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_wall_seconds
-        ));
-    } else {
-        println!("bench_gate: wall-clock {wall:.2}s within {wall_limit:.2}s limit");
-    }
-    let train_limit = thresholds.max_train_seconds * WALL_MARGIN;
-    if train_wall > train_limit {
-        failures.push(format!(
-            "training wall-clock regression: {train_wall:.2}s > {train_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_train_seconds
-        ));
-    } else {
-        println!("bench_gate: training wall-clock {train_wall:.2}s within {train_limit:.2}s limit");
-    }
-    let fault_limit = thresholds.max_fault_seconds * WALL_MARGIN;
-    if fault_wall > fault_limit {
-        failures.push(format!(
-            "fault-smoke wall-clock regression: {fault_wall:.2}s > {fault_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_fault_seconds
-        ));
-    } else {
-        println!(
-            "bench_gate: fault-smoke wall-clock {fault_wall:.2}s within {fault_limit:.2}s limit"
-        );
-    }
-    let sched_limit = thresholds.max_sched_seconds * WALL_MARGIN;
-    if sched_wall > sched_limit {
-        failures.push(format!(
-            "sched-smoke wall-clock regression: {sched_wall:.2}s > {sched_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_sched_seconds
-        ));
-    } else {
-        println!(
-            "bench_gate: sched-smoke wall-clock {sched_wall:.2}s within {sched_limit:.2}s limit"
-        );
-    }
-    let sweep_limit = thresholds.max_sweep_seconds * WALL_MARGIN;
-    if sweep_wall > sweep_limit {
-        failures.push(format!(
-            "sweep-smoke wall-clock regression: {sweep_wall:.2}s > {sweep_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_sweep_seconds
-        ));
-    } else {
-        println!(
-            "bench_gate: sweep-smoke wall-clock {sweep_wall:.2}s within {sweep_limit:.2}s limit"
-        );
-    }
-    let store_limit = thresholds.max_store_seconds * WALL_MARGIN;
-    if store_wall > store_limit {
-        failures.push(format!(
-            "store-smoke wall-clock regression: {store_wall:.2}s > {store_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_store_seconds
-        ));
-    } else {
-        println!(
-            "bench_gate: store-smoke wall-clock {store_wall:.2}s within {store_limit:.2}s limit"
-        );
-    }
-    let engine_limit = thresholds.max_engine_seconds * WALL_MARGIN;
-    if engine_wall > engine_limit {
-        failures.push(format!(
-            "engine-smoke wall-clock regression: {engine_wall:.2}s > {engine_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_engine_seconds
-        ));
-    } else {
-        println!(
-            "bench_gate: engine-smoke wall-clock {engine_wall:.2}s within {engine_limit:.2}s limit"
-        );
-    }
-    let daemon_limit = thresholds.max_daemon_seconds * WALL_MARGIN;
-    if daemon_wall > daemon_limit {
-        failures.push(format!(
-            "daemon-smoke wall-clock regression: {daemon_wall:.2}s > {daemon_limit:.2}s \
-             ({:.2}s budget x {WALL_MARGIN} margin)",
-            thresholds.max_daemon_seconds
-        ));
-    } else {
-        println!(
-            "bench_gate: daemon-smoke wall-clock {daemon_wall:.2}s within {daemon_limit:.2}s limit"
-        );
-    }
+    failures.extend(wall_failures(&thresholds.walls, &walls));
 
     if failures.is_empty() {
         println!(
@@ -1847,5 +1510,53 @@ fn main() -> ExitCode {
             eprintln!("bench_gate: FAIL\n{e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_phase_has_exactly_one_wall_budget() {
+        let thresholds: GateThresholds =
+            serde_json::from_str(include_str!("../../../../scripts/bench_thresholds.json"))
+                .expect("checked-in thresholds parse");
+        let budgeted: Vec<&str> = thresholds.walls.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(budgeted, PHASES, "one budget per phase, in run order");
+        let on_budget: Vec<(&str, f64)> = thresholds
+            .walls
+            .iter()
+            .map(|(p, secs)| (p.as_str(), *secs))
+            .collect();
+        assert!(wall_failures(&thresholds.walls, &on_budget).is_empty());
+    }
+
+    #[test]
+    fn a_phase_over_budget_fails_by_name() {
+        let budgets: Vec<(String, f64)> = PHASES.iter().map(|p| (p.to_string(), 1.0)).collect();
+        for phase in PHASES {
+            let walls: Vec<(&str, f64)> = PHASES
+                .iter()
+                .map(|&p| (p, if p == phase { WALL_MARGIN * 1.01 } else { 1.0 }))
+                .collect();
+            let failures = wall_failures(&budgets, &walls);
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(
+                failures[0].contains(&format!("in phase {phase}:")),
+                "{failures:?}"
+            );
+        }
+        // A phase without a budget, and a budget without a phase, fail too.
+        let failures = wall_failures(&budgets[1..], &[("wall", 0.0)]);
+        assert_eq!(failures.len(), 1 + PHASES.len() - 1, "{failures:?}");
+        assert!(failures[0].contains("phase wall has no max_wall_seconds"));
+    }
+
+    #[test]
+    fn thresholds_round_trip_through_json() {
+        let text = include_str!("../../../../scripts/bench_thresholds.json");
+        let thresholds: GateThresholds = serde_json::from_str(text).expect("parses");
+        assert_eq!(serde_json::to_string(&thresholds).expect("writes"), text);
     }
 }

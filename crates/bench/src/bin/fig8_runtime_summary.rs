@@ -19,7 +19,7 @@ use isop_bench::{
 use isop_em::channel::{Channel, Element};
 use isop_em::eye::{peak_distortion_eye_with, EyeWorkspace};
 use isop_em::stackup::DiffStripline;
-use isop_em::sweep::{lanes_compiled, SweepPlan};
+use isop_em::sweep::SweepPlan;
 use isop_em::via::Via;
 use isop_telemetry::{RunReport, Telemetry};
 use std::time::Instant;
@@ -101,13 +101,12 @@ fn verify_links(links: &[(String, Channel)]) {
 
     println!(
         "\nLink-level verification: {} designs x {} pts, scalar {:.1} ms vs batched {:.1} ms \
-         ({:.1}x, lanes {}, {} interned prototypes)",
+         ({:.1}x, {} interned prototypes)",
         links.len(),
         LINK_N_FREQ,
         scalar_secs * 1e3,
         batched_secs * 1e3,
         scalar_secs / batched_secs.max(1e-9),
-        if lanes_compiled() { "on" } else { "off" },
         plan.interned_prototypes(),
     );
     let mut ws = EyeWorkspace::new();

@@ -821,7 +821,9 @@ impl Daemon {
     /// One NDJSON connection: request line in, response line out. A line
     /// longer than [`MAX_REQUEST_LINE_BYTES`] is answered with a typed
     /// `line_too_long` error and the connection is closed, so a client that
-    /// never sends a newline cannot grow the daemon's memory.
+    /// never sends a newline cannot grow the daemon's memory. A line that
+    /// is not UTF-8 gets a typed `bad_request` and the connection stays
+    /// open.
     fn handle_connection(&self, stream: TcpStream) {
         let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
         let mut writer = match stream.try_clone() {
@@ -849,10 +851,12 @@ impl Daemon {
                         ));
                         break;
                     }
-                    let Ok(text) = std::str::from_utf8(&line) else {
-                        break;
+                    let response = match std::str::from_utf8(&line) {
+                        Ok(text) if text.trim().is_empty() => None,
+                        Ok(text) => Some(self.handle_line(text.trim())),
+                        Err(_) => Some(Response::error("bad_request", "request line is not UTF-8")),
                     };
-                    if !text.trim().is_empty() && reply(self.handle_line(text.trim())).is_err() {
+                    if response.is_some_and(|r| reply(r).is_err()) {
                         break;
                     }
                     line.clear();
@@ -980,6 +984,45 @@ mod tests {
 
         let (reply, _) = ask(b"{\"op\":\"status\"}\n{\"op\":\"shutdown\"}\n");
         assert!(reply.contains(r#""ok":true"#), "{reply}");
+        server
+            .join()
+            .expect("serve thread")
+            .expect("serve returns Ok");
+    }
+
+    #[test]
+    fn non_utf8_request_line_is_refused_and_the_connection_keeps_serving() {
+        let daemon = Arc::new(Daemon::new(DaemonConfig {
+            engine: tiny_engine(),
+            ..DaemonConfig::default()
+        }));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("bound address");
+        let server = {
+            let daemon = Arc::clone(&daemon);
+            std::thread::spawn(move || daemon.serve(listener))
+        };
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .write_all(b"\xff\xfe\n{\"op\":\"status\"}\n")
+            .expect("writes");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        let mut first = String::new();
+        reader.read_line(&mut first).expect("reads the refusal");
+        assert!(first.contains(r#""ok":false"#), "{first}");
+        assert!(first.contains(r#""error":"bad_request""#), "{first}");
+        let mut second = String::new();
+        reader.read_line(&mut second).expect("reads the status");
+        assert!(second.contains(r#""ok":true"#), "{second}");
+
+        stream
+            .write_all(b"{\"op\":\"shutdown\"}\n")
+            .expect("writes");
+        let mut third = String::new();
+        reader
+            .read_line(&mut third)
+            .expect("reads the shutdown ack");
+        drop((reader, stream));
         server
             .join()
             .expect("serve thread")

@@ -14,7 +14,7 @@
 //! failed attempt billed at one nominal plus an exponential backoff —
 //! charges more for the same candidates. That comparison is kept as pinned
 //! constants: 70.67 s against this stream's 30.33 s on the bench gate's
-//! faulted smoke (`sched_smoke` in `bench_gate.rs`), and 151.17 s against
+//! faulted smoke (`fault_smoke` in `bench_gate.rs`), and 151.17 s against
 //! 45.5 s when every design fails twice before succeeding
 //! (`tests/em_fault_tolerance.rs`).
 //!

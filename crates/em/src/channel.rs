@@ -190,7 +190,7 @@ impl Channel {
     /// Sweeps the channel's four S-parameters over `plan`'s frequency grid
     /// through the batched structure-of-arrays path (see [`crate::sweep`]).
     /// Bit-identical to calling [`Channel::abcd`] +
-    /// [`AbcdMatrix::to_s_params`] per point, at any lane width.
+    /// [`AbcdMatrix::to_s_params`] per point.
     pub fn sweep<'p>(&self, plan: &'p mut SweepPlan) -> SweepView<'p> {
         plan.sweep(self)
     }

@@ -16,7 +16,7 @@
 //! * [`abcd`] / [`sparams`] — frequency-domain network analysis;
 //! * [`sweep`] — batched structure-of-arrays frequency sweeps
 //!   ([`SweepPlan`]) with interned RLGC/ABCD prototypes,
-//!   bit-identical to the scalar path at every lane width;
+//!   bit-identical to the scalar path;
 //! * [`fft`] — the radix-2 inverse real FFT behind the eye-diagram
 //!   impulse response;
 //! * [`crosstalk`] — near-end crosstalk between adjacent pairs;
@@ -75,4 +75,4 @@ pub use fault::{
 };
 pub use simulator::{AnalyticalSolver, EmSimulator, FieldSolver, SimulationResult};
 pub use stackup::{DiffStripline, GeometryError, PARAM_COUNT, PARAM_NAMES};
-pub use sweep::{lanes_compiled, LaneWidth, SweepPlan, SweepView};
+pub use sweep::{SweepPlan, SweepView};

@@ -11,23 +11,19 @@
 //!   `(layer, length)` segment and each distinct via are built once and
 //!   reused across elements, channels, and repeated sweeps;
 //! * **structure-of-arrays lanes** — all per-frequency complex state lives
-//!   in flat `Vec<f64>` re/im lanes (`AbcdLanes`), cascaded with an
-//!   explicit 4-wide unrolled kernel behind the `simd-lanes` feature;
+//!   in flat `Vec<f64>` re/im lanes (`AbcdLanes`), cascaded point by point;
 //! * **scratch arenas** — chain and S-parameter lanes are owned by the plan
 //!   and reused, so a warm plan allocates nothing per sweep.
 //!
 //! ## Bit-identity contract
 //!
-//! Batched results are **bit-identical** to the scalar per-point path at
-//! every lane width. This holds by construction, not by tolerance: every
+//! Batched results are **bit-identical** to the scalar per-point path.
+//! This holds by construction, not by tolerance: every
 //! per-point value is produced by the *same pure functions* the scalar path
 //! calls ([`odd_mode_rlgc`], [`stripline_abcd`](crate::channel),
 //! [`Via::abcd`], [`AbcdMatrix::cascade`], [`AbcdMatrix::to_s_params`]) with
 //! the same arguments in the same order — the plan only *caches and reuses*
-//! their results. The 4-wide kernel is an unrolled loop of four independent
-//! per-point calls, so widening the lanes reorders no floating-point
-//! operation within a point: lane width 1 ≡ 4, mirroring the
-//! `threads = 1 ≡ N` determinism contract of the training engine.
+//! their results.
 
 use crate::abcd::{to_db, AbcdMatrix};
 use crate::channel::{stripline_abcd, Channel, Element};
@@ -35,49 +31,6 @@ use crate::complex::Complex;
 use crate::rlgc::{odd_mode_rlgc, RlgcParams};
 use crate::stackup::DiffStripline;
 use crate::via::Via;
-
-/// `true` when the crate was compiled with the `simd-lanes` feature, i.e.
-/// when [`LaneWidth::W4`] actually runs the 4-wide unrolled kernel. The CI
-/// bench gate only enforces the sweep speedup threshold when this is set.
-pub fn lanes_compiled() -> bool {
-    cfg!(feature = "simd-lanes")
-}
-
-/// Kernel lane width for the batched sweep loops.
-///
-/// Purely a throughput knob: results are bit-identical at every width (see
-/// the module docs). [`LaneWidth::W4`] silently degrades to an effective
-/// width of 1 when the crate is built without the `simd-lanes` feature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneWidth {
-    /// Straight per-point loop.
-    W1,
-    /// 4-wide unrolled loop (requires the `simd-lanes` feature).
-    W4,
-}
-
-impl LaneWidth {
-    /// The width the kernels actually run at under the current build.
-    pub fn effective(self) -> usize {
-        match self {
-            LaneWidth::W1 => 1,
-            LaneWidth::W4 => {
-                if lanes_compiled() {
-                    4
-                } else {
-                    1
-                }
-            }
-        }
-    }
-}
-
-impl Default for LaneWidth {
-    /// The widest compiled kernel.
-    fn default() -> Self {
-        LaneWidth::W4
-    }
-}
 
 /// Structure-of-arrays storage for one 2x2 complex matrix per frequency:
 /// eight flat `f64` lanes (a/b/c/d × re/im). Also reused to hold the four
@@ -180,73 +133,29 @@ enum ElemRef {
     Via(usize),
 }
 
-/// Cascades `proto` into `chain` at point `i` through the exact scalar
+/// Cascades `proto` into `chain` at every point through the exact scalar
 /// cascade — the bit-identity anchor of the batched path.
-#[inline(always)]
-fn cascade_point(chain: &mut AbcdLanes, proto: &AbcdLanes, i: usize) {
-    let m = chain.get(i).cascade(&proto.get(i));
-    chain.set(i, &m);
+fn cascade_lanes(chain: &mut AbcdLanes, proto: &AbcdLanes) {
+    for i in 0..chain.len() {
+        let m = chain.get(i).cascade(&proto.get(i));
+        chain.set(i, &m);
+    }
 }
 
-/// Converts chain point `i` to S-parameters through the exact scalar
+/// Converts every chain point to S-parameters through the exact scalar
 /// conversion, storing them as (a=s11, b=s21, c=s12, d=s22).
-#[inline(always)]
-fn sparams_point(chain: &AbcdLanes, out: &mut AbcdLanes, z_ref: f64, i: usize) {
-    let (s11, s21, s12, s22) = chain.get(i).to_s_params(z_ref);
-    out.set(
-        i,
-        &AbcdMatrix {
-            a: s11,
-            b: s21,
-            c: s12,
-            d: s22,
-        },
-    );
-}
-
-/// Cascade kernel: 4-wide unrolled when `width == 4` (four *independent*
-/// per-point calls per iteration — no cross-point arithmetic, hence
-/// bit-identical to the straight loop), straight loop otherwise.
-fn cascade_lanes(chain: &mut AbcdLanes, proto: &AbcdLanes, width: usize) {
-    let n = chain.len();
-    let mut i = 0;
-    #[cfg(feature = "simd-lanes")]
-    if width == 4 {
-        while i + 4 <= n {
-            cascade_point(chain, proto, i);
-            cascade_point(chain, proto, i + 1);
-            cascade_point(chain, proto, i + 2);
-            cascade_point(chain, proto, i + 3);
-            i += 4;
-        }
-    }
-    #[cfg(not(feature = "simd-lanes"))]
-    let _ = width;
-    while i < n {
-        cascade_point(chain, proto, i);
-        i += 1;
-    }
-}
-
-/// S-parameter kernel; same unrolling contract as [`cascade_lanes`].
-fn sparams_lanes(chain: &AbcdLanes, out: &mut AbcdLanes, z_ref: f64, width: usize) {
-    let n = chain.len();
-    let mut i = 0;
-    #[cfg(feature = "simd-lanes")]
-    if width == 4 {
-        while i + 4 <= n {
-            sparams_point(chain, out, z_ref, i);
-            sparams_point(chain, out, z_ref, i + 1);
-            sparams_point(chain, out, z_ref, i + 2);
-            sparams_point(chain, out, z_ref, i + 3);
-            i += 4;
-        }
-    }
-    #[cfg(not(feature = "simd-lanes"))]
-    let _ = width;
-    while i < n {
-        sparams_point(chain, out, z_ref, i);
-        i += 1;
+fn sparams_lanes(chain: &AbcdLanes, out: &mut AbcdLanes, z_ref: f64) {
+    for i in 0..chain.len() {
+        let (s11, s21, s12, s22) = chain.get(i).to_s_params(z_ref);
+        out.set(
+            i,
+            &AbcdMatrix {
+                a: s11,
+                b: s21,
+                c: s12,
+                d: s22,
+            },
+        );
     }
 }
 
@@ -277,7 +186,6 @@ fn sparams_lanes(chain: &AbcdLanes, out: &mut AbcdLanes, z_ref: f64, width: usiz
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
     freqs: Vec<f64>,
-    lanes: LaneWidth,
     /// Interned distinct layers, in first-seen order.
     layers: Vec<DiffStripline>,
     /// RLGC rows, `freqs.len()` entries per interned layer, row-major.
@@ -308,7 +216,6 @@ impl SweepPlan {
     pub fn new(freqs: Vec<f64>) -> Self {
         Self {
             freqs,
-            lanes: LaneWidth::default(),
             layers: Vec::new(),
             rlgc: Vec::new(),
             line_keys: Vec::new(),
@@ -342,22 +249,9 @@ impl SweepPlan {
         Self::new(freqs)
     }
 
-    /// Sets the kernel lane width (default [`LaneWidth::W4`]); results are
-    /// bit-identical at every width.
-    #[must_use]
-    pub fn with_lanes(mut self, lanes: LaneWidth) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
     /// The frequency grid, Hz.
     pub fn freqs(&self) -> &[f64] {
         &self.freqs
-    }
-
-    /// The configured kernel lane width.
-    pub fn lane_width(&self) -> LaneWidth {
-        self.lanes
     }
 
     /// Number of distinct interned `(layer, length)` / via prototypes —
@@ -429,8 +323,8 @@ impl SweepPlan {
     ///
     /// Bit-identical to calling [`Channel::abcd`] +
     /// [`AbcdMatrix::to_s_params`] per frequency (including the leading
-    /// identity cascade), at any lane width. The returned view borrows the
-    /// plan's output arena, so it is invalidated by the next sweep.
+    /// identity cascade). The returned view borrows the plan's output
+    /// arena, so it is invalidated by the next sweep.
     pub fn sweep(&mut self, channel: &Channel) -> SweepView<'_> {
         self.elems.clear();
         for e in channel.elements() {
@@ -446,21 +340,15 @@ impl SweepPlan {
         let nf = self.freqs.len();
         self.chain.resize(nf);
         self.chain.fill_identity();
-        let width = self.lanes.effective();
         for r in &self.elems {
             let proto = match r {
                 ElemRef::Line(i) => &self.line_lanes[*i],
                 ElemRef::Via(i) => &self.via_lanes[*i],
             };
-            cascade_lanes(&mut self.chain, proto, width);
+            cascade_lanes(&mut self.chain, proto);
         }
         self.out.resize(nf);
-        sparams_lanes(
-            &self.chain,
-            &mut self.out,
-            channel.reference_impedance(),
-            width,
-        );
+        sparams_lanes(&self.chain, &mut self.out, channel.reference_impedance());
         SweepView {
             freqs: &self.freqs,
             s: &self.out,
@@ -483,8 +371,7 @@ impl SweepPlan {
         let idx = self.intern_line(layer, length_inches);
         self.chain.copy_from(&self.line_lanes[idx]);
         self.out.resize(self.freqs.len());
-        let width = self.lanes.effective();
-        sparams_lanes(&self.chain, &mut self.out, z_ref, width);
+        sparams_lanes(&self.chain, &mut self.out, z_ref);
         SweepView {
             freqs: &self.freqs,
             s: &self.out,
@@ -622,26 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_widths_are_bit_identical() {
-        let ch = mixed_channel();
-        let mut narrow = SweepPlan::log_spaced(1e8, 4e10, 37).with_lanes(LaneWidth::W1);
-        let mut wide = SweepPlan::log_spaced(1e8, 4e10, 37).with_lanes(LaneWidth::W4);
-        let a: Vec<(u64, u64)> = {
-            let v = narrow.sweep(&ch);
-            (0..v.len())
-                .map(|i| (v.s21(i).re.to_bits(), v.s21(i).im.to_bits()))
-                .collect()
-        };
-        let b: Vec<(u64, u64)> = {
-            let v = wide.sweep(&ch);
-            (0..v.len())
-                .map(|i| (v.s21(i).re.to_bits(), v.s21(i).im.to_bits()))
-                .collect()
-        };
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn prototypes_intern_across_elements_and_sweeps() {
         let ch = mixed_channel();
         let mut plan = SweepPlan::log_spaced(1e8, 4e10, 16);
@@ -678,15 +545,5 @@ mod tests {
             seen.push((i, v.len()));
         });
         assert_eq!(seen, vec![(0, 8), (1, 8)]);
-    }
-
-    #[test]
-    fn lane_width_effective_respects_feature() {
-        assert_eq!(LaneWidth::W1.effective(), 1);
-        if lanes_compiled() {
-            assert_eq!(LaneWidth::W4.effective(), 4);
-        } else {
-            assert_eq!(LaneWidth::W4.effective(), 1);
-        }
     }
 }

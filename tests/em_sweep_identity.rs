@@ -1,15 +1,15 @@
 //! Integration tests of the batched-sweep determinism contract: the
 //! structure-of-arrays [`SweepPlan`] only reorganizes *which* points are
 //! evaluated together — every point still goes through the exact scalar
-//! ABCD chain — so batched vs scalar, lane width 1 vs 4, and a cache-warm
-//! pipeline replay must all be bit-identical, not merely close.
+//! ABCD chain — so batched vs scalar and a cache-warm pipeline replay must
+//! both be bit-identical, not merely close.
 
 use isop::evalcache::{EvalCache, SurrogateMemo};
 use isop::prelude::*;
 use isop_em::channel::{Channel, Element};
 use isop_em::simulator::AnalyticalSolver;
 use isop_em::stackup::DiffStripline;
-use isop_em::sweep::{lanes_compiled, LaneWidth, SweepPlan};
+use isop_em::sweep::SweepPlan;
 use isop_em::via::Via;
 use isop_hpo::budget::Budget;
 use isop_hpo::harmonica::HarmonicaConfig;
@@ -109,27 +109,6 @@ fn derived_loss_sweeps_match_the_per_point_helpers_bitwise() {
             assert_eq!(il[k].to_bits(), ch.insertion_loss_db(f).to_bits());
             assert_eq!(rl[k].to_bits(), ch.return_loss_db(f).to_bits());
         }
-    }
-}
-
-#[test]
-fn lane_width_one_and_four_are_bit_identical() {
-    let channels = fleet();
-    let mut w1 = SweepPlan::log_spaced(F_START_HZ, F_STOP_HZ, N_FREQ).with_lanes(LaneWidth::W1);
-    let mut w4 = SweepPlan::log_spaced(F_START_HZ, F_STOP_HZ, N_FREQ).with_lanes(LaneWidth::W4);
-    for (i, ch) in channels.iter().enumerate() {
-        assert_eq!(
-            batched_bits(&mut w1, ch),
-            batched_bits(&mut w4, ch),
-            "channel {i} diverged between lane widths"
-        );
-    }
-    // With the feature off, W4 silently degrades to width 1 — the contract
-    // still holds, the comparison is just trivial.
-    if lanes_compiled() {
-        assert_eq!(w4.lane_width().effective(), 4);
-    } else {
-        assert_eq!(w4.lane_width().effective(), 1);
     }
 }
 
