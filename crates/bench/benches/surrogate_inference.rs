@@ -1,11 +1,14 @@
 //! Micro-benchmark: per-model inference throughput — the mechanism behind
 //! the paper's runtime gap between surrogate-driven search and EM
 //! simulation, and between the MLP/XGB and 1D-CNN surrogates (Tables
-//! VII/VIII runtime columns).
+//! VII/VIII runtime columns) — plus the per-step cost of the gradient
+//! stage's fused value-and-gradient call.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use isop::data::generate_dataset;
 use isop::exec::{par_map_indexed, Parallelism};
+use isop::surrogate::{NeuralSurrogate, Surrogate};
+use isop::tasks::{objective_for, TaskId};
 use isop_em::simulator::AnalyticalSolver;
 use isop_ml::linalg::Matrix;
 use isop_ml::models::{Cnn1d, Cnn1dConfig, Mlp, MlpConfig, XgbRegressor};
@@ -50,6 +53,43 @@ fn bench_inference(c: &mut Criterion) {
         use isop_ml::Differentiable;
         b.iter(|| mlp.input_jacobian(black_box(probe.row(0))).expect("ok"))
     });
+
+    // One stage-2 Adam step's surrogate work: the fused value-and-gradient
+    // call vs. the two-call sequence it replaced (predict, the full 3 x 15
+    // Jacobian, then the dm · J contraction). The CNN runs at the
+    // benchmark's optimize-cnn widths (expand 192, head 64).
+    let mut cnn_wide = Cnn1d::new(Cnn1dConfig {
+        expand: 192,
+        channels: 8,
+        conv_channels: 16,
+        head: 64,
+        epochs: 3,
+        ..Cnn1dConfig::default()
+    });
+    cnn_wide.fit(&data).expect("cnn fits");
+    let cnn_s = NeuralSurrogate::new(cnn_wide);
+    let mlp_s = NeuralSurrogate::new(mlp.clone());
+    let objective = objective_for(TaskId::T4, vec![]);
+    let dg_dm = |m: &[f64; 3]| objective.dg_dmetrics(m);
+    let x = probe.row(0);
+    let mut g = c.benchmark_group("surrogate_value_and_grad");
+    g.sample_size(50);
+    for (name, s) in [("cnn1d", &cnn_s as &dyn Surrogate), ("mlp", &mlp_s)] {
+        g.bench_function(format!("{name}_value_and_grad"), |b| {
+            b.iter(|| s.value_and_grad(black_box(x), &dg_dm))
+        });
+        g.bench_function(format!("{name}_predict_plus_jacobian"), |b| {
+            b.iter(|| {
+                let m = s.predict(black_box(x)).expect("ok");
+                let jac = s
+                    .jacobian(black_box(x))
+                    .expect("differentiable")
+                    .expect("ok");
+                (m, jac.vecmat(&objective.dg_dmetrics(&m)))
+            })
+        });
+    }
+    g.finish();
 
     // Batched forward vs. row-at-a-time, threaded at the width given by the
     // THREADS env var (default 1) — the levers the pipeline's stage-3

@@ -241,7 +241,8 @@ struct DaemonState {
     /// Epoch each known job id was submitted into (doubles as the
     /// duplicate-id check).
     job_epoch: BTreeMap<String, u64>,
-    /// Lifecycle phase by id: `queued`, `running`, or a disposition.
+    /// Lifecycle phase by id: `queued`, `running`, or a disposition
+    /// (`failed` also marks a job whose epoch ended in an error).
     phase: BTreeMap<String, String>,
     /// Live cancellation tokens by id.
     tokens: BTreeMap<String, RunControl>,
@@ -648,7 +649,8 @@ impl Daemon {
     /// # Errors
     ///
     /// Returns a message when the engine fails (store flush error); the
-    /// journal still holds every affected job for the next recovery.
+    /// epoch's unfinished jobs then report phase `failed`, and the journal
+    /// still holds every affected job for the next recovery.
     pub fn run_next_epoch(&self) -> Result<Option<(u64, EngineReport)>, String> {
         let (epoch, specs, controls) = {
             let mut state = self.lock_state();
@@ -684,9 +686,12 @@ impl Daemon {
             // Epoch-freeze safe point: no wave is running, so the flush
             // persists exactly whole-epoch history plus these frames.
             if let Some(store) = &self.store {
-                store
-                    .flush()
-                    .map_err(|e| format!("daemon: journal flush at epoch {epoch} freeze: {e}"))?;
+                if let Err(e) = store.flush() {
+                    Self::fail_running_jobs(&mut state);
+                    return Err(format!(
+                        "daemon: journal flush at epoch {epoch} freeze: {e}"
+                    ));
+                }
             }
             (epoch, specs, controls)
         };
@@ -749,7 +754,23 @@ impl Daemon {
                 self.flush_journal_if_idle(&mut state);
                 Ok(Some((epoch, report)))
             }
-            Err(e) => Err(e),
+            Err(e) => {
+                Self::fail_running_jobs(&mut state);
+                Err(e)
+            }
+        }
+    }
+
+    /// Marks every job of the failed epoch that has no result `failed`, so
+    /// `status` stops reporting it as running. Only one epoch executes at a
+    /// time, so those are exactly the jobs still in phase `running`. The
+    /// journal is left as it is: a restart replays them.
+    fn fail_running_jobs(state: &mut DaemonState) {
+        state.executing = false;
+        for phase in state.phase.values_mut() {
+            if phase == "running" {
+                *phase = "failed".to_string();
+            }
         }
     }
 

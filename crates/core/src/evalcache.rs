@@ -33,7 +33,7 @@
 //! budget) rather than silently passing with zeroed counters.
 
 use crate::params::ParamSpace;
-use crate::surrogate::Surrogate;
+use crate::surrogate::{MetricsAndGrad, Surrogate};
 use isop_em::simulator::SimulationResult;
 use isop_ml::linalg::Matrix;
 use isop_ml::MlError;
@@ -526,8 +526,8 @@ impl SurrogateMemo {
 
 /// A memoizing decorator over any [`Surrogate`]: `predict` consults the
 /// [`SurrogateMemo`] before the wrapped model, ticking
-/// `surrogate.memo_hits` / `surrogate.memo_misses`; every other method
-/// forwards untouched.
+/// `surrogate.memo_hits` / `surrogate.memo_misses`; every other method,
+/// `value_and_grad` included, forwards untouched.
 ///
 /// Layer it *inside* the counting wrapper
 /// ([`InstrumentedSurrogate`](crate::surrogate::InstrumentedSurrogate)) so
@@ -580,6 +580,16 @@ impl Surrogate for MemoizedSurrogate<'_> {
 
     fn jacobian_batch(&self, xs: &[Vec<f64>]) -> Vec<Option<Result<Matrix, MlError>>> {
         self.inner.jacobian_batch(xs)
+    }
+
+    /// Forwarded to the wrapped model; never served from or stored in the
+    /// memo, because the gradient stage calls it from parallel workers.
+    fn value_and_grad(
+        &self,
+        x: &[f64],
+        dg_dm: &dyn Fn(&[f64; 3]) -> [f64; 3],
+    ) -> Option<Result<MetricsAndGrad, MlError>> {
+        self.inner.value_and_grad(x, dg_dm)
     }
 
     fn name(&self) -> String {
@@ -970,11 +980,23 @@ mod tests {
         assert_eq!(tele.counter(Counter::SurrogateMemoMisses), 1);
         assert_eq!(memo.len(), 1);
         assert_eq!(wrapped.name(), inner.name());
-        // Batch and Jacobian calls bypass the memo untouched.
+        // Batch, Jacobian and fused value-and-gradient calls bypass the
+        // memo untouched, at a memoized design and at a fresh one.
         let batch = wrapped.predict_batch(std::slice::from_ref(&x));
         assert_eq!(batch[0].as_ref().expect("ok"), &first);
         assert!(wrapped.jacobian(&x).is_some());
+        let mut fresh = x.clone();
+        fresh[0] += 0.5;
+        for design in [&x, &fresh] {
+            let (metrics, _) = wrapped
+                .value_and_grad(design, &|m| *m)
+                .expect("differentiable")
+                .expect("valid design");
+            assert_eq!(metrics, inner.predict(design).expect("predicts"));
+        }
         assert_eq!(tele.counter(Counter::SurrogateMemoHits), 1);
+        assert_eq!(tele.counter(Counter::SurrogateMemoMisses), 1);
+        assert_eq!(memo.len(), 1);
     }
 
     #[test]

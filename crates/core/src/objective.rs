@@ -260,16 +260,10 @@ impl Objective {
         total
     }
 
-    /// Gradient of `g_hat` with respect to the **design vector**, given the
-    /// surrogate's metric prediction and its input Jacobian (`3 x d`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jacobian` is not `3 x values.len()`.
-    pub fn grad_g_hat(&self, metrics: &[f64; 3], jacobian: &Matrix, values: &[f64]) -> Vec<f64> {
-        assert_eq!(jacobian.rows(), 3, "jacobian must have 3 metric rows");
-        assert_eq!(jacobian.cols(), values.len(), "jacobian width mismatch");
-        // d g_hat / d metrics.
+    /// `d g_hat / d metrics` at a metric prediction: the weighted FoM
+    /// gradient plus each output constraint's smoothed-penalty slope. The
+    /// cotangent the gradient stage pulls back through the surrogate.
+    pub fn dg_dmetrics(&self, metrics: &[f64; 3]) -> [f64; 3] {
         let mut dm = self.fom.grad_metrics(metrics);
         for m in &mut dm {
             *m *= self.weights.fom;
@@ -277,17 +271,12 @@ impl Objective {
         for (c, w) in self.output_constraints.iter().zip(&self.weights.oc) {
             dm[c.metric.index()] += w * c.smoothed_grad(metrics, self.gamma(c));
         }
-        // Chain through the Jacobian.
-        let mut grad = vec![0.0; values.len()];
-        for (row, &dmi) in dm.iter().enumerate() {
-            if dmi == 0.0 {
-                continue;
-            }
-            for (g, j) in grad.iter_mut().zip(jacobian.row(row)) {
-                *g += dmi * j;
-            }
-        }
-        // Input constraints act on the design vector directly.
+        dm
+    }
+
+    /// Adds the weighted input-constraint gradient, which acts on the
+    /// design vector directly, into `grad`.
+    pub fn add_input_grad(&self, values: &[f64], grad: &mut [f64]) {
         let mut scratch = vec![0.0; values.len()];
         for (c, w) in self.input_constraints.iter().zip(&self.weights.ic) {
             scratch.iter_mut().for_each(|v| *v = 0.0);
@@ -296,6 +285,21 @@ impl Objective {
                 *g += w * s;
             }
         }
+    }
+
+    /// Gradient of `g_hat` with respect to the **design vector**, given the
+    /// surrogate's metric prediction and its input Jacobian (`3 x d`):
+    /// [`Objective::dg_dmetrics`] contracted with the Jacobian, plus
+    /// [`Objective::add_input_grad`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `jacobian` is not `3 x values.len()`.
+    pub fn grad_g_hat(&self, metrics: &[f64; 3], jacobian: &Matrix, values: &[f64]) -> Vec<f64> {
+        assert_eq!(jacobian.rows(), 3, "jacobian must have 3 metric rows");
+        assert_eq!(jacobian.cols(), values.len(), "jacobian width mismatch");
+        let mut grad = jacobian.vecmat(&self.dg_dmetrics(metrics));
+        self.add_input_grad(values, &mut grad);
         grad
     }
 

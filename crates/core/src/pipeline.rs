@@ -8,8 +8,10 @@
 //!    pass that picks the `p` most promising candidates out of the reduced
 //!    space.
 //! 2. **Local exploration** — decode to the continuous domain and run Adam
-//!    on each candidate, differentiating `g_hat` through the surrogate's
-//!    input Jacobian. Skipped when the surrogate is not differentiable
+//!    on each candidate, differentiating `g_hat` through the surrogate with
+//!    one fused value-and-gradient call per step
+//!    ([`Surrogate::value_and_grad`]). Skipped when the surrogate is not
+//!    differentiable
 //!    (the `H + MLP_XGB` ablation) or disabled (`H + 1D-CNN`).
 //! 3. **Candidate roll-out** — round to the grid (Eq. 6), evaluate the
 //!    `cand_num` best with the *accurate* simulator, rank by the exact
@@ -542,48 +544,45 @@ impl<'a> IsopOptimizer<'a> {
             .iter()
             .filter_map(|(bits, _)| self.space.decode_values(bits))
             .collect();
+        let dg_dm = |m: &[f64; 3]| final_objective.dg_dmetrics(m);
         let refined: Vec<Vec<f64>> =
             par_map_indexed(self.config.parallelism.threads, &decoded, |_, start| {
-                let mut x = start.clone();
-                // Short-circuit order matters: the differentiability probe
-                // costs a full Jacobian per seed, so it must not run when
-                // the GD stage is disabled and the answer is unused.
-                if self.config.use_gradient_descent && instrumented.jacobian(&x).is_some() {
-                    // Optimize in normalized coordinates u = (x - lo) / span.
-                    let mut u: Vec<f64> = x
-                        .iter()
-                        .zip(&bounds)
-                        .map(|(v, (lo, hi))| (v - lo) / (hi - lo))
-                        .collect();
-                    let mut adam = Adam::new(self.config.gd_lr, u.len());
-                    for _ in 0..self.config.gd_epochs {
-                        let x_now: Vec<f64> = u
-                            .iter()
-                            .zip(&bounds)
-                            .map(|(ui, (lo, hi))| lo + ui * (hi - lo))
-                            .collect();
-                        let Ok(metrics) = instrumented.predict(&x_now) else {
-                            break;
-                        };
-                        let Some(Ok(jac)) = instrumented.jacobian(&x_now) else {
-                            break;
-                        };
-                        let grad_x = final_objective.grad_g_hat(&metrics, &jac, &x_now);
-                        let grad_u: Vec<f64> =
-                            grad_x.iter().zip(&spans).map(|(g, s)| g * s).collect();
-                        adam.step(&mut u, &grad_u);
-                        self.telemetry.incr(Counter::AdamSteps);
-                        for ui in &mut u {
-                            *ui = ui.clamp(0.0, 1.0);
-                        }
-                    }
-                    x = u
+                if !self.config.use_gradient_descent {
+                    return start.clone();
+                }
+                // Optimize in normalized coordinates u = (x - lo) / span.
+                let mut u: Vec<f64> = start
+                    .iter()
+                    .zip(&bounds)
+                    .map(|(v, (lo, hi))| (v - lo) / (hi - lo))
+                    .collect();
+                let mut adam = Adam::new(self.config.gd_lr, u.len());
+                for _ in 0..self.config.gd_epochs {
+                    let x_now: Vec<f64> = u
                         .iter()
                         .zip(&bounds)
                         .map(|(ui, (lo, hi))| lo + ui * (hi - lo))
                         .collect();
+                    // One fused call per step: the prediction and the
+                    // input gradient of g_hat through the surrogate.
+                    let mut grad_x = match instrumented.value_and_grad(&x_now, &dg_dm) {
+                        // Not differentiable: the seed stays as decoded.
+                        None => return start.clone(),
+                        Some(Err(_)) => break,
+                        Some(Ok((_, grad))) => grad,
+                    };
+                    final_objective.add_input_grad(&x_now, &mut grad_x);
+                    let grad_u: Vec<f64> = grad_x.iter().zip(&spans).map(|(g, s)| g * s).collect();
+                    adam.step(&mut u, &grad_u);
+                    self.telemetry.incr(Counter::AdamSteps);
+                    for ui in &mut u {
+                        *ui = ui.clamp(0.0, 1.0);
+                    }
                 }
-                x
+                u.iter()
+                    .zip(&bounds)
+                    .map(|(ui, (lo, hi))| lo + ui * (hi - lo))
+                    .collect()
             });
         drop(local_span);
 

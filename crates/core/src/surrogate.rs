@@ -4,8 +4,9 @@
 //! Three implementations mirror the paper's comparisons:
 //!
 //! * [`NeuralSurrogate`] — one multi-output differentiable network (MLP or
-//!   1D-CNN). This is ISOP+'s surrogate; its input Jacobian feeds the
-//!   gradient-descent stage.
+//!   1D-CNN). This is ISOP+'s surrogate; its input gradient, one fused
+//!   forward and input-only backward pass per step
+//!   ([`Surrogate::value_and_grad`]), drives the gradient-descent stage.
 //! * [`MlpXgbSurrogate`] — the DATE'23 ISOP configuration: an MLP for `Z`
 //!   and `L` plus an XGBoost model for `NEXT`. Not differentiable (the tree
 //!   part is piecewise-constant), exactly the incompatibility the paper notes
@@ -178,6 +179,10 @@ impl ModelZoo {
     }
 }
 
+/// A metric prediction `[Z, L, NEXT]` together with an input gradient, as
+/// [`Surrogate::value_and_grad`] returns them.
+pub type MetricsAndGrad = ([f64; 3], Vec<f64>);
+
 /// A surrogate predicting `[Z, L, NEXT]` from the 15-parameter design vector.
 pub trait Surrogate: Send + Sync {
     /// Predicts the metric vector for one design.
@@ -208,6 +213,36 @@ pub trait Surrogate: Send + Sync {
     /// [`Surrogate::jacobian`] for the `None` convention).
     fn jacobian_batch(&self, xs: &[Vec<f64>]) -> Vec<Option<Result<Matrix, MlError>>> {
         xs.iter().map(|x| self.jacobian(x)).collect()
+    }
+
+    /// The metric prediction at `x` together with `∇x g = (dg/dm) · J`,
+    /// where `dg/dm = dg_dm(metrics)` is computed from that prediction.
+    /// `None` when the surrogate is not differentiable (the
+    /// [`Surrogate::jacobian`] convention).
+    ///
+    /// The default asks [`Surrogate::jacobian`] first, so a
+    /// non-differentiable surrogate answers `None` without predicting, then
+    /// [`Surrogate::predict`], and contracts with [`Matrix::vecmat`]. Neural
+    /// surrogates override it with one forward and one input-only backward
+    /// pass; the oracle reuses one simulation as prediction and
+    /// finite-difference base.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError`] if the model is unfitted or the width mismatches.
+    fn value_and_grad(
+        &self,
+        x: &[f64],
+        dg_dm: &dyn Fn(&[f64; 3]) -> [f64; 3],
+    ) -> Option<Result<MetricsAndGrad, MlError>> {
+        let jac = match self.jacobian(x)? {
+            Ok(jac) => jac,
+            Err(e) => return Some(Err(e)),
+        };
+        Some(
+            self.predict(x)
+                .map(|metrics| (metrics, jac.vecmat(&dg_dm(&metrics)))),
+        )
     }
 
     /// Surrogate name for reports (e.g. `"1D-CNN"`).
@@ -284,12 +319,15 @@ impl<M: Differentiable> Surrogate for NeuralSurrogate<M> {
         }
     }
 
-    fn jacobian_batch(&self, xs: &[Vec<f64>]) -> Vec<Option<Result<Matrix, MlError>>> {
-        self.model
-            .input_jacobian_batch(xs)
-            .into_iter()
-            .map(Some)
-            .collect()
+    fn value_and_grad(
+        &self,
+        x: &[f64],
+        dg_dm: &dyn Fn(&[f64; 3]) -> [f64; 3],
+    ) -> Option<Result<MetricsAndGrad, MlError>> {
+        let fused = self
+            .model
+            .value_and_vjp(x, &|y| dg_dm(&row_to_metrics(y)).to_vec());
+        Some(fused.map(|(y, grad)| (row_to_metrics(&y), grad)))
     }
 
     fn name(&self) -> String {
@@ -367,7 +405,8 @@ impl Surrogate for MlpXgbSurrogate {
 /// A counting decorator over any [`Surrogate`]: forwards every call to the
 /// wrapped model while ticking the typed telemetry counters the run report
 /// accounts surrogate cost by (`predict` / `predict_batch` calls, batch
-/// rows, Jacobian evaluations).
+/// rows, Jacobian evaluations; a fused `value_and_grad` call counts as one
+/// prediction and one Jacobian).
 ///
 /// Counter increments are commutative, so totals are identical at any
 /// worker-thread width; with a disabled handle each call adds one branch.
@@ -413,6 +452,18 @@ impl Surrogate for InstrumentedSurrogate<'_> {
         self.inner.jacobian_batch(xs)
     }
 
+    /// One fused call does the work of one prediction and one Jacobian, so
+    /// it ticks both counters once.
+    fn value_and_grad(
+        &self,
+        x: &[f64],
+        dg_dm: &dyn Fn(&[f64; 3]) -> [f64; 3],
+    ) -> Option<Result<MetricsAndGrad, MlError>> {
+        self.telemetry.incr(Counter::SurrogatePredict);
+        self.telemetry.incr(Counter::SurrogateJacobian);
+        self.inner.value_and_grad(x, dg_dm)
+    }
+
     fn name(&self) -> String {
         self.inner.name()
     }
@@ -437,18 +488,9 @@ impl<S: EmSimulator> OracleSurrogate<S> {
         let r = self.sim.simulate(&layer).map_err(|_| MlError::Diverged)?;
         Ok(r.to_array())
     }
-}
 
-impl<S: EmSimulator> Surrogate for OracleSurrogate<S> {
-    fn predict(&self, x: &[f64]) -> Result<[f64; 3], MlError> {
-        self.eval(x)
-    }
-
-    fn jacobian(&self, x: &[f64]) -> Option<Result<Matrix, MlError>> {
-        let base = match self.eval(x) {
-            Ok(b) => b,
-            Err(e) => return Some(Err(e)),
-        };
+    /// Finite-difference Jacobian at `x`, whose own evaluation is `base`.
+    fn fd_jacobian(&self, x: &[f64], base: [f64; 3]) -> Result<Matrix, MlError> {
         let mut jac = Matrix::zeros(3, x.len());
         for c in 0..x.len() {
             let h = self.fd_step * x[c].abs().max(1e-3);
@@ -462,13 +504,37 @@ impl<S: EmSimulator> Surrogate for OracleSurrogate<S> {
                 (Ok(a), Ok(b)) => (a, b, 2.0 * h),
                 (Ok(a), Err(_)) => (a, base, h),
                 (Err(_), Ok(b)) => (base, b, h),
-                (Err(e), Err(_)) => return Some(Err(e)),
+                (Err(e), Err(_)) => return Err(e),
             };
             for r in 0..3 {
                 jac[(r, c)] = (ph[r] - pl[r]) / span;
             }
         }
-        Some(Ok(jac))
+        Ok(jac)
+    }
+}
+
+impl<S: EmSimulator> Surrogate for OracleSurrogate<S> {
+    fn predict(&self, x: &[f64]) -> Result<[f64; 3], MlError> {
+        self.eval(x)
+    }
+
+    fn jacobian(&self, x: &[f64]) -> Option<Result<Matrix, MlError>> {
+        Some(self.eval(x).and_then(|base| self.fd_jacobian(x, base)))
+    }
+
+    /// Simulates `x` once and uses it as both the prediction and the
+    /// finite-difference base: bit-identical to the trait default, with
+    /// one simulation fewer.
+    fn value_and_grad(
+        &self,
+        x: &[f64],
+        dg_dm: &dyn Fn(&[f64; 3]) -> [f64; 3],
+    ) -> Option<Result<MetricsAndGrad, MlError>> {
+        Some(self.eval(x).and_then(|metrics| {
+            let jac = self.fd_jacobian(x, metrics)?;
+            Ok((metrics, jac.vecmat(&dg_dm(&metrics))))
+        }))
     }
 
     fn name(&self) -> String {
@@ -581,6 +647,97 @@ mod tests {
         assert_eq!(tele.counter(Counter::SurrogateJacobian), 1);
         assert_eq!(tele.counter(Counter::SurrogateJacobianBatch), 1);
         assert_eq!(tele.counter(Counter::SurrogateJacobianBatchRows), 2);
+    }
+
+    /// Answers only the fused call, so a decorator that fell back to the
+    /// two-call default would panic.
+    struct FusedOnly;
+
+    impl Surrogate for FusedOnly {
+        fn predict(&self, _x: &[f64]) -> Result<[f64; 3], MlError> {
+            unreachable!("value_and_grad must be forwarded")
+        }
+
+        fn jacobian(&self, _x: &[f64]) -> Option<Result<Matrix, MlError>> {
+            unreachable!("value_and_grad must be forwarded")
+        }
+
+        fn value_and_grad(
+            &self,
+            x: &[f64],
+            dg_dm: &dyn Fn(&[f64; 3]) -> [f64; 3],
+        ) -> Option<Result<MetricsAndGrad, MlError>> {
+            Some(Ok((dg_dm(&[1.0, 2.0, 3.0]), x.to_vec())))
+        }
+
+        fn name(&self) -> String {
+            "fused-only".to_string()
+        }
+    }
+
+    #[test]
+    fn instrumented_value_and_grad_ticks_one_predict_and_one_jacobian() {
+        let tele = Telemetry::enabled();
+        let wrapped = InstrumentedSurrogate::new(&FusedOnly, tele.clone());
+        let fused = wrapped
+            .value_and_grad(&[4.0, 5.0], &|m| m.map(|v| -v))
+            .expect("forwarded")
+            .expect("ok");
+        assert_eq!(fused, ([-1.0, -2.0, -3.0], vec![4.0, 5.0]));
+        assert_eq!(tele.counter(Counter::SurrogatePredict), 1);
+        assert_eq!(tele.counter(Counter::SurrogateJacobian), 1);
+        assert_eq!(tele.counter(Counter::SurrogatePredictBatch), 0);
+        assert_eq!(tele.counter(Counter::SurrogateJacobianBatch), 0);
+    }
+
+    /// Implements only `predict` and `jacobian`, so `value_and_grad` runs
+    /// the trait default.
+    struct TwoCalls<'a>(&'a dyn Surrogate);
+
+    impl Surrogate for TwoCalls<'_> {
+        fn predict(&self, x: &[f64]) -> Result<[f64; 3], MlError> {
+            self.0.predict(x)
+        }
+
+        fn jacobian(&self, x: &[f64]) -> Option<Result<Matrix, MlError>> {
+            self.0.jacobian(x)
+        }
+
+        fn name(&self) -> String {
+            self.0.name()
+        }
+    }
+
+    #[test]
+    fn oracle_value_and_grad_matches_the_default_bit_for_bit() {
+        let oracle = OracleSurrogate::new(AnalyticalSolver::new());
+        let objective = crate::tasks::objective_for(crate::tasks::TaskId::T4, vec![]);
+        let dg_dm = |m: &[f64; 3]| objective.dg_dmetrics(m);
+        let bits = |(m, g): ([f64; 3], Vec<f64>)| {
+            (
+                m.map(f64::to_bits),
+                g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            )
+        };
+        let data = tiny_dataset(4);
+        let mut designs = vec![crate::manual::MANUAL_VECTOR.to_vec()];
+        designs.extend((0..data.len()).map(|r| data.x.row(r).to_vec()));
+        for x in &designs {
+            let fused = oracle.value_and_grad(x, &dg_dm).expect("fd").expect("ok");
+            let default = TwoCalls(&oracle)
+                .value_and_grad(x, &dg_dm)
+                .expect("fd")
+                .expect("ok");
+            assert_eq!(bits(fused), bits(default));
+        }
+        // An invalid design errors on both paths.
+        let mut bad = crate::manual::MANUAL_VECTOR;
+        bad[0] = -5.0;
+        assert!(matches!(oracle.value_and_grad(&bad, &dg_dm), Some(Err(_))));
+        assert!(matches!(
+            TwoCalls(&oracle).value_and_grad(&bad, &dg_dm),
+            Some(Err(_))
+        ));
     }
 
     #[test]

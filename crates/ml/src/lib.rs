@@ -142,13 +142,31 @@ pub trait Differentiable: Regressor {
     /// [`MlError::ShapeMismatch`] on a feature-width mismatch.
     fn input_jacobian(&self, x: &[f64]) -> Result<Matrix, MlError>;
 
-    /// Jacobians for a batch of input rows, one `m x d` matrix per row.
+    /// Prediction at one input row plus the vector–Jacobian product
+    /// `(d y / d x)^T · dy`, where `dy = cotangent(y)` is computed from
+    /// that prediction (one entry per output). Returns `(y, grad_x)`; `y`
+    /// is bit-identical to [`predict_row`] at `x`.
     ///
-    /// The default loops over [`Differentiable::input_jacobian`]; models
-    /// whose backward pass vectorizes across rows can override it. Results
-    /// are reported per row so one failing row does not poison the batch.
-    fn input_jacobian_batch(&self, rows: &[Vec<f64>]) -> Vec<Result<Matrix, MlError>> {
-        rows.iter().map(|r| self.input_jacobian(r)).collect()
+    /// The default evaluates `predict` and the full
+    /// [`Differentiable::input_jacobian`], then contracts with
+    /// [`Matrix::vecmat`]. The neural models override it with one forward
+    /// pass and one input-only backward pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError::NotFitted`] before `fit`, or
+    /// [`MlError::ShapeMismatch`] on a feature-width mismatch.
+    fn value_and_vjp(
+        &self,
+        x: &[f64],
+        cotangent: &dyn Fn(&[f64]) -> Vec<f64>,
+    ) -> Result<(Vec<f64>, Vec<f64>), MlError> {
+        let y = self
+            .predict(&Matrix::from_rows(&[x.to_vec()]))?
+            .row(0)
+            .to_vec();
+        let grad = self.input_jacobian(x)?.vecmat(&cotangent(&y));
+        Ok((y, grad))
     }
 }
 

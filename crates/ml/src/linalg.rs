@@ -154,6 +154,28 @@ impl Matrix {
         }
     }
 
+    /// Row-vector product `v^T * self`: the rows of `self` weighted by `v`,
+    /// accumulated in ascending row order. Rows whose weight is exactly
+    /// zero are skipped. This is the vector–Jacobian contraction of the
+    /// gradient stage, with one fixed summation order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != self.rows()`.
+    pub fn vecmat(&self, v: &[f64]) -> Vec<f64> {
+        assert_eq!(v.len(), self.rows, "vecmat length mismatch");
+        let mut out = vec![0.0; self.cols];
+        for (r, &w) in v.iter().enumerate() {
+            if w == 0.0 {
+                continue;
+            }
+            for (o, m) in out.iter_mut().zip(self.row(r)) {
+                *o += w * m;
+            }
+        }
+        out
+    }
+
     /// Matrix product `self * rhs_t^T`, with the right operand supplied
     /// already transposed (`rhs_t` is `m x k` for a `n x k` left operand).
     ///
@@ -487,6 +509,14 @@ mod tests {
         let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
         let c = a.matmul(&b);
         assert_eq!(c, Matrix::from_rows(&[vec![19.0, 22.0], vec![43.0, 50.0]]));
+    }
+
+    #[test]
+    fn vecmat_is_a_one_row_matmul() {
+        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
+        let v = [0.5, 0.0, -2.0];
+        let row = Matrix::from_rows(&[v.to_vec()]).matmul(&a);
+        assert_eq!(a.vecmat(&v), row.row(0).to_vec());
     }
 
     #[test]

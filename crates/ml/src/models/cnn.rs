@@ -11,7 +11,9 @@
 //!
 //! Implements full backpropagation, including gradients with respect to the
 //! input vector ([`Differentiable`]), which the ISOP+ gradient-descent stage
-//! requires.
+//! requires. That stage makes one input-gradient (VJP) evaluation per step:
+//! one forward pass plus one input-only backward pass, with no
+//! weight-gradient writes and no full Jacobian.
 
 use crate::dataset::{Dataset, Scaler};
 use crate::linalg::Matrix;
@@ -86,6 +88,17 @@ fn leaky_d(v: f64, s: f64) -> f64 {
         1.0
     } else {
         s
+    }
+}
+
+/// `out = v^T * w` for a row-major `w` with `v.len()` rows of `out.len()`
+/// columns: the input gradient of a dense layer at output gradient `v`.
+fn row_combination(w: &[f64], v: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    for (&g, row) in v.iter().zip(w.chunks_exact(out.len())) {
+        for (o, wv) in out.iter_mut().zip(row) {
+            *o += g * wv;
+        }
     }
 }
 
@@ -342,6 +355,37 @@ impl Cnn1d {
         }
     }
 
+    /// [`Cnn1d::conv_backward`] without the parameter gradients: adds only
+    /// the input gradient into `d_in`. Each kernel tap is one contiguous
+    /// run over the positions it reaches inside the padding, so the inner
+    /// loop carries no bounds branch.
+    fn conv_backward_input(
+        w: &[f64],
+        d_out: &[f64],
+        d_in: &mut [f64],
+        in_ch: usize,
+        len: usize,
+        k: usize,
+    ) {
+        let pad = k / 2;
+        for (taps, g) in w.chunks_exact(in_ch * k).zip(d_out.chunks_exact(len)) {
+            for (tap, d) in taps.chunks_exact(k).zip(d_in.chunks_exact_mut(len)) {
+                for (dk, &wv) in tap.iter().enumerate() {
+                    // Output position p reads input p + dk - pad.
+                    let p0 = pad.saturating_sub(dk);
+                    let p1 = (len + pad).saturating_sub(dk).min(len);
+                    if p0 >= p1 {
+                        continue;
+                    }
+                    let q0 = p0 + dk - pad;
+                    for (dv, gv) in d[q0..q0 + (p1 - p0)].iter_mut().zip(&g[p0..p1]) {
+                        *dv += gv * wv;
+                    }
+                }
+            }
+        }
+    }
+
     fn avg_pool2(input: &[f64], ch: usize, len: usize, out: &mut [f64]) {
         let half = len / 2;
         for c in 0..ch {
@@ -539,6 +583,80 @@ impl Cnn1d {
                 *dx += g * self.w_expand.data[base + j];
             }
         }
+    }
+
+    /// Input-only backward pass at inference: [`Cnn1d::backward_sample`]
+    /// without a dropout mask and without any parameter-gradient write.
+    /// Leaves the gradient with respect to the standardized input in
+    /// `scratch.d_x`.
+    fn backward_input(&self, caches: &Caches, d_out: &[f64], scratch: &mut BackScratch) {
+        let cfg = &self.cfg;
+        let (c0, c1, k) = (cfg.channels, cfg.conv_channels, cfg.kernel);
+        let (l0, l1) = (self.l0(), self.l1());
+        let s = cfg.leaky_slope;
+
+        // Output and head layers.
+        row_combination(&self.w_out.data, d_out, &mut scratch.d_h);
+        for (dh, &z) in scratch.d_h.iter_mut().zip(&caches.h_pre) {
+            *dh *= leaky_d(z, s);
+        }
+        row_combination(&self.w_head.data, &scratch.d_h, &mut scratch.d_p2);
+
+        // Pool2 + conv2.
+        scratch.d_a2.fill(0.0);
+        Self::avg_unpool2(&scratch.d_p2, c1, l1, &mut scratch.d_a2);
+        for (da, &z) in scratch.d_a2.iter_mut().zip(&caches.z2) {
+            *da *= leaky_d(z, s);
+        }
+        scratch.d_p1.fill(0.0);
+        Self::conv_backward_input(
+            &self.w_conv2.data,
+            &scratch.d_a2,
+            &mut scratch.d_p1,
+            c1,
+            l1,
+            k,
+        );
+
+        // Pool1 + conv1.
+        scratch.d_a1.fill(0.0);
+        Self::avg_unpool2(&scratch.d_p1, c1, l0, &mut scratch.d_a1);
+        for (da, &z) in scratch.d_a1.iter_mut().zip(&caches.z1) {
+            *da *= leaky_d(z, s);
+        }
+        scratch.d_e.fill(0.0);
+        Self::conv_backward_input(
+            &self.w_conv1.data,
+            &scratch.d_a1,
+            &mut scratch.d_e,
+            c0,
+            l0,
+            k,
+        );
+
+        // Expansion layer.
+        for (de, &z) in scratch.d_e.iter_mut().zip(&caches.e_pre) {
+            *de *= leaky_d(z, s);
+        }
+        row_combination(&self.w_expand.data, &scratch.d_e, &mut scratch.d_x);
+    }
+
+    /// The fitted scalers, after checking the model is fitted and `x` has
+    /// its feature width.
+    fn fitted_scalers(&self, x: &[f64]) -> Result<(&Scaler, &Scaler), MlError> {
+        if !self.fitted {
+            return Err(MlError::NotFitted);
+        }
+        if x.len() != self.n_features {
+            return Err(MlError::ShapeMismatch {
+                expected: self.n_features,
+                got: x.len(),
+            });
+        }
+        Ok((
+            self.x_scaler.as_ref().ok_or(MlError::NotFitted)?,
+            self.y_scaler.as_ref().ok_or(MlError::NotFitted)?,
+        ))
     }
 }
 
@@ -876,17 +994,7 @@ impl Regressor for Cnn1d {
 
 impl Differentiable for Cnn1d {
     fn input_jacobian(&self, x: &[f64]) -> Result<Matrix, MlError> {
-        if !self.fitted {
-            return Err(MlError::NotFitted);
-        }
-        if x.len() != self.n_features {
-            return Err(MlError::ShapeMismatch {
-                expected: self.n_features,
-                got: x.len(),
-            });
-        }
-        let x_scaler = self.x_scaler.as_ref().ok_or(MlError::NotFitted)?;
-        let y_scaler = self.y_scaler.as_ref().ok_or(MlError::NotFitted)?;
+        let (x_scaler, y_scaler) = self.fitted_scalers(x)?;
         let mut row = x.to_vec();
         x_scaler.transform_row(&mut row);
         let mut caches = Caches::zeros_like(self);
@@ -906,6 +1014,44 @@ impl Differentiable for Cnn1d {
             }
         }
         Ok(jac)
+    }
+
+    /// One forward pass and one input-only backward pass: no weight
+    /// gradients and no `m x d` Jacobian. The prediction is de-scaled
+    /// exactly as [`Regressor::predict`] does it.
+    fn value_and_vjp(
+        &self,
+        x: &[f64],
+        cotangent: &dyn Fn(&[f64]) -> Vec<f64>,
+    ) -> Result<(Vec<f64>, Vec<f64>), MlError> {
+        let (x_scaler, y_scaler) = self.fitted_scalers(x)?;
+        let mut row = x.to_vec();
+        x_scaler.transform_row(&mut row);
+        let mut caches = Caches::zeros_like(self);
+        self.forward_sample_into(&row, &mut caches);
+        let y: Vec<f64> = caches
+            .out
+            .iter()
+            .zip(y_scaler.stds().iter().zip(y_scaler.means()))
+            .map(|(v, (sd, mean))| v * sd + mean)
+            .collect();
+
+        let dy = cotangent(&y);
+        assert_eq!(dy.len(), self.n_outputs, "one cotangent per output");
+        let d_out: Vec<f64> = dy
+            .iter()
+            .zip(y_scaler.stds())
+            .map(|(d, sd)| d * sd)
+            .collect();
+        let mut scratch = BackScratch::zeros_like(self);
+        self.backward_input(&caches, &d_out, &mut scratch);
+        let grad = scratch
+            .d_x
+            .iter()
+            .zip(x_scaler.stds())
+            .map(|(g, sd)| g / sd)
+            .collect();
+        Ok((y, grad))
     }
 }
 
@@ -997,6 +1143,10 @@ mod tests {
         let m = Cnn1d::paper_default();
         assert_eq!(m.predict(&Matrix::zeros(1, 2)), Err(MlError::NotFitted));
         assert_eq!(m.input_jacobian(&[0.0, 0.0]), Err(MlError::NotFitted));
+        assert_eq!(
+            m.value_and_vjp(&[0.0, 0.0], &|y| y.to_vec()),
+            Err(MlError::NotFitted)
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Multilayer perceptron regressor (the paper's "MLPR") with leaky-ReLU
 //! activations, inverted dropout, Adam training, and **input gradients**.
 //!
-//! The input Jacobian is what lets the ISOP+ local-exploration stage run
-//! gradient descent on *design parameters* through the surrogate.
+//! The input gradient (one forward plus one row-vector backward pass per
+//! step) is what lets the ISOP+ local-exploration stage run gradient descent
+//! on *design parameters* through the surrogate.
 
 use crate::dataset::{Dataset, Scaler};
 use crate::linalg::Matrix;
@@ -469,8 +470,10 @@ impl Regressor for Mlp {
     }
 }
 
-impl Differentiable for Mlp {
-    fn input_jacobian(&self, x: &[f64]) -> Result<Matrix, MlError> {
+impl Mlp {
+    /// The fitted scalers, after checking the model is fitted and `x` has
+    /// its feature width.
+    fn fitted_scalers(&self, x: &[f64]) -> Result<(&Scaler, &Scaler), MlError> {
         if self.layers.is_empty() {
             return Err(MlError::NotFitted);
         }
@@ -480,8 +483,16 @@ impl Differentiable for Mlp {
                 got: x.len(),
             });
         }
-        let x_scaler = self.x_scaler.as_ref().ok_or(MlError::NotFitted)?;
-        let y_scaler = self.y_scaler.as_ref().ok_or(MlError::NotFitted)?;
+        Ok((
+            self.x_scaler.as_ref().ok_or(MlError::NotFitted)?,
+            self.y_scaler.as_ref().ok_or(MlError::NotFitted)?,
+        ))
+    }
+}
+
+impl Differentiable for Mlp {
+    fn input_jacobian(&self, x: &[f64]) -> Result<Matrix, MlError> {
+        let (x_scaler, y_scaler) = self.fitted_scalers(x)?;
         let mut row = x.to_vec();
         x_scaler.transform_row(&mut row);
         let xm = Matrix::from_rows(&[row]);
@@ -511,6 +522,46 @@ impl Differentiable for Mlp {
             }
         }
         Ok(jac)
+    }
+
+    /// One forward pass and one row-vector backward pass through the
+    /// layers, instead of the full `m x d` Jacobian. The prediction is
+    /// de-scaled exactly as [`Regressor::predict`] does it.
+    fn value_and_vjp(
+        &self,
+        x: &[f64],
+        cotangent: &dyn Fn(&[f64]) -> Vec<f64>,
+    ) -> Result<(Vec<f64>, Vec<f64>), MlError> {
+        let (x_scaler, y_scaler) = self.fitted_scalers(x)?;
+        let mut row = x.to_vec();
+        x_scaler.transform_row(&mut row);
+        let (zs, out) = self.forward_all(&Matrix::from_rows(&[row]));
+        let y: Vec<f64> = out
+            .row(0)
+            .iter()
+            .zip(y_scaler.stds().iter().zip(y_scaler.means()))
+            .map(|(v, (sd, mean))| v * sd + mean)
+            .collect();
+
+        let dy = cotangent(&y);
+        assert_eq!(dy.len(), self.n_outputs, "one cotangent per output");
+        let mut delta: Vec<f64> = dy
+            .iter()
+            .zip(y_scaler.stds())
+            .map(|(d, sd)| d * sd)
+            .collect();
+        for l in (0..self.layers.len()).rev() {
+            delta = self.layers[l].w.vecmat(&delta);
+            if l > 0 {
+                for (d, &z) in delta.iter_mut().zip(zs[l - 1].row(0)) {
+                    *d *= leaky_deriv(z, self.cfg.leaky_slope);
+                }
+            }
+        }
+        for (d, sd) in delta.iter_mut().zip(x_scaler.stds()) {
+            *d /= sd;
+        }
+        Ok((y, delta))
     }
 }
 
@@ -634,6 +685,10 @@ mod tests {
         let m = Mlp::paper_default();
         assert_eq!(m.predict(&Matrix::zeros(1, 1)), Err(MlError::NotFitted));
         assert_eq!(m.input_jacobian(&[0.0]), Err(MlError::NotFitted));
+        assert_eq!(
+            m.value_and_vjp(&[0.0], &|y| y.to_vec()),
+            Err(MlError::NotFitted)
+        );
     }
 
     #[test]
@@ -650,6 +705,10 @@ mod tests {
         ));
         assert!(matches!(
             m.input_jacobian(&[0.0, 1.0]),
+            Err(MlError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            m.value_and_vjp(&[0.0, 1.0], &|y| y.to_vec()),
             Err(MlError::ShapeMismatch { .. })
         ));
     }

@@ -49,13 +49,15 @@ pub enum Counter {
     /// EM wall-clock batches charged at roll-out (batches of up to three
     /// parallel runs, each costing one `nominal_seconds()`).
     EmBatchesCharged,
-    /// Single-design surrogate `predict` calls.
+    /// Single-design surrogate `predict` calls (a fused value-and-gradient
+    /// call counts one).
     SurrogatePredict,
     /// Surrogate `predict_batch` calls.
     SurrogatePredictBatch,
     /// Total rows across all `predict_batch` calls.
     SurrogatePredictBatchRows,
-    /// Single-design surrogate input-Jacobian evaluations.
+    /// Single-design surrogate input-Jacobian or input-gradient (VJP)
+    /// evaluations; a fused value-and-gradient call counts one.
     SurrogateJacobian,
     /// Surrogate `jacobian_batch` calls.
     SurrogateJacobianBatch,

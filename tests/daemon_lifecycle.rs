@@ -340,6 +340,41 @@ fn killed_mid_epoch_daemon_replays_bit_identically() {
         }
         let err = victim.run_next_epoch().expect_err("chaos crash expected");
         assert!(err.contains("chaos"), "unexpected epoch error: {err}");
+        // The jobs the crash left without a result report `failed`, not
+        // `running`; the two finished in wave 0 keep their disposition.
+        let phase_of = |id: &str| {
+            let Response::Ok(fields) = victim.handle_request(Request::Status(Some(id.to_string())))
+            else {
+                panic!("status of '{id}' failed")
+            };
+            let phase = serde::json::Value::field(&fields, "phase").as_str();
+            let finished = serde::json::Value::field(&fields, "disposition")
+                .as_str()
+                .is_some();
+            (phase.map(str::to_string), finished)
+        };
+        let mut failed = 0;
+        for s in submissions() {
+            let (phase, finished) = phase_of(&s.id);
+            if !finished {
+                assert_eq!(
+                    phase.as_deref(),
+                    Some("failed"),
+                    "cores {cores}: '{}'",
+                    s.id
+                );
+                failed += 1;
+            }
+        }
+        assert_eq!(failed, 2, "cores {cores}: wave 1 never ran");
+        let Response::Ok(summary) = victim.handle_request(Request::Status(None)) else {
+            panic!("status summary failed")
+        };
+        assert_eq!(
+            serde::json::Value::field(&summary, "running"),
+            &serde::json::Value::Num(0.0),
+            "cores {cores}"
+        );
         drop(victim);
 
         // Restart on the same store directory.
