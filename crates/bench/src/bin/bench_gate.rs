@@ -42,13 +42,6 @@
 //! `em.failures_*` / `em.topped_up` / `em.sched.*` regressions (e.g. a
 //! retry storm) trip the gate like any other counter.
 //!
-//! A batched-sweep smoke phase then gates the structure-of-arrays EM
-//! frequency sweep: a fleet of link-level channels is swept once through
-//! the scalar per-point path and once through a shared
-//! [`SweepPlan`](isop_em::sweep::SweepPlan); the two must agree **bit for
-//! bit** at every (channel, frequency) point, and the batched pass must be
-//! at least [`MIN_SWEEP_SPEEDUP`]x faster.
-//!
 //! A warm-store smoke phase then gates the persistent evaluation store and
 //! the trained-model registry: the seeded pipeline runs cold against a
 //! fresh store directory, then warm from fresh handles at 1 and 4 threads.
@@ -147,11 +140,6 @@ const SYNC_SMOKE_CANDIDATES: usize = 3;
 /// an exponential backoff per re-issue. The async stream must stay
 /// strictly below it.
 const SYNC_SMOKE_EM_SECONDS: f64 = 70.66666666666666;
-/// Minimum batched-over-scalar sweep speedup (cold plan, interning cost
-/// included).
-const MIN_SWEEP_SPEEDUP: f64 = 2.0;
-/// Frequency points of the sweep smoke grid.
-const SWEEP_POINTS: usize = 256;
 /// Fraction of the cold run's charged EM seconds the warm-store replay
 /// must elide (a full-hit replay elides 100%; 90% leaves room for a
 /// future smoke tweak that adds a handful of fresh designs).
@@ -170,9 +158,7 @@ const ENGINE_SPEEDUP_CORES: usize = 4;
 
 /// The timed phases of one smoke pass, in run order. Each is gated by the
 /// `max_{phase}_seconds` wall budget of the thresholds file.
-const PHASES: [&str; 7] = [
-    "wall", "train", "fault", "sweep", "store", "engine", "daemon",
-];
+const PHASES: [&str; 6] = ["wall", "train", "fault", "store", "engine", "daemon"];
 
 /// Measured wall-clock seconds per phase, in [`PHASES`] order.
 type PhaseWalls = Vec<(&'static str, f64)>;
@@ -445,9 +431,6 @@ fn run_smoke(
     // the main handle once so the retry and `em.sched.*` budgets are gated.
     let fault_wall = fault_smoke(&telemetry)?;
 
-    // Batched-sweep phase: pure-function identity checks, no telemetry.
-    let sweep_wall = sweep_smoke()?;
-
     // Warm-store phase: cold-vs-warm persistent replay plus the model
     // registry round-trip, folding the store counters into the main
     // handle so the `store.*` budgets are gated.
@@ -479,7 +462,6 @@ fn run_smoke(
         wall,
         train_wall,
         fault_wall,
-        sweep_wall,
         store_wall,
         engine_wall,
         daemon_wall,
@@ -628,101 +610,6 @@ fn fault_smoke(main: &Telemetry) -> Result<f64, String> {
         serial_tele.counter(Counter::EmSchedBatches),
         serial_tele.counter(Counter::EmSchedSlackSlots),
         serial_tele.counter(Counter::EmSchedInterleaved),
-    );
-    Ok(t0.elapsed().as_secs_f64())
-}
-
-/// Appends the eight re/im bit patterns of a sweep point's four
-/// S-parameters, the unit of the bitwise identity comparisons below.
-fn collect_sweep_bits(view: isop_em::sweep::SweepView<'_>, out: &mut Vec<u64>) {
-    for i in 0..view.len() {
-        for s in [view.s11(i), view.s21(i), view.s12(i), view.s22(i)] {
-            out.push(s.re.to_bits());
-            out.push(s.im.to_bits());
-        }
-    }
-}
-
-/// The batched sweep's smoke: a fleet of link-level channels (shared
-/// layers, repeated segments, stubbed and back-drilled vias) swept once
-/// through the scalar per-point path and once through a shared cold
-/// [`SweepPlan`](isop_em::sweep::SweepPlan).
-///
-/// Enforced: the two passes are bit-identical at every (channel,
-/// frequency) point, and the batched pass (interning cost included) is at
-/// least [`MIN_SWEEP_SPEEDUP`]x faster than the scalar pass. Returns the
-/// phase wall-clock, seconds.
-fn sweep_smoke() -> Result<f64, String> {
-    use isop_em::channel::{Channel, Element};
-    use isop_em::stackup::DiffStripline;
-    use isop_em::sweep::SweepPlan;
-    use isop_em::via::Via;
-
-    let t0 = Instant::now();
-    let layers: Vec<DiffStripline> = (0..4)
-        .map(|i| DiffStripline {
-            trace_width: 4.0 + 0.5 * i as f64,
-            ..DiffStripline::default()
-        })
-        .collect();
-    let mut channels = Vec::new();
-    for c in 0..16usize {
-        let mut elems = Vec::new();
-        for s in 0..4usize {
-            elems.push(Element::Stripline {
-                layer: layers[(c + s) % layers.len()],
-                length_inches: 1.0 + ((c + 2 * s) % 3) as f64,
-            });
-            elems.push(Element::Via(Via {
-                stub_length: if (c + s) % 2 == 0 { 20.0 } else { 0.0 },
-                ..Via::default()
-            }));
-        }
-        channels.push(Channel::new(elems).map_err(|e| format!("sweep smoke channel: {e}"))?);
-    }
-    let freqs = SweepPlan::log_spaced(1e8, 4e10, SWEEP_POINTS)
-        .freqs()
-        .to_vec();
-
-    // Scalar reference pass: per-point ABCD chain + S-parameter conversion.
-    let t_scalar = Instant::now();
-    let mut scalar_bits: Vec<u64> = Vec::with_capacity(channels.len() * SWEEP_POINTS * 8);
-    for ch in &channels {
-        let z = ch.reference_impedance();
-        for &f in &freqs {
-            let (s11, s21, s12, s22) = ch.abcd(f).to_s_params(z);
-            for s in [s11, s21, s12, s22] {
-                scalar_bits.push(s.re.to_bits());
-                scalar_bits.push(s.im.to_bits());
-            }
-        }
-    }
-    let scalar_secs = t_scalar.elapsed().as_secs_f64();
-
-    // Batched pass through one cold plan (interning cost included).
-    let t_batched = Instant::now();
-    let mut plan = SweepPlan::log_spaced(1e8, 4e10, SWEEP_POINTS);
-    let mut batched_bits: Vec<u64> = Vec::with_capacity(scalar_bits.len());
-    plan.sweep_channels(&channels, |_, view| {
-        collect_sweep_bits(view, &mut batched_bits)
-    });
-    let batched_secs = t_batched.elapsed().as_secs_f64();
-
-    if scalar_bits != batched_bits {
-        return Err("sweep identity violation: batched sweep diverged from the scalar path".into());
-    }
-
-    let speedup = scalar_secs / batched_secs.max(1e-9);
-    if speedup < MIN_SWEEP_SPEEDUP {
-        return Err(format!(
-            "sweep speedup regression: batched {speedup:.2}x < {MIN_SWEEP_SPEEDUP:.1}x \
-             over the scalar path ({scalar_secs:.3}s vs {batched_secs:.3}s)"
-        ));
-    }
-    println!(
-        "bench_gate: sweep smoke: {} channels x {SWEEP_POINTS} points bit-identical \
-         (scalar {scalar_secs:.3}s, batched {batched_secs:.3}s, {speedup:.2}x)",
-        channels.len(),
     );
     Ok(t0.elapsed().as_secs_f64())
 }

@@ -16,114 +16,7 @@ use isop_bench::experiments::run_ablation_variant;
 use isop_bench::{
     cnn_surrogate_with, emit, env_zoo, mlp_xgb_surrogate_with, training_dataset, BenchConfig,
 };
-use isop_em::channel::{Channel, Element};
-use isop_em::eye::{peak_distortion_eye_with, EyeWorkspace};
-use isop_em::stackup::DiffStripline;
-use isop_em::sweep::SweepPlan;
-use isop_em::via::Via;
 use isop_telemetry::{RunReport, Telemetry};
-use std::time::Instant;
-
-/// Sweep grid for the link-level verification stage.
-const LINK_N_FREQ: usize = 256;
-const LINK_F_START_HZ: f64 = 1e8;
-const LINK_F_STOP_HZ: f64 = 4e10;
-/// Bit rate for the peak-distortion eye on each winning design, Gbps.
-const LINK_EYE_GBPS: f64 = 16.0;
-
-/// Routes a winning layer as a link-level escape: two segments of the
-/// optimized stripline joined by a stubbed and a back-drilled via.
-fn link_channel(layer: DiffStripline) -> Channel {
-    Channel::new(vec![
-        Element::Stripline {
-            layer,
-            length_inches: 3.0,
-        },
-        Element::Via(Via {
-            stub_length: 20.0,
-            ..Via::default()
-        }),
-        Element::Stripline {
-            layer,
-            length_inches: 2.0,
-        },
-        Element::Via(Via {
-            stub_length: 0.0,
-            ..Via::default()
-        }),
-    ])
-    .expect("decoded design routes as a valid channel")
-}
-
-/// Sweeps every winning design through one shared [`SweepPlan`] (the
-/// segments all reuse the same interned layer/via prototypes), checks the
-/// batched path bit-for-bit against the scalar ABCD chain, and reports
-/// insertion/return loss at the top of the band plus the peak-distortion
-/// eye from a warm [`EyeWorkspace`].
-fn verify_links(links: &[(String, Channel)]) {
-    if links.is_empty() {
-        return;
-    }
-    let mut plan = SweepPlan::log_spaced(LINK_F_START_HZ, LINK_F_STOP_HZ, LINK_N_FREQ);
-    let freqs = plan.freqs().to_vec();
-
-    let t0 = Instant::now();
-    let mut scalar_bits: Vec<u64> = Vec::new();
-    for (_, ch) in links {
-        let z = ch.reference_impedance();
-        for &f in &freqs {
-            let (s11, s21, _, _) = ch.abcd(f).to_s_params(z);
-            scalar_bits.push(s21.re.to_bits());
-            scalar_bits.push(s21.im.to_bits());
-            scalar_bits.push(s11.re.to_bits());
-            scalar_bits.push(s11.im.to_bits());
-        }
-    }
-    let scalar_secs = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let mut batched_bits: Vec<u64> = Vec::new();
-    for (_, ch) in links {
-        let view = plan.sweep(ch);
-        for i in 0..view.len() {
-            let (s11, s21) = (view.s11(i), view.s21(i));
-            batched_bits.push(s21.re.to_bits());
-            batched_bits.push(s21.im.to_bits());
-            batched_bits.push(s11.re.to_bits());
-            batched_bits.push(s11.im.to_bits());
-        }
-    }
-    let batched_secs = t1.elapsed().as_secs_f64();
-    assert_eq!(
-        scalar_bits, batched_bits,
-        "batched sweep must be bit-identical to the scalar ABCD chain"
-    );
-
-    println!(
-        "\nLink-level verification: {} designs x {} pts, scalar {:.1} ms vs batched {:.1} ms \
-         ({:.1}x, {} interned prototypes)",
-        links.len(),
-        LINK_N_FREQ,
-        scalar_secs * 1e3,
-        batched_secs * 1e3,
-        scalar_secs / batched_secs.max(1e-9),
-        plan.interned_prototypes(),
-    );
-    let mut ws = EyeWorkspace::new();
-    for (label, ch) in links {
-        let view = plan.sweep(ch);
-        let top = view.len() - 1;
-        let (il, rl, f_top) = (view.il_db(top), view.rl_db(top), view.freq(top));
-        let eye = peak_distortion_eye_with(&mut ws, ch, LINK_EYE_GBPS, 8, 16);
-        println!(
-            "  {label}: IL {il:.2} dB / RL {rl:.2} dB @ {:.0} GHz; \
-             eye height {:.3} @ {LINK_EYE_GBPS} Gbps ({})",
-            f_top / 1e9,
-            eye.eye_height,
-            if eye.is_open() { "open" } else { "closed" },
-        );
-    }
-}
 
 fn main() {
     let cfg = BenchConfig::from_env();
@@ -152,7 +45,6 @@ fn main() {
     ]);
     type TaskBars = Vec<(String, f64, f64)>;
     let mut per_task: Vec<(TaskId, TaskBars)> = Vec::new();
-    let mut links: Vec<(String, Channel)> = Vec::new();
     for task in TaskId::all() {
         let mut bars = Vec::new();
         for (technique, surrogate) in [
@@ -179,9 +71,6 @@ fn main() {
                     fmt(report.span_seconds("pipeline.local") / trials, 2),
                     fmt(report.span_seconds("pipeline.rollout") / trials, 2),
                 ]);
-                if let Ok(layer) = DiffStripline::from_vector(&row.best_design) {
-                    links.push((format!("{}/{label}", task.name()), link_channel(layer)));
-                }
                 bars.push((label, row.stats.avg_runtime, row.stats.avg_samples));
             }
         }
@@ -224,8 +113,4 @@ fn main() {
         }
     }
     println!("\nShape check: H_GD uses <= samples of H in {holds}/{cells} tasks (paper: always).");
-
-    // Every variant's winning design, verified at the link level through
-    // the batched sweep and the peak-distortion eye.
-    verify_links(&links);
 }

@@ -164,9 +164,6 @@ pub struct AblationRow {
     pub model: String,
     /// Aggregated statistics.
     pub stats: TrialStats,
-    /// Design vector of the lowest-FoM trial — the candidate the
-    /// link-level verification stage routes and sweeps.
-    pub best_design: Vec<f64>,
 }
 
 /// Runs one ablation variant over a (task, space) cell.
@@ -222,13 +219,6 @@ pub fn run_ablation_variant(
     if results.is_empty() {
         return None;
     }
-    // FoM is minimized (total_cmp sorts NaN above +inf, so a NaN trial
-    // can only win when every trial is NaN).
-    let best_design = results
-        .iter()
-        .min_by(|a, b| a.fom.total_cmp(&b.fom))
-        .map(|r| r.design.clone())
-        .unwrap_or_default();
     Some(AblationRow {
         cell: format!("{task}/{space_label}"),
         technique,
@@ -238,7 +228,6 @@ pub fn run_ablation_variant(
             &results,
             z_target(task),
         ),
-        best_design,
     })
 }
 

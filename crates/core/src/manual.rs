@@ -81,7 +81,10 @@ mod tests {
     }
 
     /// All four published ISOP rows and the manual row must reproduce their
-    /// Table IX metrics through our simulator to calibration tolerance.
+    /// Table IX metrics through our simulator to calibration tolerance, and
+    /// all five published vectors must simulate to the exact pinned bits of
+    /// Z, L and NEXT, so any edit to the EM crate that moves a result fails
+    /// here.
     #[test]
     fn published_designs_match_table_ix_metrics() {
         let sim = AnalyticalSolver::new();
@@ -110,6 +113,27 @@ mod tests {
                 "NEXT: ours {} vs paper {next}",
                 r.next
             );
+        }
+        // (vector, Z bits, L bits, NEXT bits)
+        #[rustfmt::skip]
+        let pinned: [(&[f64; PARAM_COUNT], u64, u64, u64); 5] = [
+            (&MANUAL_VECTOR, 0x4055be95c3fdb139, 0xbfdb734fdeab5ee6, 0xc00634ad47b97f79),
+            (&ISOP_T1_S1_VECTOR, 0x4055f2a71086e0fd, 0xbfdb139d094794b1, 0xbfdd43d07f1e42fa),
+            (&ISOP_T1_S1P_VECTOR, 0x4055794889cf1d00, 0xbfd557e39eca8a7b, 0xbfe1e8ea1f5bf23f),
+            (&ISOP_T3_S1_VECTOR, 0x4055723a18fed0ff, 0xbfdae90ff2059b68, 0xbf9eb9dda77c1bc7),
+            (&ISOP_T4_S1_VECTOR, 0x4055bdbbb19dd207, 0xbfdacdabf84a216a, 0xbf94e9e788ee97ea),
+        ];
+        for (v, z, l, next) in pinned {
+            let layer = DiffStripline::from_vector(v).expect("valid");
+            let r = sim.simulate(&layer).expect("simulates");
+            assert_eq!(r.z_diff.to_bits(), z, "Z moved: {}", r.z_diff);
+            assert_eq!(
+                r.insertion_loss.to_bits(),
+                l,
+                "L moved: {}",
+                r.insertion_loss
+            );
+            assert_eq!(r.next.to_bits(), next, "NEXT moved: {}", r.next);
         }
     }
 }

@@ -1,25 +1,24 @@
-//! Minimal complex arithmetic for frequency-domain transmission-line work.
+//! Minimal complex arithmetic for the RLGC line constants.
 //!
 //! A dedicated complex type (rather than an external dependency) keeps the
-//! solver self-contained and lets us expose exactly the operations the RLGC /
-//! ABCD machinery needs: the field operations, square root on the principal
-//! branch, exponentials, and hyperbolic functions of a complex argument.
+//! solver self-contained and exposes exactly the operations [`rlgc`]
+//! needs: product, quotient, magnitude and the principal-branch square root.
 //!
 //! ```
 //! use isop_em::complex::Complex;
 //!
 //! let z = Complex::new(3.0, 4.0);
 //! assert_eq!(z.abs(), 5.0);
-//! let w = z * z.conj();
-//! assert!((w.re - 25.0).abs() < 1e-12 && w.im.abs() < 1e-12);
+//! let w = Complex::new(-7.0, 24.0).sqrt();
+//! assert!((w.re - 3.0).abs() < 1e-12 && (w.im - 4.0).abs() < 1e-12);
 //! ```
+//!
+//! [`rlgc`]: crate::rlgc
 
-use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::{Div, Mul};
 
 /// A complex number with `f64` components.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Complex {
     /// Real part.
     pub re: f64,
@@ -27,32 +26,14 @@ pub struct Complex {
     pub im: f64,
 }
 
-/// The imaginary unit `j` (electrical-engineering convention).
-pub const J: Complex = Complex { re: 0.0, im: 1.0 };
-
 /// Complex zero.
 pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
-
-/// Complex one.
-pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
 
 impl Complex {
     /// Creates a complex number from real and imaginary parts.
     #[inline]
     pub const fn new(re: f64, im: f64) -> Self {
         Self { re, im }
-    }
-
-    /// Creates a purely real complex number.
-    #[inline]
-    pub const fn real(re: f64) -> Self {
-        Self { re, im: 0.0 }
-    }
-
-    /// Creates a complex number from polar form `r * exp(j * theta)`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        Self::new(r * theta.cos(), r * theta.sin())
     }
 
     /// Magnitude `|z|`, computed with `hypot` for numerical robustness.
@@ -69,28 +50,6 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Argument (phase) in radians, in `(-pi, pi]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Self::new(self.re, -self.im)
-    }
-
-    /// Multiplicative inverse `1 / z`.
-    ///
-    /// Returns non-finite components when `self` is zero, mirroring `f64`
-    /// division semantics.
-    #[inline]
-    pub fn recip(self) -> Self {
-        let d = self.norm_sqr();
-        Self::new(self.re / d, -self.im / d)
-    }
-
     /// Principal-branch complex square root (non-negative real part).
     pub fn sqrt(self) -> Self {
         if self.re == 0.0 && self.im == 0.0 {
@@ -100,81 +59,6 @@ impl Complex {
         let re = ((r + self.re) / 2.0).max(0.0).sqrt();
         let im_mag = ((r - self.re) / 2.0).max(0.0).sqrt();
         Self::new(re, if self.im < 0.0 { -im_mag } else { im_mag })
-    }
-
-    /// Complex exponential `exp(z)`.
-    pub fn exp(self) -> Self {
-        Self::from_polar(self.re.exp(), self.im)
-    }
-
-    /// Principal-branch natural logarithm.
-    pub fn ln(self) -> Self {
-        Self::new(self.abs().ln(), self.arg())
-    }
-
-    /// Complex hyperbolic cosine.
-    pub fn cosh(self) -> Self {
-        Self::new(
-            self.re.cosh() * self.im.cos(),
-            self.re.sinh() * self.im.sin(),
-        )
-    }
-
-    /// Complex hyperbolic sine.
-    pub fn sinh(self) -> Self {
-        Self::new(
-            self.re.sinh() * self.im.cos(),
-            self.re.cosh() * self.im.sin(),
-        )
-    }
-
-    /// Complex hyperbolic tangent, computed as `sinh(z) / cosh(z)`.
-    pub fn tanh(self) -> Self {
-        self.sinh() / self.cosh()
-    }
-
-    /// Scales by a real factor.
-    #[inline]
-    pub fn scale(self, k: f64) -> Self {
-        Self::new(self.re * k, self.im * k)
-    }
-
-    /// `true` when both components are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
-    }
-}
-
-impl From<f64> for Complex {
-    fn from(re: f64) -> Self {
-        Self::real(re)
-    }
-}
-
-impl fmt::Display for Complex {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.im >= 0.0 {
-            write!(f, "{}+{}j", self.re, self.im)
-        } else {
-            write!(f, "{}{}j", self.re, self.im)
-        }
-    }
-}
-
-impl Add for Complex {
-    type Output = Self;
-    #[inline]
-    fn add(self, rhs: Self) -> Self {
-        Self::new(self.re + rhs.re, self.im + rhs.im)
-    }
-}
-
-impl Sub for Complex {
-    type Output = Self;
-    #[inline]
-    fn sub(self, rhs: Self) -> Self {
-        Self::new(self.re - rhs.re, self.im - rhs.im)
     }
 }
 
@@ -201,92 +85,18 @@ impl Div for Complex {
     }
 }
 
-impl Neg for Complex {
-    type Output = Self;
-    #[inline]
-    fn neg(self) -> Self {
-        Self::new(-self.re, -self.im)
-    }
-}
-
-impl Add<f64> for Complex {
-    type Output = Self;
-    #[inline]
-    fn add(self, rhs: f64) -> Self {
-        Self::new(self.re + rhs, self.im)
-    }
-}
-
-impl Sub<f64> for Complex {
-    type Output = Self;
-    #[inline]
-    fn sub(self, rhs: f64) -> Self {
-        Self::new(self.re - rhs, self.im)
-    }
-}
-
-impl Mul<f64> for Complex {
-    type Output = Self;
-    #[inline]
-    fn mul(self, rhs: f64) -> Self {
-        self.scale(rhs)
-    }
-}
-
-impl Div<f64> for Complex {
-    type Output = Self;
-    #[inline]
-    fn div(self, rhs: f64) -> Self {
-        Self::new(self.re / rhs, self.im / rhs)
-    }
-}
-
-impl Mul<Complex> for f64 {
-    type Output = Complex;
-    #[inline]
-    fn mul(self, rhs: Complex) -> Complex {
-        rhs.scale(self)
-    }
-}
-
-impl AddAssign for Complex {
-    fn add_assign(&mut self, rhs: Self) {
-        *self = *self + rhs;
-    }
-}
-
-impl SubAssign for Complex {
-    fn sub_assign(&mut self, rhs: Self) {
-        *self = *self - rhs;
-    }
-}
-
-impl MulAssign for Complex {
-    fn mul_assign(&mut self, rhs: Self) {
-        *self = *self * rhs;
-    }
-}
-
-impl DivAssign for Complex {
-    fn div_assign(&mut self, rhs: Self) {
-        *self = *self / rhs;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn close(a: Complex, b: Complex, tol: f64) -> bool {
-        (a - b).abs() < tol
+        (a.re - b.re).hypot(a.im - b.im) < tol
     }
 
     #[test]
-    fn field_operations() {
+    fn product_and_quotient() {
         let a = Complex::new(1.0, 2.0);
         let b = Complex::new(-3.0, 0.5);
-        assert_eq!(a + b, Complex::new(-2.0, 2.5));
-        assert_eq!(a - b, Complex::new(4.0, 1.5));
         assert_eq!(a * b, Complex::new(-4.0, -5.5));
         assert!(close(a / b * b, a, 1e-12));
     }
@@ -294,7 +104,7 @@ mod tests {
     #[test]
     fn division_by_self_is_one() {
         let z = Complex::new(0.3, -7.2);
-        assert!(close(z / z, ONE, 1e-12));
+        assert!(close(z / z, Complex::new(1.0, 0.0), 1e-12));
     }
 
     #[test]
@@ -302,69 +112,19 @@ mod tests {
         for &(re, im) in &[(4.0, 0.0), (-1.0, 0.0), (3.0, -4.0), (0.0, 2.0)] {
             let z = Complex::new(re, im);
             let s = z.sqrt();
-            assert!(close(s * s, z, 1e-12), "sqrt failed for {z}");
-            assert!(s.re >= 0.0, "principal branch violated for {z}");
+            assert!(close(s * s, z, 1e-12), "sqrt failed for {z:?}");
+            assert!(s.re >= 0.0, "principal branch violated for {z:?}");
         }
     }
 
     #[test]
     fn sqrt_of_negative_real_is_imaginary() {
-        let s = Complex::real(-9.0).sqrt();
+        let s = Complex::new(-9.0, 0.0).sqrt();
         assert!(close(s, Complex::new(0.0, 3.0), 1e-12));
     }
 
     #[test]
-    fn exp_and_ln_roundtrip() {
-        let z = Complex::new(0.5, 1.2);
-        assert!(close(z.exp().ln(), z, 1e-12));
-    }
-
-    #[test]
-    fn exp_of_j_pi_is_minus_one() {
-        let z = (J * std::f64::consts::PI).exp();
-        assert!(close(z, Complex::real(-1.0), 1e-12));
-    }
-
-    #[test]
-    fn hyperbolic_identity() {
-        // cosh^2 - sinh^2 = 1 holds for complex arguments.
-        let z = Complex::new(0.7, -0.3);
-        let c = z.cosh();
-        let s = z.sinh();
-        assert!(close(c * c - s * s, ONE, 1e-12));
-    }
-
-    #[test]
-    fn tanh_matches_ratio() {
-        let z = Complex::new(0.2, 0.9);
-        assert!(close(z.tanh(), z.sinh() / z.cosh(), 1e-12));
-    }
-
-    #[test]
-    fn polar_roundtrip() {
-        let z = Complex::from_polar(2.0, 0.8);
-        assert!((z.abs() - 2.0).abs() < 1e-12);
-        assert!((z.arg() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn conjugate_properties() {
-        let z = Complex::new(1.5, -2.5);
-        assert_eq!(z.conj().conj(), z);
-        let p = z * z.conj();
-        assert!((p.re - z.norm_sqr()).abs() < 1e-12);
-        assert!(p.im.abs() < 1e-12);
-    }
-
-    #[test]
-    fn recip_is_inverse() {
-        let z = Complex::new(-0.4, 3.1);
-        assert!(close(z * z.recip(), ONE, 1e-12));
-    }
-
-    #[test]
-    fn display_formats_sign() {
-        assert_eq!(Complex::new(1.0, 2.0).to_string(), "1+2j");
-        assert_eq!(Complex::new(1.0, -2.0).to_string(), "1-2j");
+    fn sqrt_of_zero_is_zero() {
+        assert_eq!(ZERO.sqrt(), ZERO);
     }
 }

@@ -12,13 +12,7 @@
 //! * [`stripline`] — closed-form impedance (Wheeler conformal mapping, edge
 //!   coupling);
 //! * [`roughness`] / [`rlgc`] — conductor & dielectric loss, per-unit-length
-//!   line constants;
-//! * [`abcd`] / [`sparams`] — frequency-domain network analysis;
-//! * [`sweep`] — batched structure-of-arrays frequency sweeps
-//!   ([`SweepPlan`]) with interned RLGC/ABCD prototypes,
-//!   bit-identical to the scalar path;
-//! * [`fft`] — the radix-2 inverse real FFT behind the eye-diagram
-//!   impulse response;
+//!   line constants, and the insertion loss `L` at one frequency;
 //! * [`crosstalk`] — near-end crosstalk between adjacent pairs;
 //! * [`fdsolver`] — a 2-D finite-difference Laplace solver used as the
 //!   approximation-free reference engine;
@@ -51,28 +45,19 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod abcd;
-pub mod channel;
 pub mod complex;
 pub mod crosstalk;
-pub mod dispersion;
-pub mod eye;
 pub mod fault;
 pub mod fdsolver;
-pub mod fft;
 pub mod rlgc;
 pub mod roughness;
 pub mod simulator;
-pub mod sparams;
 pub mod stackup;
 pub mod stripline;
-pub mod sweep;
 pub mod units;
-pub mod via;
 
 pub use fault::{
     FaultConfig, FaultInjector, PermanentFault, RetryPolicy, SimError, TransientFault,
 };
 pub use simulator::{AnalyticalSolver, EmSimulator, FieldSolver, SimulationResult};
 pub use stackup::{DiffStripline, GeometryError, PARAM_COUNT, PARAM_NAMES};
-pub use sweep::{SweepPlan, SweepView};

@@ -2,7 +2,7 @@
 //! designer's "what-if" session looks like before any optimization.
 //!
 //! * sweeps trace width and spacing to map the impedance surface,
-//! * runs a frequency sweep of insertion loss for one geometry,
+//! * tabulates insertion loss against frequency for one geometry,
 //! * cross-checks the closed-form model against the 2-D finite-difference
 //!   field solver, and
 //! * quantifies the crosstalk cost of tightening the pair distance.
@@ -13,10 +13,9 @@
 //! ```
 
 use isop_em::fdsolver::{solve_odd_mode, FdConfig};
+use isop_em::rlgc::insertion_loss_db_per_inch;
 use isop_em::simulator::{AnalyticalSolver, EmSimulator};
-use isop_em::sparams::FrequencySweep;
 use isop_em::stackup::DiffStripline;
-use isop_em::stripline::odd_mode_z0;
 use isop_em::units::ghz_to_hz;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!();
     }
 
-    // 2. Frequency sweep of one candidate geometry.
+    // 2. Insertion loss of one candidate geometry across frequency.
     let layer = DiffStripline::builder()
         .trace_width(5.0)
         .trace_spacing(6.0)
@@ -51,12 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .df_core(0.004)
         .df_prepreg(0.004)
         .build()?;
-    let sweep = FrequencySweep::of_layer(&layer, 1e8, 4e10, 48, 1.0, odd_mode_z0(&layer));
-    println!("\nInsertion loss of a 1-inch segment:");
+    println!("\nInsertion loss per inch:");
     for f_ghz in [1.0, 4.0, 8.0, 16.0, 32.0] {
         println!(
-            "  {f_ghz:>5.1} GHz: {:>7.3} dB",
-            sweep.il_at(ghz_to_hz(f_ghz))
+            "  {f_ghz:>5.1} GHz: {:>7.3} dB/in",
+            insertion_loss_db_per_inch(&layer, ghz_to_hz(f_ghz))
         );
     }
 

@@ -144,3 +144,18 @@ fn cache_enabled_reports_are_bit_identical_across_thread_widths() {
     assert_eq!(serial_first.candidates, parallel_first.candidates);
     assert_eq!(serial_second.candidates, parallel_second.candidates);
 }
+
+/// Cache-warm replay: the second run of a pair shares the [`EvalCache`]
+/// and serves its accurate simulations from it. A hit returns the stored
+/// result of the same deterministic simulation the cold run made, so the
+/// warm run's candidates and FoM are bit-identical to the cold run's.
+#[test]
+fn cache_warm_replay_is_bit_identical() {
+    let (report, cold, warm) = run_pair(1, &EvalCache::new(), &SurrogateMemo::disabled());
+
+    assert!(report.counter("em.cache.hits") > 0, "warm run never hit");
+    assert_eq!(cold.candidates, warm.candidates);
+    let g_cold = cold.best().expect("candidate").g_exact;
+    let g_warm = warm.best().expect("candidate").g_exact;
+    assert_eq!(g_cold.to_bits(), g_warm.to_bits());
+}
