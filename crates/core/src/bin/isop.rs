@@ -14,7 +14,6 @@
 //!            [--report-dir results/engine]
 //! isop daemon --listen 127.0.0.1:7878 [--cache-dir DIR] [--cores 8] [--wave-slots 4]
 //!             [--quota-em SECONDS] [--quota-window EPOCHS]
-//! isop engine bench [--seed 3] [--cores 8] [--report-dir results/engine]
 //! isop report --aggregate results/engine [--out results/engine/tenants.json]
 //! ```
 //!
@@ -40,24 +39,28 @@
 //! report, carrying that resolution, so the outage is never mistaken for
 //! an ordinary infeasible trial.
 //!
-//! `serve` runs a whole batch of optimization jobs through the multi-job
-//! engine: a JSON job file (array of `{id, tenant, task, space, seed,
-//! weight, threads}` specs, every field optional) is admitted in
-//! weighted-fair waves and executed concurrently under one shared core
-//! budget; with `--cache-dir` the jobs warm-start each other through the
-//! persistent store. `--report-dir` writes one tagged [`RunReport`] per
-//! job plus the aggregated `engine_report.json`. `engine bench` runs a
-//! built-in four-job demo batch (two tenants, each a fresh space and a
-//! rerun) serially and concurrently and prints the throughput and
-//! cross-job-elision numbers. `report --aggregate DIR` folds a directory
-//! of per-job reports into one per-tenant table.
-//!
-//! `daemon` keeps the engine running as a service: it listens for
+//! `daemon` runs the multi-job engine as a service: it listens for
 //! newline-delimited JSON requests (`submit` / `cancel` / `status` /
 //! `report` / `shutdown`) on a TCP socket, admits submissions in streamed
 //! epochs, enforces rolling per-tenant EM-seconds quotas, and journals
 //! every job state transition into `--cache-dir` so a killed daemon
 //! resumes on restart, replaying finished jobs bit-identically.
+//!
+//! `serve` is the same daemon with no socket: each element of a JSON job
+//! file (array of `{id, tenant, task, space, seed, weight, threads}`
+//! specs, every field optional) is one `submit`, and the daemon is then
+//! drained. The jobs run in weighted-fair waves under one shared core
+//! budget; with `--cache-dir` they warm-start each other through the
+//! persistent store. A refused element prints its typed JSON refusal on
+//! stderr, its valid neighbors still run, and the exit status is non-zero.
+//! With `--cache-dir`, job ids are unique per store, as for the daemon: a
+//! rerun of the same file refuses every id already journaled
+//! (`duplicate_id`), and a killed `serve` resumes from the journal on its
+//! next start. Elements with an empty id are numbered `job-0`, `job-1`, …
+//! over the empty-id elements only. `--report-dir` writes one tagged [`RunReport`] per
+//! job plus `engine_report.json`, the array of the drained epochs' engine
+//! reports. `report --aggregate DIR` folds a directory of per-job reports
+//! into one per-tenant table.
 //!
 //! The CLI is intentionally dependency-free (hand-rolled flag parsing); it
 //! exists so the library is usable from shell workflows without writing
@@ -69,6 +72,7 @@ use isop_em::simulator::{AnalyticalSolver, EmSimulator, FieldSolver};
 use isop_em::stackup::DiffStripline;
 use isop_hpo::budget::Budget;
 use isop_store::Store;
+use serde::json::Value;
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -100,8 +104,8 @@ fn flag_f64(flags: &HashMap<String, String>, key: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-// Name lookups live in `isop::jobs` so the CLI and the job-file parser
-// agree on the same labels.
+// Name lookups live in `isop::jobs` so the CLI and the daemon agree on
+// the same labels.
 use isop::jobs::{space_by_name, task_by_name};
 
 fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -377,36 +381,73 @@ fn cmd_dataset(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs a JSON job file through the multi-job engine.
+/// Builds the daemon both `isop daemon` and `isop serve` run: `policy`
+/// with the engine sized from the flags, plus the `--cache-dir` store
+/// (carrying the daemon's telemetry handle, since store traffic
+/// interleaves across concurrent jobs and must never land in a per-job
+/// report) whose job journal is replayed before anything new is accepted.
+fn start_daemon(
+    flags: &HashMap<String, String>,
+    policy: DaemonConfig,
+    telemetry: &Telemetry,
+) -> Result<Daemon, String> {
+    let mut daemon = Daemon::new(DaemonConfig {
+        engine: EngineConfig {
+            cores: flag_f64(flags, "cores", 0.0) as usize,
+            wave_slots: flag_f64(flags, "wave-slots", 4.0) as usize,
+            pipeline: IsopConfig::default(),
+        },
+        ..policy
+    })
+    .with_telemetry(telemetry.clone());
+    if let Some(dir) = flags.get("cache-dir") {
+        let store = Store::open(std::path::Path::new(dir))
+            .map_err(|e| format!("cache-dir {dir}: {e}"))?
+            .with_telemetry(telemetry.clone());
+        daemon = daemon.with_store(Arc::new(store));
+        let recovery = daemon.recover()?;
+        if recovery.jobs_replayed + recovery.jobs_resumed > 0 {
+            println!(
+                "daemon: recovered journal — {} finished job(s) replayed, \
+                 {} job(s) resuming across {} epoch(s)",
+                recovery.jobs_replayed, recovery.jobs_resumed, recovery.epochs_pending
+            );
+        }
+    }
+    Ok(daemon)
+}
+
+/// Runs a JSON job file as a daemon with no socket: each element is one
+/// `submit` request (a refusal is printed to stderr as its typed JSON line
+/// while the valid neighbors still run), then every pending epoch is
+/// drained. Fails when any element was refused.
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let jobs_file = flags.get("jobs").ok_or("serve requires --jobs FILE")?;
     let text = std::fs::read_to_string(jobs_file).map_err(|e| format!("{jobs_file}: {e}"))?;
-    let queue = JobQueue::from_specs(isop::jobs::parse_jobs(&text)?);
-    let telemetry = Telemetry::enabled();
-    // The shared store carries the *engine's* telemetry handle: store
-    // traffic interleaves nondeterministically across concurrent jobs, so
-    // it must never land in a per-job report.
-    let store = match flags.get("cache-dir") {
-        Some(dir) => Some(Arc::new(
-            Store::open(std::path::Path::new(dir))
-                .map_err(|e| format!("cache-dir {dir}: {e}"))?
-                .with_telemetry(telemetry.clone()),
-        )),
-        None => None,
-    };
-    let mut engine = Engine::new(EngineConfig {
-        cores: flag_f64(flags, "cores", 0.0) as usize,
-        wave_slots: flag_f64(flags, "wave-slots", 4.0) as usize,
-        pipeline: IsopConfig::default(),
-    })
-    .with_telemetry(telemetry);
-    if let Some(s) = &store {
-        engine = engine.with_store(Arc::clone(s));
+    let items = isop::jobs::parse_jobs(&text)?;
+    let daemon = start_daemon(flags, DaemonConfig::default(), &Telemetry::enabled())?;
+    let mut refused = 0usize;
+    for job in items {
+        let request = Value::Obj(vec![
+            ("op".to_string(), Value::Str("submit".to_string())),
+            ("job".to_string(), job),
+        ]);
+        let response = daemon.handle_line(&request.to_json_string());
+        if response.error_kind().is_some() {
+            refused += 1;
+            eprintln!("{}", response.to_json_line());
+        }
     }
-    let report = engine.run(&queue)?;
-    print_engine_summary(&report);
+    let mut epochs = Vec::new();
+    while let Some((epoch, report)) = daemon.run_next_epoch()? {
+        print_epoch_summary(epoch, &report);
+        epochs.push(report);
+    }
     if let Some(dir) = flags.get("report-dir") {
-        write_engine_reports(dir, &report)?;
+        write_engine_reports(dir, &epochs)?;
+    }
+    if refused > 0 {
+        return Err(format!("{refused} job(s) in {jobs_file} refused"));
     }
     Ok(())
 }
@@ -417,36 +458,12 @@ fn cmd_daemon(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("listen")
         .ok_or("daemon requires --listen ADDR (e.g. 127.0.0.1:7878)")?;
     let telemetry = Telemetry::enabled();
-    let store = match flags.get("cache-dir") {
-        Some(dir) => Some(Arc::new(
-            Store::open(std::path::Path::new(dir))
-                .map_err(|e| format!("cache-dir {dir}: {e}"))?
-                .with_telemetry(telemetry.clone()),
-        )),
-        None => None,
-    };
-    let mut daemon = isop::daemon::Daemon::new(isop::daemon::DaemonConfig {
-        engine: EngineConfig {
-            cores: flag_f64(flags, "cores", 0.0) as usize,
-            wave_slots: flag_f64(flags, "wave-slots", 4.0) as usize,
-            pipeline: IsopConfig::default(),
-        },
+    let policy = DaemonConfig {
         quota_em_seconds: flag_f64(flags, "quota-em", 0.0),
         quota_window_epochs: flag_f64(flags, "quota-window", 4.0) as u64,
-        chaos_crash_after_waves: 0,
-    })
-    .with_telemetry(telemetry.clone());
-    if let Some(s) = &store {
-        daemon = daemon.with_store(Arc::clone(s));
-        let recovery = daemon.recover()?;
-        if recovery.jobs_replayed + recovery.jobs_resumed > 0 {
-            println!(
-                "daemon: recovered journal — {} finished job(s) replayed, \
-                 {} job(s) resuming across {} epoch(s)",
-                recovery.jobs_replayed, recovery.jobs_resumed, recovery.epochs_pending
-            );
-        }
-    }
+        ..DaemonConfig::default()
+    };
+    let daemon = start_daemon(flags, policy, &telemetry)?;
     let listener =
         std::net::TcpListener::bind(addr.as_str()).map_err(|e| format!("listen {addr}: {e}"))?;
     println!("daemon: listening on {addr} (NDJSON; ops: submit, cancel, status, report, shutdown)");
@@ -461,10 +478,11 @@ fn cmd_daemon(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders an engine run as a per-job table plus the headline totals.
-fn print_engine_summary(rep: &isop::engine::EngineReport) {
+/// Renders one drained epoch as a per-job table plus the headline totals.
+fn print_epoch_summary(epoch: u64, rep: &isop::engine::EngineReport) {
     println!(
-        "engine: {} job(s) in {} wave(s) on {} core permit(s) (peak leased {}), wall {:.2}s",
+        "epoch {epoch}: {} job(s) in {} wave(s) on {} core permit(s) (peak leased {}), \
+         wall {:.2}s",
         rep.jobs.len(),
         rep.waves,
         rep.cores,
@@ -481,6 +499,7 @@ fn print_engine_summary(rep: &isop::engine::EngineReport) {
         "task",
         "space",
         "wave",
+        "disposition",
         "resolution",
         "ok",
         "charged s",
@@ -493,6 +512,7 @@ fn print_engine_summary(rep: &isop::engine::EngineReport) {
             j.task.clone(),
             j.space.clone(),
             j.wave.to_string(),
+            j.disposition.clone(),
             j.resolution.clone(),
             j.success.to_string(),
             format!("{:.1}", j.em_seconds_charged),
@@ -518,127 +538,26 @@ fn job_report_file_name(id: &str) -> String {
     format!("job-{safe}.json")
 }
 
-/// Writes one tagged per-job report per job plus the aggregated engine
-/// report into `dir` — the layout `isop report --aggregate` consumes.
-fn write_engine_reports(dir: &str, rep: &isop::engine::EngineReport) -> Result<(), String> {
+/// Writes one tagged per-job report per job of the drained epochs, plus
+/// `engine_report.json` holding the epochs' engine reports as an array,
+/// into `dir` — the layout `isop report --aggregate` consumes.
+fn write_engine_reports(dir: &str, epochs: &[isop::engine::EngineReport]) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
     let base = std::path::Path::new(dir);
-    for job in &rep.jobs {
+    let jobs: Vec<_> = epochs.iter().flat_map(|rep| &rep.jobs).collect();
+    for job in &jobs {
         let path = base.join(job_report_file_name(&job.id));
         let json = job.report.to_json().map_err(|e| format!("{e:?}"))?;
         std::fs::write(&path, json).map_err(|e| format!("{}: {e}", path.display()))?;
     }
     let path = base.join("engine_report.json");
-    let json = serde_json::to_string(rep).map_err(|e| format!("{e:?}"))?;
+    let json = serde_json::to_string(epochs).map_err(|e| format!("{e:?}"))?;
     std::fs::write(&path, json).map_err(|e| format!("{}: {e}", path.display()))?;
     println!(
         "wrote {} job report(s) + engine_report.json to {dir}",
-        rep.jobs.len()
+        jobs.len()
     );
     Ok(())
-}
-
-/// A pipeline configuration sized for the demo batch — the bench-gate
-/// smoke shape, so `engine bench` finishes in seconds.
-fn demo_pipeline() -> IsopConfig {
-    IsopConfig {
-        harmonica: isop_hpo::harmonica::HarmonicaConfig {
-            stages: 2,
-            samples_per_stage: 120,
-            top_monomials: 6,
-            bits_per_stage: 8,
-            ..isop_hpo::harmonica::HarmonicaConfig::default()
-        },
-        hyperband: isop_hpo::hyperband::HyperbandConfig {
-            max_resource: 3.0,
-            eta: 3.0,
-        },
-        gd_candidates: 4,
-        gd_epochs: 25,
-        cand_num: 3,
-        ..IsopConfig::default()
-    }
-}
-
-/// The built-in four-job demo batch: two tenants, each submitting one
-/// fresh space and one rerun of it. Fair admission at two slots puts the
-/// fresh pair in wave 0 and the reruns in wave 1, so wave 1 runs almost
-/// entirely from the records wave 0 flushed.
-fn demo_queue(seed: u64) -> JobQueue {
-    let mut queue = JobQueue::new();
-    for (id, tenant, space) in [
-        ("acme-s1", "acme", "s1"),
-        ("acme-s1-rerun", "acme", "s1"),
-        ("blue-s2", "blue", "s2"),
-        ("blue-s2-rerun", "blue", "s2"),
-    ] {
-        queue.push(JobSpec {
-            id: id.to_string(),
-            tenant: tenant.to_string(),
-            space: space.to_string(),
-            seed,
-            threads: 2,
-            ..JobSpec::default()
-        });
-    }
-    queue
-}
-
-/// Runs the demo batch serially (one core permit, one wave slot) and
-/// concurrently, each against its own fresh store, and prints the
-/// throughput and cross-job-elision numbers side by side.
-fn cmd_engine_bench(flags: &HashMap<String, String>) -> Result<(), String> {
-    let seed = flag_f64(flags, "seed", 3.0) as u64;
-    let cores = flag_f64(flags, "cores", 0.0) as usize;
-    let queue = demo_queue(seed);
-    let scratch = std::env::temp_dir().join(format!("isop-engine-bench-{}", std::process::id()));
-    let run = |label: &str, cores: usize, wave_slots: usize| -> Result<_, String> {
-        let dir = scratch.join(label);
-        let telemetry = Telemetry::enabled();
-        let store = Arc::new(
-            Store::open(&dir)
-                .map_err(|e| format!("{}: {e}", dir.display()))?
-                .with_telemetry(telemetry.clone()),
-        );
-        Engine::new(EngineConfig {
-            cores,
-            wave_slots,
-            pipeline: demo_pipeline(),
-        })
-        .with_telemetry(telemetry)
-        .with_store(store)
-        .run(&queue)
-    };
-    let serial = run("serial", 1, 1)?;
-    let concurrent = run("concurrent", cores, 2)?;
-    let _ = std::fs::remove_dir_all(&scratch);
-    println!(
-        "serial    : wall {:.2}s ({} waves, 1 core permit)",
-        serial.wall_seconds, serial.waves
-    );
-    println!(
-        "concurrent: wall {:.2}s ({} waves, {} core permits, peak leased {})",
-        concurrent.wall_seconds, concurrent.waves, concurrent.cores, concurrent.peak_core_permits
-    );
-    println!(
-        "speedup {:.2}x; cross-job: {} hit(s), {:.1}s EM elided of {:.1}s charged + elided",
-        serial.wall_seconds / concurrent.wall_seconds.max(1e-9),
-        concurrent.cross_job_hits,
-        concurrent.em_seconds_saved,
-        concurrent.em_seconds_charged + concurrent.em_seconds_saved
-    );
-    print_engine_summary(&concurrent);
-    if let Some(dir) = flags.get("report-dir") {
-        write_engine_reports(dir, &concurrent)?;
-    }
-    Ok(())
-}
-
-fn cmd_engine(action: &str, flags: &HashMap<String, String>) -> Result<(), String> {
-    match action {
-        "bench" => cmd_engine_bench(flags),
-        other => Err(format!("unknown engine action '{other}' (use bench)")),
-    }
 }
 
 /// Folds a directory of per-job run reports into one per-tenant table.
@@ -831,14 +750,13 @@ fn usage() {
          [--report-dir results/engine]\n  \
          isop daemon --listen 127.0.0.1:7878 [--cache-dir DIR] [--cores 8] [--wave-slots 4]\n           \
          [--quota-em SECONDS] [--quota-window EPOCHS]\n  \
-         isop engine bench [--seed 3] [--cores 8] [--report-dir results/engine]\n  \
          isop report --aggregate results/engine [--out tenants.json]\n\n\
          Bare flags default to optimize: `isop --report --threads 4`.\n\
          `optimize --cache-dir DIR` reuses accurate EM results across runs.\n\
-         `serve` runs many jobs concurrently over one shared core budget;\n\
-         with --cache-dir, same-space jobs warm-start each other.\n\
          `daemon` serves NDJSON submit/cancel/status/report over TCP with a\n\
-         crash-safe job journal in --cache-dir."
+         crash-safe job journal in --cache-dir; `serve` runs a job file\n\
+         through the same daemon with no socket and exits non-zero if any\n\
+         job is refused."
     );
 }
 
@@ -856,21 +774,15 @@ fn main() -> ExitCode {
         } else {
             (first.as_str(), &args[1..])
         };
-    // `cache` and `engine` take a positional action (`isop cache stats
-    // --cache-dir ...`) before the flags, which the generic flag parser
-    // would reject as stray.
-    if cmd == "cache" || cmd == "engine" {
+    // `cache` takes a positional action (`isop cache stats --cache-dir
+    // ...`) before the flags, which the generic flag parser would reject
+    // as stray.
+    if cmd == "cache" {
         let Some(action) = flag_args.first() else {
             usage();
             return ExitCode::FAILURE;
         };
-        let flags = parse_flags(&flag_args[1..]);
-        let result = if cmd == "cache" {
-            cmd_cache(action, &flags)
-        } else {
-            cmd_engine(action, &flags)
-        };
-        return match result {
+        return match cmd_cache(action, &parse_flags(&flag_args[1..])) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -894,13 +806,17 @@ fn main() -> ExitCode {
             usage();
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'")),
+        other => {
+            usage();
+            Err(format!("unknown command '{other}'"))
+        }
     };
+    // Usage goes out only for an unknown command: after a run's own error
+    // (a refused job, a failed roll-out) it would bury the message.
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            usage();
             ExitCode::FAILURE
         }
     }

@@ -4,9 +4,11 @@
 //! The [`Daemon`] wraps the batch [`Engine`] in a long-running service.
 //! Requests arrive as newline-delimited JSON over a TCP socket
 //! (`isop daemon --listen ADDR`) or directly through
-//! [`Daemon::handle_request`]; submissions accumulate into the **next
-//! epoch's** [`JobQueue`] while the current epoch's waves execute, and the
-//! scheduler freezes one epoch at a time and hands it to the engine.
+//! [`Daemon::handle_request`] (`isop serve --jobs FILE` submits a job
+//! file this way and then drains the daemon); submissions accumulate into
+//! the **next epoch's** [`JobQueue`] while the current epoch's waves
+//! execute, and the scheduler freezes one epoch at a time and hands it to
+//! the engine.
 //!
 //! ## Epoch-based streaming admission, and why it stays deterministic
 //!

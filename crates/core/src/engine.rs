@@ -12,6 +12,12 @@
 //! warm-start each other through a shared [`Store`]: the evaluations a
 //! wave flushes are served to every later wave as cross-job cache hits.
 //!
+//! The engine runs a frozen queue; it does not decide what may enter one.
+//! Request validation lives in the [`daemon`](crate::daemon), which `isop
+//! daemon` and `isop serve` both drive. A spec that still names an unknown
+//! task or space is resolved at its wave's admission like any other and
+//! ends `failed` on its own, without touching its neighbors.
+//!
 //! ## The determinism argument
 //!
 //! Each job through the engine produces candidates, charged+saved EM
@@ -48,8 +54,10 @@
 use crate::evalcache::EvalCache;
 use crate::exec::{ControlState, CoreBudget, RunControl};
 use crate::jobs::{JobQueue, JobSpec};
+use crate::params::ParamSpace;
 use crate::pipeline::{DesignCandidate, IsopConfig, IsopOptimizer};
 use crate::surrogate::OracleSurrogate;
+use crate::tasks::TaskId;
 use isop_em::fault::{FaultConfig, FaultInjector};
 use isop_em::simulator::{AnalyticalSolver, EmSimulator};
 use isop_hpo::budget::Budget;
@@ -106,7 +114,8 @@ pub struct JobResult {
     /// How the job left the engine: `completed` (ran to the end),
     /// `cancelled` (its control token was cancelled), `deadline_expired`
     /// (its deadline passed at a wave-admission or stage-boundary check),
-    /// or `failed` (the worker panicked; contained to this job).
+    /// or `failed` (an unknown task/space label, or the worker panicked;
+    /// contained to this job).
     pub disposition: String,
     /// Roll-out resolution label (`full` / `degraded` /
     /// `all_simulations_failed`).
@@ -233,6 +242,8 @@ struct AdmittedJob {
     queue_index: usize,
     wave: usize,
     spec: JobSpec,
+    task: TaskId,
+    space: ParamSpace,
     cache: EvalCache,
     telemetry: Telemetry,
     control: RunControl,
@@ -302,9 +313,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns a message when a spec names an unknown task or space (the
-    /// queue is validated up front — nothing runs on a partially valid
-    /// batch).
+    /// Returns a message when a store flush fails.
     pub fn run(&self, queue: &JobQueue) -> Result<EngineReport, String> {
         self.run_with(queue, None, |_, _| Ok(()))
     }
@@ -318,28 +327,19 @@ impl Engine {
     ///
     /// Control tokens are polled at wave admission and at pipeline stage
     /// boundaries only; a cancelled or expired job reports its disposition
-    /// without ever tearing down wave neighbors, and a panicking job is
-    /// contained to a `failed` disposition.
+    /// without ever tearing down wave neighbors. A job whose task or space
+    /// label does not resolve, or whose worker panics, is contained to a
+    /// `failed` disposition the same way.
     ///
     /// # Errors
     ///
-    /// Returns a message when a spec names an unknown task or space (the
-    /// queue is validated up front), on a store flush failure, or when
-    /// `on_wave` fails.
+    /// Returns a message on a store flush failure, or when `on_wave` fails.
     pub fn run_with(
         &self,
         queue: &JobQueue,
         controls: Option<&JobControls>,
         mut on_wave: impl FnMut(usize, &[JobResult]) -> Result<(), String>,
     ) -> Result<EngineReport, String> {
-        for spec in queue.jobs() {
-            if spec.task_id().is_none() {
-                return Err(format!("job '{}': unknown task '{}'", spec.id, spec.task));
-            }
-            if spec.param_space().is_none() {
-                return Err(format!("job '{}': unknown space '{}'", spec.id, spec.space));
-            }
-        }
         let cores = if self.config.cores == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -364,6 +364,12 @@ impl Engine {
                     results[queue_index] = Some(done.clone());
                     continue;
                 }
+                // A label that does not resolve fails this job alone: it
+                // never hydrates a cache or leases a core.
+                let (Some(task), Some(space)) = (spec.task_id(), spec.param_space()) else {
+                    results[queue_index] = Some(stub_result(&spec, wave_idx, "failed"));
+                    continue;
+                };
                 let control = controls
                     .and_then(|c| c.tokens.get(&spec.id).cloned())
                     .unwrap_or_default();
@@ -388,7 +394,6 @@ impl Engine {
                 let cache = match &self.store {
                     Some(store) => {
                         let cache = EvalCache::with_store(Arc::clone(store));
-                        let space = spec.param_space().expect("validated above");
                         cache.hydrate_space(&space);
                         cache
                     }
@@ -398,6 +403,8 @@ impl Engine {
                     queue_index,
                     wave: wave_idx,
                     spec,
+                    task,
+                    space,
                     cache,
                     telemetry: Telemetry::enabled(),
                     control,
@@ -478,9 +485,7 @@ impl Engine {
 /// snapshots the tagged report. Everything here reads only the job's
 /// private state plus the immutable spec, so neighbors cannot perturb it.
 fn run_job(job: &AdmittedJob, budget: &CoreBudget, pipeline: IsopConfig) -> JobResult {
-    let spec = &job.spec;
-    let space = spec.param_space().expect("validated at run start");
-    let task = spec.task_id().expect("validated at run start");
+    let (spec, task) = (&job.spec, job.task);
     if spec.chaos_panic {
         panic!("chaos: job '{}' panicked by request", spec.id);
     }
@@ -503,7 +508,7 @@ fn run_job(job: &AdmittedJob, budget: &CoreBudget, pipeline: IsopConfig) -> JobR
         } else {
             Box::new(solver)
         };
-    let outcome = IsopOptimizer::new(&space, &surrogate, &*simulator, pipeline)
+    let outcome = IsopOptimizer::new(&job.space, &surrogate, &*simulator, pipeline)
         .with_parallelism(lease.parallelism())
         .with_telemetry(job.telemetry.clone())
         .with_eval_cache(job.cache.clone())
@@ -555,9 +560,10 @@ fn run_job(job: &AdmittedJob, budget: &CoreBudget, pipeline: IsopConfig) -> JobR
     }
 }
 
-/// A zero-work [`JobResult`] for a job that never ran (cancelled or
-/// expired at wave admission) or whose worker panicked: empty candidates,
-/// zero ledgers, an empty tagged report, and the telling `disposition`.
+/// A zero-work [`JobResult`] for a job that never ran (cancelled, expired
+/// or unresolvable at wave admission) or whose worker panicked: empty
+/// candidates, zero ledgers, an empty tagged report, and the telling
+/// `disposition`.
 fn stub_result(spec: &JobSpec, wave: usize, disposition: &str) -> JobResult {
     let mut report = RunReport::empty();
     report.task = spec.task.clone();
@@ -656,9 +662,10 @@ mod tests {
     }
 
     /// One wave holding a healthy job, a panicking job, an
-    /// already-expired deadline, and a pre-cancelled token: each stopped
-    /// job reports its own disposition with zero ledgers while the healthy
-    /// neighbor completes normally — nothing tears down the wave.
+    /// already-expired deadline, a pre-cancelled token, and an unknown
+    /// task label: each stopped job reports its own disposition with zero
+    /// ledgers while the healthy neighbor completes normally — nothing
+    /// tears down the wave.
     #[test]
     fn controls_surface_dispositions_without_touching_neighbors() {
         let mut queue = JobQueue::new();
@@ -672,13 +679,17 @@ mod tests {
             ..spec("late", "t", 3)
         });
         queue.push(spec("gone", "t", 4));
+        queue.push(JobSpec {
+            task: "t9".to_string(),
+            ..spec("bad", "t", 5)
+        });
         let mut controls = JobControls::default();
         let token = RunControl::none();
         token.cancel();
         controls.tokens.insert("gone".to_string(), token);
         let engine = Engine::new(EngineConfig {
             cores: 2,
-            wave_slots: 4,
+            wave_slots: 5,
             pipeline: tiny_pipeline(),
         });
         let report = engine
@@ -696,9 +707,11 @@ mod tests {
         assert_eq!(by("boom").disposition, "failed");
         assert_eq!(by("late").disposition, "deadline_expired");
         assert_eq!(by("gone").disposition, "cancelled");
-        for id in ["boom", "late", "gone"] {
+        assert_eq!(by("bad").disposition, "failed");
+        for id in ["boom", "late", "gone", "bad"] {
             assert!(by(id).candidates.is_empty(), "{id} must produce nothing");
             assert_eq!(by(id).em_seconds_charged, 0.0, "{id} must charge nothing");
+            assert_eq!(by(id).em_seconds_saved, 0.0, "{id} must save nothing");
             assert!(!by(id).success);
         }
 
@@ -718,20 +731,6 @@ mod tests {
         assert_eq!(ok, by("ok"), "replayed result must be verbatim");
         assert!(!fresh_ids.contains(&"ok".to_string()));
         assert!(fresh_ids.contains(&"boom".to_string()));
-    }
-
-    #[test]
-    fn engine_rejects_bad_specs_before_running_anything() {
-        let mut queue = JobQueue::new();
-        queue.push(JobSpec {
-            id: "bad".to_string(),
-            task: "t9".to_string(),
-            ..JobSpec::default()
-        });
-        let err = Engine::new(EngineConfig::default())
-            .run(&queue)
-            .unwrap_err();
-        assert!(err.contains("unknown task"), "{err}");
     }
 
     #[test]

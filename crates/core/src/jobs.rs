@@ -18,10 +18,12 @@
 //! the engine's concurrent-neighbor bit-identity argument (see
 //! [`engine`](crate::engine) for the second half).
 //!
-//! Specs parse from JSON (`isop serve --jobs FILE`) with every field but
-//! optional: an empty object is a valid job (task `t1` on `s1`, seed 0,
-//! weight 1, one thread), so job files stay terse and old files keep
-//! parsing as knobs are added.
+//! Specs parse from JSON with every field optional: an empty object is a
+//! valid job (task `t1` on `s1`, seed 0, weight 1, one thread), so job
+//! files stay terse and old files keep parsing as knobs are added. A jobs
+//! file (`isop serve --jobs FILE`) is only split into its elements here;
+//! each element is then submitted to the [`daemon`](crate::daemon), which
+//! parses, validates and numbers it, refusing a bad one alone.
 
 use crate::params::ParamSpace;
 use crate::tasks::TaskId;
@@ -58,8 +60,9 @@ pub fn task_by_name(name: &str) -> Option<TaskId> {
 /// One optimization request submitted to the engine.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct JobSpec {
-    /// Job identifier, unique within a queue (the queue assigns `job-N`
-    /// when empty). Tags the job's [`RunReport`](isop_telemetry::RunReport).
+    /// Job identifier, unique per daemon and its store (the daemon assigns
+    /// `job-N` when empty). Tags the job's
+    /// [`RunReport`](isop_telemetry::RunReport).
     pub id: String,
     /// Tenant the job is admitted under; fairness is weighted across
     /// tenants, FIFO within one. Defaults to `"default"`.
@@ -156,42 +159,23 @@ impl Deserialize for JobSpec {
     }
 }
 
-/// Parses a jobs file: either a bare JSON array of [`JobSpec`] objects or
-/// `{"jobs": [...]}`. Jobs with an empty `id` are assigned `job-N` by
-/// submission index, and duplicate ids are rejected (reports would
-/// otherwise overwrite each other).
+/// Splits a jobs file into its elements: either a bare JSON array or
+/// `{"jobs": [...]}`. The elements stay raw JSON, so one that is not a
+/// valid [`JobSpec`] is refused on its own when it is submitted.
 ///
 /// # Errors
 ///
-/// Returns a message on malformed JSON, an unknown task/space label, or a
-/// duplicate id.
-pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, String> {
+/// Returns a message on malformed JSON or any other top-level shape.
+pub fn parse_jobs(text: &str) -> Result<Vec<Value>, String> {
     let value = Value::parse(text).map_err(|e| format!("jobs file: {e:?}"))?;
-    let arr = match &value {
-        Value::Arr(_) => &value,
-        other => match other.as_obj() {
-            Some(obj) => Value::field(obj, "jobs"),
-            None => return Err("jobs file: expected an array or {\"jobs\": [...]}".to_string()),
-        },
+    let jobs = match &value {
+        Value::Obj(fields) => Value::field(fields, "jobs"),
+        other => other,
     };
-    let mut jobs: Vec<JobSpec> =
-        Vec::<JobSpec>::from_value(arr).map_err(|e| format!("jobs file: {e:?}"))?;
-    let mut seen = std::collections::HashSet::new();
-    for (i, job) in jobs.iter_mut().enumerate() {
-        if job.id.is_empty() {
-            job.id = format!("job-{i}");
-        }
-        if !seen.insert(job.id.clone()) {
-            return Err(format!("jobs file: duplicate job id '{}'", job.id));
-        }
-        if job.task_id().is_none() {
-            return Err(format!("job '{}': unknown task '{}'", job.id, job.task));
-        }
-        if job.param_space().is_none() {
-            return Err(format!("job '{}': unknown space '{}'", job.id, job.space));
-        }
+    match jobs {
+        Value::Arr(items) => Ok(items.clone()),
+        _ => Err("jobs file: expected an array or {\"jobs\": [...]}".to_string()),
     }
-    Ok(jobs)
 }
 
 /// A batch of jobs awaiting admission.
@@ -307,36 +291,30 @@ mod tests {
     }
 
     #[test]
-    fn specs_parse_with_defaults_and_assigned_ids() {
+    fn specs_parse_with_defaults() {
         let jobs = parse_jobs(r#"[{}, {"task": "t2", "space": "s2", "seed": 7}]"#).unwrap();
         assert_eq!(jobs.len(), 2);
-        assert_eq!(jobs[0].id, "job-0");
-        assert_eq!(jobs[0].task, "t1");
-        assert_eq!(jobs[0].tenant, "default");
-        assert_eq!(jobs[0].weight, 1);
-        assert_eq!(jobs[0].threads, 1);
-        assert_eq!(jobs[1].id, "job-1");
-        assert_eq!(jobs[1].task, "t2");
-        assert_eq!(jobs[1].space, "s2");
-        assert_eq!(jobs[1].seed, 7);
+        let first = JobSpec::from_value(&jobs[0]).unwrap();
+        assert_eq!(first, JobSpec::default());
+        assert_eq!(first.tenant, "default");
+        let second = JobSpec::from_value(&jobs[1]).unwrap();
+        assert_eq!(second.task, "t2");
+        assert_eq!(second.space, "s2");
+        assert_eq!(second.seed, 7);
         // Wrapped form parses too.
         let wrapped = parse_jobs(r#"{"jobs": [{"id": "a", "tenant": "x"}]}"#).unwrap();
-        assert_eq!(wrapped[0].id, "a");
-        assert_eq!(wrapped[0].tenant, "x");
+        let spec = JobSpec::from_value(&wrapped[0]).unwrap();
+        assert_eq!((spec.id.as_str(), spec.tenant.as_str()), ("a", "x"));
     }
 
     #[test]
-    fn bad_specs_are_rejected_with_context() {
-        assert!(parse_jobs("not json").is_err());
-        assert!(parse_jobs(r#"[{"task": "t9"}]"#)
-            .unwrap_err()
-            .contains("unknown task"));
-        assert!(parse_jobs(r#"[{"space": "mars"}]"#)
-            .unwrap_err()
-            .contains("unknown space"));
-        assert!(parse_jobs(r#"[{"id": "a"}, {"id": "a"}]"#)
-            .unwrap_err()
-            .contains("duplicate"));
+    fn only_the_file_shape_is_checked() {
+        for bad in ["not json", "{}", r#"{"jobs": 3}"#, "7"] {
+            assert!(parse_jobs(bad).is_err(), "{bad}");
+        }
+        // Element-level problems are the daemon's to refuse, one by one.
+        let items = parse_jobs(r#"[{"task": "t9"}, {"id": "a"}, {"id": "a"}, 5]"#).unwrap();
+        assert_eq!(items.len(), 4);
     }
 
     #[test]

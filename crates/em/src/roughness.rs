@@ -1,16 +1,10 @@
 //! Copper surface-roughness loss models.
 //!
 //! Rough copper increases conductor loss once the skin depth shrinks to the
-//! scale of the tooth structure. Two standard models are provided:
-//!
-//! * [`hammerstad_jensen_factor`] — the classic closed-form multiplier,
-//!   saturating at 2x;
-//! * [`huray_factor`] — the cannonball-stack model, which keeps growing at
-//!   high frequency and is preferred for multi-GHz work.
-//!
-//! Both take the RMS roughness in micrometres and the skin depth in metres
-//! and return the factor `K >= 1` by which smooth-copper resistance is
-//! multiplied.
+//! scale of the tooth structure. [`hammerstad_jensen_factor`] is the
+//! classic closed-form multiplier, saturating at 2x: it takes the RMS
+//! roughness in micrometres and the skin depth in metres and returns the
+//! factor `K >= 1` by which smooth-copper resistance is multiplied.
 
 use crate::units::MU0;
 
@@ -38,24 +32,6 @@ pub fn hammerstad_jensen_factor(rms_um: f64, skin_depth_m: f64) -> f64 {
     1.0 + (2.0 / std::f64::consts::PI) * (1.4 * ratio * ratio).atan()
 }
 
-/// Huray "cannonball" roughness multiplier with a single snowball size.
-///
-/// Uses the canonical 14-sphere stack with sphere radius tied to the RMS
-/// roughness (`r = rms / 2`) and a hexagonal base-tile area. Unlike
-/// Hammerstad–Jensen it does not saturate at 2x.
-pub fn huray_factor(rms_um: f64, skin_depth_m: f64) -> f64 {
-    if rms_um <= 0.0 {
-        return 1.0;
-    }
-    let r = rms_um * 1e-6 / 2.0;
-    let delta = skin_depth_m;
-    // 14 spheres on a hex tile whose side is ~3 sphere diameters.
-    let tile = 6.0 * (3.0f64.sqrt() / 4.0) * (6.0 * r) * (6.0 * r);
-    let sphere_term =
-        (std::f64::consts::PI * r * r) / (1.0 + delta / r + delta * delta / (2.0 * r * r));
-    1.0 + (14.0 * 4.0 / tile) * sphere_term * (3.0 / 2.0) / std::f64::consts::PI
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,7 +51,6 @@ mod tests {
     fn smooth_copper_has_unit_factor() {
         let d = skin_depth(COPPER, 16e9);
         assert_eq!(hammerstad_jensen_factor(0.0, d), 1.0);
-        assert_eq!(huray_factor(0.0, d), 1.0);
     }
 
     #[test]
@@ -91,9 +66,6 @@ mod tests {
         let k1 = hammerstad_jensen_factor(0.5, d);
         let k2 = hammerstad_jensen_factor(2.0, d);
         assert!(k2 > k1 && k1 > 1.0);
-        let h1 = huray_factor(0.5, d);
-        let h2 = huray_factor(2.0, d);
-        assert!(h2 > h1 && h1 > 1.0);
     }
 
     #[test]
@@ -101,15 +73,5 @@ mod tests {
         let k_lo = hammerstad_jensen_factor(1.5, skin_depth(COPPER, 1e9));
         let k_hi = hammerstad_jensen_factor(1.5, skin_depth(COPPER, 16e9));
         assert!(k_hi > k_lo);
-        let h_lo = huray_factor(1.5, skin_depth(COPPER, 1e9));
-        let h_hi = huray_factor(1.5, skin_depth(COPPER, 16e9));
-        assert!(h_hi > h_lo);
-    }
-
-    #[test]
-    fn huray_exceeds_unity_but_stays_physical() {
-        let d = skin_depth(COPPER, 16e9);
-        let h = huray_factor(3.0, d);
-        assert!(h > 1.0 && h < 4.0, "h = {h}");
     }
 }

@@ -136,7 +136,6 @@ pub struct FieldSolver {
     cfg: FdConfig,
     calls: AtomicU64,
     telemetry: Telemetry,
-    nominal_seconds: f64,
 }
 
 impl Default for FieldSolver {
@@ -146,18 +145,14 @@ impl Default for FieldSolver {
 }
 
 impl FieldSolver {
-    /// Creates an engine with the given grid configuration.
-    ///
-    /// The nominal per-run cost defaults to the paper's accounting
-    /// (`PAPER_EM_BATCH_SECONDS / 3`, same as [`AnalyticalSolver`]); use
-    /// [`FieldSolver::with_nominal_seconds`] to model a slower reference
-    /// tool independently of the analytical engine.
+    /// Creates an engine with the given grid configuration. Its nominal
+    /// per-run cost is the paper's accounting (`PAPER_EM_BATCH_SECONDS / 3`,
+    /// same as [`AnalyticalSolver`]).
     pub fn new(cfg: FdConfig) -> Self {
         Self {
             cfg,
             calls: AtomicU64::new(0),
             telemetry: Telemetry::disabled(),
-            nominal_seconds: PAPER_EM_BATCH_SECONDS / 3.0,
         }
     }
 
@@ -166,23 +161,6 @@ impl FieldSolver {
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Overrides the nominal wall-clock charged per evaluation, so the
-    /// cost ledger can account the field solver differently from the
-    /// analytical engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-finite or negative cost.
-    #[must_use]
-    pub fn with_nominal_seconds(mut self, seconds: f64) -> Self {
-        assert!(
-            seconds.is_finite() && seconds >= 0.0,
-            "nominal seconds must be finite and non-negative"
-        );
-        self.nominal_seconds = seconds;
         self
     }
 
@@ -211,7 +189,7 @@ impl EmSimulator for FieldSolver {
     }
 
     fn nominal_seconds(&self) -> f64 {
-        self.nominal_seconds
+        PAPER_EM_BATCH_SECONDS / 3.0
     }
 
     fn name(&self) -> &str {
@@ -262,25 +240,6 @@ mod tests {
         assert_eq!(tele.counter(Counter::EmSimFailed), 1);
         let report = tele.run_report();
         assert_eq!(report.span("em.simulate").expect("span recorded").count, 2);
-    }
-
-    #[test]
-    fn field_solver_nominal_seconds_is_configurable() {
-        let default = FieldSolver::default();
-        assert_eq!(default.nominal_seconds(), PAPER_EM_BATCH_SECONDS / 3.0);
-        let slow = FieldSolver::default().with_nominal_seconds(120.0);
-        assert_eq!(slow.nominal_seconds(), 120.0);
-        // Independent of the analytical engine's cost.
-        assert_eq!(
-            AnalyticalSolver::new().nominal_seconds(),
-            PAPER_EM_BATCH_SECONDS / 3.0
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn negative_nominal_seconds_rejected() {
-        let _ = FieldSolver::default().with_nominal_seconds(-1.0);
     }
 
     #[test]

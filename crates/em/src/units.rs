@@ -30,12 +30,6 @@ pub fn mils_to_meters(mils: f64) -> f64 {
     mils * METERS_PER_MIL
 }
 
-/// Converts a length in metres to mils.
-#[inline]
-pub fn meters_to_mils(m: f64) -> f64 {
-    m / METERS_PER_MIL
-}
-
 /// Converts an attenuation constant in nepers/metre to dB/inch.
 ///
 /// The paper reports differential insertion loss in dB/inch at 16 GHz; the
@@ -54,12 +48,6 @@ pub fn ghz_to_hz(ghz: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mil_roundtrip() {
-        let x = 7.25;
-        assert!((meters_to_mils(mils_to_meters(x)) - x).abs() < 1e-12);
-    }
 
     #[test]
     fn np_to_db_inch_scale() {

@@ -164,19 +164,23 @@ impl RunControl {
     /// Arms (or re-arms) the deadline `seconds` from now on an existing
     /// token, so a creator that only knows about cancellation (the daemon)
     /// and a runner that knows the spec's deadline (the engine) can share
-    /// one token. `seconds <= 0` expires the token at the next check.
+    /// one token. `seconds <= 0` expires the token at the next check; a
+    /// deadline too far out for `Instant` to represent (or NaN) means no
+    /// deadline.
     pub fn arm_deadline(&self, seconds: f64) {
         let now = Instant::now();
         let deadline = if seconds <= 0.0 {
-            now
+            Some(now)
         } else {
-            now + std::time::Duration::from_secs_f64(seconds)
+            std::time::Duration::try_from_secs_f64(seconds)
+                .ok()
+                .and_then(|d| now.checked_add(d))
         };
         *self
             .inner
             .deadline
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(deadline);
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = deadline;
     }
 
     /// Requests a cooperative stop; the run winds down at its next stage
@@ -780,6 +784,22 @@ mod tests {
         expired.cancel();
         assert_eq!(expired.state(), ControlState::Cancelled);
         assert_eq!(RunControl::default().state(), ControlState::Live);
+    }
+
+    /// Regression: a deadline beyond what `Duration` (1e300 s) or
+    /// `Instant` (1e19 s) can hold used to panic while arming; it now means
+    /// no deadline, and re-arming clears an earlier one.
+    #[test]
+    fn unrepresentable_deadline_means_no_deadline() {
+        for seconds in [1e300, 1e19, f64::INFINITY, f64::NAN] {
+            assert_eq!(
+                RunControl::with_deadline(seconds).state(),
+                ControlState::Live
+            );
+        }
+        let rearmed = RunControl::with_deadline(0.0);
+        rearmed.arm_deadline(1e300);
+        assert_eq!(rearmed.state(), ControlState::Live);
     }
 
     #[test]

@@ -176,10 +176,21 @@ fn dispositions_are_surfaced_without_touching_neighbors() {
         submit(&daemon, spec("gone", "acme", 14));
         let cancelled = daemon.handle_line(r#"{"op":"cancel","id":"gone"}"#);
         assert_eq!(cancelled.error_kind(), None);
+        // A deadline too far out to represent means no deadline; arming it
+        // must not panic the scheduler.
+        submit(
+            &daemon,
+            JobSpec {
+                deadline_seconds: 1e300,
+                ..spec("far", "acme", 15)
+            },
+        );
 
         let jobs = drain(&daemon);
-        assert_eq!(jobs.len(), 4, "cores {cores}");
+        assert_eq!(jobs.len(), 5, "cores {cores}");
         assert_eq!(job(&jobs, "ok").disposition, "completed");
+        assert_eq!(job(&jobs, "far").disposition, "completed");
+        assert!(!job(&jobs, "far").candidates.is_empty());
         assert_eq!(job(&jobs, "late").disposition, "deadline_expired");
         assert_eq!(job(&jobs, "boom").disposition, "failed");
         assert_eq!(job(&jobs, "gone").disposition, "cancelled");

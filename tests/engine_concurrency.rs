@@ -66,8 +66,10 @@ impl Drop for Scratch {
 }
 
 /// Runs a batch through the engine against the store at `dir` and returns
-/// the engine report. Fresh `Store` handle per run, exactly like separate
-/// `isop serve` invocations against one cache directory.
+/// the engine report. Fresh `Store` handle per run, as if each batch came
+/// from its own process sharing one cache directory. This drives the
+/// library's one-shot `Engine::run` directly, with no daemon journal, so
+/// the same ids may run again on the same store.
 fn run_engine(specs: &[JobSpec], cores: usize, wave_slots: usize, dir: &Path) -> EngineReport {
     let mut queue = JobQueue::new();
     for s in specs {
