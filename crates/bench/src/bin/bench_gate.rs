@@ -8,7 +8,9 @@
 //!   adds, any thread width), so any measured value *above* its threshold
 //!   is a hard failure — the change made the pipeline do more work than
 //!   the budget allows. Values below threshold only warn (run `--update`
-//!   to tighten the budget).
+//!   to tighten the budget). The thresholds file and the report must name
+//!   the same counter set: a budget on a counter the report lacks, or a
+//!   reported counter without a budget, fails the gate.
 //! * **Wall-clock** is noisy, so it fails only beyond a 10% margin over
 //!   the threshold. Every timed phase in [`PHASES`] has one
 //!   `max_{phase}_seconds` budget, and one loop checks them all.
@@ -100,6 +102,7 @@ use isop_ml::registry::ModelRegistry;
 use isop_ml::train::TrainContext;
 use isop_ml::Regressor;
 use isop_store::Store;
+use isop_telemetry::CounterEntry;
 use serde::json::{Error, Value};
 use serde::{Deserialize, Serialize};
 use std::process::ExitCode;
@@ -174,7 +177,7 @@ struct GateThresholds {
     /// [`WALL_MARGIN`] tolerance), stored as `max_{phase}_seconds` keys.
     walls: Vec<(String, f64)>,
     /// Exact counter budget, one entry per [`Counter`].
-    counters: Vec<isop_telemetry::CounterEntry>,
+    counters: Vec<CounterEntry>,
 }
 
 impl Serialize for GateThresholds {
@@ -600,7 +603,7 @@ fn fault_smoke(main: &Telemetry) -> Result<f64, String> {
         "bench_gate: fault smoke: rate-0 transparent; 1 vs 4 threads bit-identical \
          ({} retries, {} transient, {} permanent, {} topped up, resolution {}); async \
          charged {:.2}s < pinned sync {SYNC_SMOKE_EM_SECONDS:.2}s at equal candidates \
-         ({} batches, {} slack slots, {} interleaved)",
+         ({} batches, {} slack slots)",
         serial_tele.counter(Counter::EmRetries),
         serial_tele.counter(Counter::EmFailuresTransient),
         serial_tele.counter(Counter::EmFailuresPermanent),
@@ -609,7 +612,6 @@ fn fault_smoke(main: &Telemetry) -> Result<f64, String> {
         serial.em_seconds,
         serial_tele.counter(Counter::EmSchedBatches),
         serial_tele.counter(Counter::EmSchedSlackSlots),
-        serial_tele.counter(Counter::EmSchedInterleaved),
     );
     Ok(t0.elapsed().as_secs_f64())
 }
@@ -1275,6 +1277,42 @@ fn wall_failures(budgets: &[(String, f64)], walls: &[(&str, f64)]) -> Vec<String
     failures
 }
 
+/// Checks every measured counter against its exact budget. Returns one
+/// failure per counter over its budget, per reported counter without a
+/// budget, and per budget that names no reported counter.
+fn counter_failures(budgets: &[CounterEntry], measured: &[CounterEntry]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for m in measured {
+        let Some(budget) = budgets.iter().find(|b| b.name == m.name) else {
+            failures.push(format!(
+                "counter budget missing: {} is reported but not budgeted",
+                m.name
+            ));
+            continue;
+        };
+        if m.value > budget.value {
+            failures.push(format!(
+                "counter regression: {} = {} > budget {}",
+                m.name, m.value, budget.value
+            ));
+        } else if m.value < budget.value {
+            println!(
+                "bench_gate: note: {} = {} under budget {} (consider --update)",
+                m.name, m.value, budget.value
+            );
+        }
+    }
+    for budget in budgets {
+        if !measured.iter().any(|m| m.name == budget.name) {
+            failures.push(format!(
+                "counter budget {} names no reported counter",
+                budget.name
+            ));
+        }
+    }
+    failures
+}
+
 fn gate(
     thresholds_path: &str,
     out_path: &str,
@@ -1329,21 +1367,7 @@ fn gate(
         ));
     }
 
-    let mut failures = Vec::new();
-    for budget in &thresholds.counters {
-        let measured = report.counter(&budget.name);
-        if measured > budget.value {
-            failures.push(format!(
-                "counter regression: {} = {measured} > budget {}",
-                budget.name, budget.value
-            ));
-        } else if measured < budget.value {
-            println!(
-                "bench_gate: note: {} = {measured} under budget {} (consider --update)",
-                budget.name, budget.value
-            );
-        }
-    }
+    let mut failures = counter_failures(&thresholds.counters, &report.counters);
     failures.extend(wall_failures(&thresholds.walls, &walls));
 
     if failures.is_empty() {
@@ -1438,6 +1462,47 @@ mod tests {
         let failures = wall_failures(&budgets[1..], &[("wall", 0.0)]);
         assert_eq!(failures.len(), 1 + PHASES.len() - 1, "{failures:?}");
         assert!(failures[0].contains("phase wall has no max_wall_seconds"));
+    }
+
+    #[test]
+    fn checked_in_budgets_name_every_counter_exactly_once() {
+        let thresholds: GateThresholds =
+            serde_json::from_str(include_str!("../../../../scripts/bench_thresholds.json"))
+                .expect("checked-in thresholds parse");
+        let budgeted: Vec<&str> = thresholds
+            .counters
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect();
+        let counters: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(
+            budgeted, counters,
+            "one budget per counter, in Counter::ALL order"
+        );
+    }
+
+    #[test]
+    fn a_counter_set_mismatch_fails_by_name() {
+        let entry = |name: &str, value: u64| CounterEntry {
+            name: name.to_string(),
+            value,
+        };
+        let budgets = vec![entry("a", 2), entry("b", 2)];
+        let on_budget = vec![entry("a", 2), entry("b", 1)];
+        assert!(counter_failures(&budgets, &on_budget).is_empty());
+
+        let over = vec![entry("a", 3), entry("b", 2)];
+        let failures = counter_failures(&budgets, &over);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("counter regression: a = 3"));
+
+        // A budget without a counter, and a counter without a budget, fail
+        // even at value 0.
+        let renamed = vec![entry("a", 2), entry("c", 0)];
+        let failures = counter_failures(&budgets, &renamed);
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[0].contains("c is reported but not budgeted"));
+        assert!(failures[1].contains("budget b names no reported counter"));
     }
 
     #[test]

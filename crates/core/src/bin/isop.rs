@@ -427,15 +427,22 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let items = isop::jobs::parse_jobs(&text)?;
     let daemon = start_daemon(flags, DaemonConfig::default(), &Telemetry::enabled())?;
     let mut refused = 0usize;
-    for job in items {
+    for (element, job) in items.into_iter().enumerate() {
         let request = Value::Obj(vec![
             ("op".to_string(), Value::Str("submit".to_string())),
             ("job".to_string(), job),
         ]);
-        let response = daemon.handle_line(&request.to_json_string());
-        if response.error_kind().is_some() {
+        // A refusal is the daemon's typed error line plus the 0-based
+        // index of the file element it refuses.
+        if let Response::Error { kind, message } = daemon.handle_line(&request.to_json_string()) {
             refused += 1;
-            eprintln!("{}", response.to_json_line());
+            let line = Value::Obj(vec![
+                ("ok".to_string(), Value::Bool(false)),
+                ("element".to_string(), Value::Num(element as f64)),
+                ("error".to_string(), Value::Str(kind)),
+                ("message".to_string(), Value::Str(message)),
+            ]);
+            eprintln!("{}", line.to_json_string());
         }
     }
     let mut epochs = Vec::new();

@@ -252,7 +252,9 @@ struct DaemonState {
     completed: BTreeMap<String, JobResult>,
     /// Charged EM seconds per epoch per tenant — the quota ledger.
     charges: BTreeMap<u64, BTreeMap<String, f64>>,
-    /// Auto-assigned id counter for submissions with an empty id.
+    /// Every `job-N` with `N` below this is a known id (ids are never
+    /// forgotten), so the search for an empty-id submission's name starts
+    /// here.
     auto_id: u64,
     /// True while an epoch is executing (journal flushes from the request
     /// path must wait for a safe point — see `flush_journal_if_idle`).
@@ -454,8 +456,15 @@ impl Daemon {
         }
         let mut state = self.lock_state();
         if spec.id.is_empty() {
+            // The first `job-N` not already known: journaled and explicit
+            // ids are skipped, and a refused submission leaves its name free.
+            while state
+                .job_epoch
+                .contains_key(&format!("job-{}", state.auto_id))
+            {
+                state.auto_id += 1;
+            }
             spec.id = format!("job-{}", state.auto_id);
-            state.auto_id += 1;
         }
         if state.job_epoch.contains_key(&spec.id) {
             return Response::error(

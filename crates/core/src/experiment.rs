@@ -6,7 +6,6 @@ use crate::evalcache::{EvalCache, SurrogateMemo};
 use crate::objective::{Metric, Objective};
 use crate::params::ParamSpace;
 use crate::pipeline::{DesignCandidate, IsopConfig, IsopOptimizer, IsopOutcome, RolloutResolution};
-use crate::scheduler::{self, RolloutJob, SchedulerCtx};
 use crate::surrogate::Surrogate;
 use isop_em::simulator::EmSimulator;
 use isop_hpo::budget::Budget;
@@ -218,33 +217,27 @@ pub struct IsopCellOutcome {
 }
 
 impl ExperimentContext<'_> {
-    /// A fresh optimizer for one trial, sharing this cell's telemetry,
-    /// eval cache, and surrogate memo.
-    fn optimizer(&self) -> IsopOptimizer<'_> {
-        IsopOptimizer::new(
-            self.space,
-            self.surrogate,
-            self.simulator,
-            self.isop_config.clone(),
-        )
-        .with_telemetry(self.telemetry.clone())
-        .with_eval_cache(self.eval_cache.clone())
-        .with_surrogate_memo(self.surrogate_memo.clone())
-    }
-
-    /// Folds the trials' outcomes, in trial order, into the cell outcome:
-    /// per-trial results, the averages the baselines match, and the
-    /// degraded roll-outs.
-    fn fold_cell(
-        &self,
-        objective: &Objective,
-        outcomes: impl IntoIterator<Item = IsopOutcome>,
-    ) -> IsopCellOutcome {
+    /// Runs ISOP+ for `n_trials` and returns per-trial results, the average
+    /// (samples, algorithm wall-clock) the baselines will match, and the
+    /// degraded-roll-out record. Each trial runs a fresh optimizer sharing
+    /// this cell's telemetry, eval cache, and surrogate memo; its
+    /// `algorithm_seconds` covers its whole run, roll-out included.
+    pub fn run_isop(&self, objective: &Objective) -> IsopCellOutcome {
         let mut results = Vec::with_capacity(self.n_trials);
         let mut degraded = Vec::new();
         let mut total_samples = 0.0;
         let mut total_algo = 0.0;
-        for (i, outcome) in outcomes.into_iter().enumerate() {
+        for i in 0..self.n_trials {
+            let outcome = IsopOptimizer::new(
+                self.space,
+                self.surrogate,
+                self.simulator,
+                self.isop_config.clone(),
+            )
+            .with_telemetry(self.telemetry.clone())
+            .with_eval_cache(self.eval_cache.clone())
+            .with_surrogate_memo(self.surrogate_memo.clone())
+            .run(objective.clone(), Budget::unlimited(), self.seed + i as u64);
             total_samples += outcome.samples_seen as f64;
             total_algo += outcome.algorithm_seconds;
             if outcome.resolution != RolloutResolution::Full {
@@ -261,69 +254,6 @@ impl ExperimentContext<'_> {
             avg_algo_seconds: total_algo / n,
             degraded,
         }
-    }
-
-    /// Runs ISOP+ for `n_trials` and returns per-trial results, the average
-    /// (samples, algorithm wall-clock) the baselines will match, and the
-    /// degraded-roll-out record. Each trial's `algorithm_seconds` covers
-    /// its whole run, roll-out included.
-    pub fn run_isop(&self, objective: &Objective) -> IsopCellOutcome {
-        self.fold_cell(
-            objective,
-            (0..self.n_trials).map(|i| {
-                self.optimizer()
-                    .run(objective.clone(), Budget::unlimited(), self.seed + i as u64)
-            }),
-        )
-    }
-
-    /// Runs ISOP+ for `n_trials` like [`run_isop`](Self::run_isop), but
-    /// drives every trial's stage-3 roll-out through *one* scheduler pass,
-    /// so flights from different trials interleave into full EM batches
-    /// (`em.sched.interleaved` counts the batches that span trials).
-    /// Stages 1–2 still run per trial at `seed + i`, so the candidate
-    /// pools — and hence the delivered candidate sets — match the
-    /// sequential cell; only batch packing (and with it the charged
-    /// ledger) changes. Per-trial `algorithm_seconds` covers that trial's
-    /// own stages 1–2; the shared scheduler pass is simulated EM time and
-    /// lands in the EM ledgers, not the algorithm clock.
-    pub fn run_isop_interleaved(&self, objective: &Objective) -> IsopCellOutcome {
-        let opts: Vec<IsopOptimizer<'_>> = (0..self.n_trials).map(|_| self.optimizer()).collect();
-        let mut preps = Vec::with_capacity(self.n_trials);
-        let mut algo_seconds = Vec::with_capacity(self.n_trials);
-        for (i, opt) in opts.iter().enumerate() {
-            let t0 = std::time::Instant::now();
-            preps.push(opt.prepare(objective.clone(), Budget::unlimited(), self.seed + i as u64));
-            algo_seconds.push(t0.elapsed().as_secs_f64());
-        }
-        let target = self.isop_config.cand_num.max(1);
-        let rollouts = {
-            let _span = isop_telemetry::span!(self.telemetry, "pipeline.rollout");
-            let jobs: Vec<RolloutJob<'_>> = preps
-                .iter()
-                .map(|p| RolloutJob {
-                    pool: &p.pool,
-                    target,
-                })
-                .collect();
-            let ctx = SchedulerCtx {
-                simulator: self.simulator,
-                space: self.space,
-                eval_cache: &self.eval_cache,
-                telemetry: &self.telemetry,
-                retry: self.isop_config.retry,
-                threads: self.isop_config.parallelism.threads,
-            };
-            scheduler::run_async(&jobs, &ctx)
-        };
-        self.fold_cell(
-            objective,
-            opts.iter()
-                .zip(preps)
-                .zip(rollouts)
-                .zip(algo_seconds)
-                .map(|(((opt, prep), rollout), secs)| opt.finalize(prep, rollout, secs)),
-        )
     }
 
     /// Runs the SA baseline matched to ISOP+'s budget.

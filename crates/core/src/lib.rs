@@ -102,9 +102,9 @@ pub mod prelude {
     pub use crate::objective::{FomSpec, InputConstraint, Metric, Objective, OutputConstraint};
     pub use crate::params::{ParamDef, ParamSpace};
     pub use crate::pipeline::{
-        DesignCandidate, IsopConfig, IsopOptimizer, IsopOutcome, PreparedRollout, RolloutResolution,
+        DesignCandidate, IsopConfig, IsopOptimizer, IsopOutcome, RolloutResolution,
     };
-    pub use crate::scheduler::{JobRollout, PoolEntry, RolloutJob, SchedulerCtx, EM_BATCH_SLOTS};
+    pub use crate::scheduler::{JobRollout, PoolEntry, EM_BATCH_SLOTS};
     pub use crate::surrogate::{
         CnnSurrogate, InstrumentedSurrogate, MlpSurrogate, MlpXgbSurrogate, NeuralSurrogate,
         OracleSurrogate, Surrogate,

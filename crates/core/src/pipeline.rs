@@ -26,7 +26,7 @@ use crate::evalcache::{EvalCache, MemoizedSurrogate, SurrogateMemo};
 use crate::exec::{par_map_indexed, Parallelism, RunControl};
 use crate::objective::Objective;
 use crate::params::ParamSpace;
-use crate::scheduler::{self, JobRollout, PoolEntry, RolloutJob, SchedulerCtx};
+use crate::scheduler::{self, JobRollout, PoolEntry, SchedulerCtx};
 use crate::surrogate::{InstrumentedSurrogate, Surrogate};
 use crate::weights::{SampleRecord, WeightAdapter};
 use isop_em::fault::RetryPolicy;
@@ -320,8 +320,8 @@ impl<'a> IsopOptimizer<'a> {
     /// at **stage boundaries** — before stages 1–2 and before the
     /// accurate-simulator roll-out — never inside a parallel section, so a
     /// stop lands at a deterministic point: a stopped run skips whole
-    /// stages and reports empty candidates through the normal
-    /// [`finalize`](Self::finalize) path, and everything a completed stage
+    /// stages and reports empty candidates through the normal outcome
+    /// path, and everything a completed stage
     /// recorded stays bit-identical to an uninterrupted run.
     #[must_use]
     pub fn with_control(mut self, control: RunControl) -> Self {
@@ -347,10 +347,8 @@ impl<'a> IsopOptimizer<'a> {
     /// Runs the full three-stage pipeline on `objective`.
     ///
     /// `budget` bounds the global stage (samples and/or wall-clock); the
-    /// local stage and roll-out always complete. Equivalent to
-    /// [`prepare`](Self::prepare) → [`roll_out`](Self::roll_out) →
-    /// [`finalize`](Self::finalize); experiment cells that interleave
-    /// several trials into one scheduler pass call the pieces directly.
+    /// local stage and roll-out always complete: stages 1–2 and the pool
+    /// build, then the [`scheduler`] roll-out, then the exact ranking.
     pub fn run(&self, objective: Objective, budget: Budget, seed: u64) -> IsopOutcome {
         let t0 = Instant::now();
         // Stage-boundary control polls: a stop observed here skips the
@@ -376,12 +374,8 @@ impl<'a> IsopOptimizer<'a> {
     }
 
     /// Stages 1–2 plus the surrogate-ranked pool build: everything before
-    /// the accurate simulator runs. The returned [`PreparedRollout`] holds
-    /// the scheduler's input; [`roll_out`](Self::roll_out) consumes it for
-    /// this optimizer alone, while
-    /// [`run_isop_interleaved`](crate::experiment::ExperimentContext::run_isop_interleaved)
-    /// batches several trials' pools into one scheduler pass.
-    pub fn prepare(&self, objective: Objective, mut budget: Budget, seed: u64) -> PreparedRollout {
+    /// the accurate simulator runs.
+    fn prepare(&self, objective: Objective, mut budget: Budget, seed: u64) -> PreparedRollout {
         let mut rng = StdRng::seed_from_u64(seed);
         let obj_cell = RefCell::new(objective);
         let records = RefCell::new(Vec::new());
@@ -639,38 +633,22 @@ impl<'a> IsopOptimizer<'a> {
         }
     }
 
-    /// The scheduler context this optimizer's roll-out runs under — the
-    /// simulator, cache, telemetry, retry policy, and thread width shared
-    /// by every flight. Experiment cells build one from their first trial
-    /// and schedule all trials' jobs through it.
-    #[must_use]
-    pub fn scheduler_ctx(&self) -> SchedulerCtx<'_> {
-        SchedulerCtx {
+    /// Stage 3: drives the accurate simulator over the prepared pool through
+    /// the [`scheduler`] batch stream, drawing in score order until
+    /// `cand_num` designs have been successfully simulated or the pool runs
+    /// dry (every draw past the first wave is a top-up replacing a
+    /// permanently failed design).
+    fn roll_out(&self, prep: &PreparedRollout) -> JobRollout {
+        let _rollout_span = isop_telemetry::span!(self.telemetry, "pipeline.rollout");
+        let ctx = SchedulerCtx {
             simulator: self.simulator,
             space: self.space,
             eval_cache: &self.eval_cache,
             telemetry: &self.telemetry,
             retry: self.config.retry,
             threads: self.config.parallelism.threads,
-        }
-    }
-
-    /// Stage 3: drives the accurate simulator over the prepared pool through
-    /// the [`scheduler`] batch stream, drawing in score order until
-    /// `cand_num` designs have been successfully simulated or the pool runs
-    /// dry (every draw past the first wave is a top-up replacing a
-    /// permanently failed design).
-    #[must_use]
-    pub fn roll_out(&self, prep: &PreparedRollout) -> JobRollout {
-        let _rollout_span = isop_telemetry::span!(self.telemetry, "pipeline.rollout");
-        let ctx = self.scheduler_ctx();
-        let job = RolloutJob {
-            pool: &prep.pool,
-            target: self.config.cand_num.max(1),
         };
-        scheduler::run_async(&[job], &ctx)
-            .pop()
-            .expect("one rollout per job")
+        scheduler::run_async(&prep.pool, self.config.cand_num, &ctx)
     }
 
     /// Turns a scheduler roll-out into the final [`IsopOutcome`]: exact
@@ -680,8 +658,7 @@ impl<'a> IsopOptimizer<'a> {
     /// scheduler's EM ledgers are simulated seconds and land in
     /// [`em_seconds`](IsopOutcome::em_seconds) /
     /// [`em_seconds_saved`](IsopOutcome::em_seconds_saved)).
-    #[must_use]
-    pub fn finalize(
+    fn finalize(
         &self,
         prep: PreparedRollout,
         rollout: JobRollout,
@@ -748,21 +725,19 @@ impl<'a> IsopOptimizer<'a> {
     }
 }
 
-/// Everything stage 3 needs, produced by
-/// [`IsopOptimizer::prepare`](IsopOptimizer::prepare): the surrogate-ranked
-/// candidate pool plus the frozen objective and stage-1 sample accounting
-/// that [`IsopOptimizer::finalize`] folds into the outcome.
-#[derive(Debug, Clone)]
-pub struct PreparedRollout {
+/// Everything stage 3 needs, produced by `IsopOptimizer::prepare`: the
+/// surrogate-ranked candidate pool plus the frozen objective and stage-1
+/// sample accounting that `IsopOptimizer::finalize` folds into the outcome.
+struct PreparedRollout {
     /// Surrogate-scored candidate pool, best `g_hat` first. The rows
     /// beyond `cand_num` are the backup stock top-ups draw from.
-    pub pool: Vec<PoolEntry>,
+    pool: Vec<PoolEntry>,
     /// The adapted objective, frozen after the global stage.
-    pub final_objective: Objective,
+    final_objective: Objective,
     /// Valid surrogate evaluations consumed by stages 1–2.
-    pub samples_seen: u64,
+    samples_seen: u64,
     /// Invalid encodings encountered by stages 1–2.
-    pub invalid_seen: u64,
+    invalid_seen: u64,
 }
 
 #[cfg(test)]

@@ -3,9 +3,9 @@
 //! Stage 3 of the pipeline hands the accurate simulator a stream of
 //! surrogate-ranked designs. This module owns *when* each simulation runs
 //! and what the paper's charging model bills for it. [`run_async`] drives
-//! one global batch stream that interleaves fresh candidates, retry
-//! chains, and top-ups — and, across experiment cells, flights from
-//! multiple jobs — into batches of [`EM_BATCH_SLOTS`]. Every batch of up
+//! one optimizer's roll-out as a batch stream that interleaves fresh
+//! candidates, retry chains, and top-ups into batches of
+//! [`EM_BATCH_SLOTS`]. Every batch of up
 //! to three concurrent solver attempts costs exactly one nominal charge:
 //! a retry occupies a slot in a later batch, so failures cost batch slots
 //! and nothing else.
@@ -19,28 +19,27 @@
 //! (`tests/em_fault_tolerance.rs`).
 //!
 //! ## The logical clock, and why the schedule is deterministic
-
 //!
 //! The scheduler never asks "which simulation finished first" — wall-clock
 //! arrival order would make batch composition depend on thread scheduling.
-//! Instead it advances a logical tick counter:
+//! Instead it advances one logical tick per batch:
 //!
-//! 1. **Admission** (serial, job order): while a job has fewer than
-//!    `target` designs delivered-or-in-flight, draw the next pool entry in
-//!    surrogate-rank order. Cache hits deliver instantly and never occupy
-//!    a batch slot; geometry-invalid designs fail instantly; everything
-//!    else becomes a *flight* ready at the current tick.
-//! 2. **Batch selection** (pure): the ready flights, sorted by
-//!    `(job, rank)`, fill up to [`EM_BATCH_SLOTS`] slots — at most one
-//!    flight per distinct design, so concurrent attempts can never race a
-//!    per-design fault stream.
+//! 1. **Admission** (serial): while fewer than `target` designs are
+//!    delivered-or-in-flight, draw the next pool entry in surrogate-rank
+//!    order. Cache hits deliver instantly and never occupy a batch slot;
+//!    geometry-invalid designs fail instantly; everything else becomes a
+//!    *flight*.
+//! 2. **Batch selection** (pure): the flights, in rank order, fill up to
+//!    [`EM_BATCH_SLOTS`] slots. The pool holds each design once, so
+//!    concurrent attempts can never race a per-design fault stream or
+//!    cache insert.
 //! 3. **Execution** (parallel): each slot runs exactly one solver attempt;
 //!    results collect by slot index, so the merge below is order-stable at
 //!    any worker count.
 //! 4. **Merge** (serial, slot order): successes deliver and enter the
-//!    evaluation cache; transient failures re-enqueue at `tick + 1` while
-//!    the retry budget lasts; permanent failures release their admission
-//!    slot so the next tick tops the job back up.
+//!    evaluation cache; transient failures stay in flight for the next
+//!    tick while the retry budget lasts; permanent failures release their
+//!    admission slot so the next tick tops the roll-out back up.
 //!
 //! Batch composition is thus a pure function of design identity and the
 //! tick counter, so candidates, both EM ledgers, and every telemetry
@@ -48,13 +47,11 @@
 //!
 //! ## Charging rules
 //!
-//! * Each **live batch** charges one `nominal_seconds()` to the charged
-//!   ledger, split across the participating jobs by slot share (a
-//!   single-job batch charges the job exactly one nominal). Live batches
-//!   tick `em.batches_charged`, `em.sched.batches`, `em.sched.slack_slots`
-//!   (empty slots), and `em.sched.interleaved` (batches spanning jobs).
+//! * Each **live batch**, full or ragged, charges one `nominal_seconds()`
+//!   to the charged ledger and ticks `em.batches_charged`,
+//!   `em.sched.batches`, and `em.sched.slack_slots` (empty slots).
 //! * **Cache hits never occupy a slot.** After the live stream drains, a
-//!   *replay pass* re-schedules each job's hits with oracle outcomes taken
+//!   *replay pass* re-schedules the hits with oracle outcomes taken
 //!   from their stored attempt counts; each replay batch books one nominal
 //!   to the *saved* ledger and ticks `em.batches_charged` (but none of the
 //!   `em.sched.*` counters, which count live work only). A fully-warm
@@ -83,20 +80,10 @@ pub struct PoolEntry {
     pub g_hat: f64,
 }
 
-/// One roll-out job: a ranked pool (best `g_hat` first) and how many
-/// successful accurate simulations it wants delivered.
-#[derive(Debug, Clone, Copy)]
-pub struct RolloutJob<'p> {
-    /// Surrogate-ranked candidate pool; indices are the admission order.
-    pub pool: &'p [PoolEntry],
-    /// Successful simulations to deliver (`cand_num`, at least 1).
-    pub target: usize,
-}
-
-/// One successful accurate simulation delivered to a job.
+/// One successful accurate simulation delivered by a roll-out.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeliveredSim {
-    /// Index of the design in the job's pool.
+    /// Index of the design in the pool.
     pub pool_index: usize,
     /// The accurate simulation result.
     pub result: SimulationResult,
@@ -107,15 +94,14 @@ pub struct DeliveredSim {
     pub from_cache: bool,
 }
 
-/// Per-job outcome of one scheduler pass, with the fault and ledger
-/// accounting [`IsopOutcome`](crate::pipeline::IsopOutcome) reports.
+/// Outcome of one scheduler pass, with the fault and ledger accounting [`IsopOutcome`](crate::pipeline::IsopOutcome) reports.
 #[derive(Debug, Clone, Default)]
 pub struct JobRollout {
     /// Successful simulations in delivery order.
     pub delivered: Vec<DeliveredSim>,
-    /// Charged EM seconds attributed to this job.
+    /// Charged EM seconds.
     pub em_seconds: f64,
-    /// EM seconds the evaluation cache elided for this job.
+    /// EM seconds the evaluation cache elided.
     pub em_seconds_saved: f64,
     /// Re-issued attempts after transient failures.
     pub em_retries: u64,
@@ -128,12 +114,9 @@ pub struct JobRollout {
     pub em_topped_up: u64,
     /// Pool entries drawn in total.
     pub drawn: usize,
-    /// Live batches this job had at least one slot in.
-    pub sched_batches: u64,
 }
 
-/// Shared engines and knobs of one scheduler pass. Jobs scheduled together
-/// (e.g. interleaved experiment trials) share all of these.
+/// Engines and knobs of one scheduler pass.
 pub struct SchedulerCtx<'a> {
     /// The accurate simulator.
     pub simulator: &'a dyn EmSimulator,
@@ -164,34 +147,19 @@ struct RolloutSim {
 
 /// One in-flight design of the async scheduler.
 struct Flight {
-    /// Owning job index.
-    job: usize,
-    /// Pool index within the job (admission rank).
+    /// Pool index (admission rank).
     rank: usize,
     /// Completed solver attempts so far.
     attempts: u32,
     /// Transient failures observed so far.
     transient_failures: u32,
-    /// Earliest tick this flight may occupy a batch slot.
-    ready_at: u64,
     /// The validated layer the solver runs.
     layer: DiffStripline,
     /// Cache key for inserting a success (None when caching is disabled).
     key: Option<crate::evalcache::DesignKey>,
 }
 
-/// Per-job admission state of the async scheduler.
-#[derive(Default, Clone, Copy)]
-struct JobState {
-    /// Next pool index to draw.
-    next: usize,
-    /// Successful deliveries so far.
-    delivered: usize,
-    /// Flights currently in the air.
-    active: usize,
-}
-
-/// Folds a job's fresh-simulation records into its rollout accounting and
+/// Folds the fresh-simulation records into its rollout accounting and
 /// the telemetry counters (serial, so totals are width-independent).
 fn fold_fault_accounting(out: &mut JobRollout, fresh: &[RolloutSim], ctx: &SchedulerCtx<'_>) {
     out.em_retries = fresh
@@ -208,108 +176,75 @@ fn fold_fault_accounting(out: &mut JobRollout, fresh: &[RolloutSim], ctx: &Sched
     ctx.telemetry.add(Counter::EmToppedUp, out.em_topped_up);
 }
 
-/// The deterministic asynchronous batched scheduler. Runs every job's
-/// roll-out as one global batch stream (see the module docs for the tick
-/// loop and charging rules) and returns one [`JobRollout`] per job, in job
-/// order.
-pub fn run_async(jobs: &[RolloutJob<'_>], ctx: &SchedulerCtx<'_>) -> Vec<JobRollout> {
+/// The deterministic asynchronous batched scheduler. Rolls `pool` (best
+/// `g_hat` first; indices are the admission order) out as one batch
+/// stream until `target` designs are delivered or the pool runs dry (see
+/// the module docs for the tick loop and charging rules).
+pub fn run_async(pool: &[PoolEntry], target: usize, ctx: &SchedulerCtx<'_>) -> JobRollout {
     let nominal = ctx.simulator.nominal_seconds();
-    let n = jobs.len();
-    let mut out: Vec<JobRollout> = (0..n).map(|_| JobRollout::default()).collect();
-    let mut state: Vec<JobState> = vec![JobState::default(); n];
+    let target = target.max(1);
+    let mut out = JobRollout::default();
+    // Admission state: next pool index to draw, flights in the air.
+    let mut next = 0;
     let mut flights: Vec<Flight> = Vec::new();
-    // Cache-hit attempt counts per job, in admission order — the replay
-    // pass re-schedules these after the live stream drains.
-    let mut hit_attempts: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut fresh_records: Vec<Vec<RolloutSim>> = vec![Vec::new(); n];
-    let mut tick: u64 = 0;
+    // Cache-hit attempt counts in admission order — the replay pass
+    // re-schedules these after the live stream drains.
+    let mut hit_attempts: Vec<u32> = Vec::new();
+    let mut fresh_records: Vec<RolloutSim> = Vec::new();
     loop {
-        // --- 1. Admission (serial, job order): top every job up to
-        // `target` delivered-or-in-flight designs. Hits deliver instantly
-        // and never fly; geometry-invalid designs fail instantly.
-        for (j, job) in jobs.iter().enumerate() {
-            let target = job.target.max(1);
-            let s = &mut state[j];
-            while s.delivered + s.active < target && s.next < job.pool.len() {
-                let rank = s.next;
-                s.next += 1;
-                let entry = &job.pool[rank];
-                let probe = ctx
-                    .eval_cache
-                    .probe(ctx.space, &entry.values, ctx.telemetry);
-                if let Some(hit) = probe.hit {
-                    ctx.telemetry.incr(Counter::EmSimAttempted);
-                    ctx.telemetry.incr(Counter::EmSimSucceeded);
-                    s.delivered += 1;
-                    out[j].delivered.push(DeliveredSim {
-                        pool_index: rank,
-                        result: hit.result,
-                        attempts: hit.attempts,
-                        from_cache: true,
-                    });
-                    hit_attempts[j].push(hit.attempts);
-                    continue;
-                }
-                let Ok(layer) = DiffStripline::from_vector(&entry.values) else {
-                    fresh_records[j].push(RolloutSim {
-                        result: None,
-                        attempts: 0,
-                        transient_failures: 0,
-                    });
-                    continue;
-                };
-                flights.push(Flight {
-                    job: j,
-                    rank,
+        // --- 1. Admission (serial): top up to `target` delivered-or-in-
+        // flight designs. Hits deliver instantly and never fly;
+        // geometry-invalid designs fail instantly.
+        while out.delivered.len() + flights.len() < target && next < pool.len() {
+            let rank = next;
+            next += 1;
+            let entry = &pool[rank];
+            let probe = ctx
+                .eval_cache
+                .probe(ctx.space, &entry.values, ctx.telemetry);
+            if let Some(hit) = probe.hit {
+                ctx.telemetry.incr(Counter::EmSimAttempted);
+                ctx.telemetry.incr(Counter::EmSimSucceeded);
+                out.delivered.push(DeliveredSim {
+                    pool_index: rank,
+                    result: hit.result,
+                    attempts: hit.attempts,
+                    from_cache: true,
+                });
+                hit_attempts.push(hit.attempts);
+                continue;
+            }
+            let Ok(layer) = DiffStripline::from_vector(&entry.values) else {
+                fresh_records.push(RolloutSim {
+                    result: None,
                     attempts: 0,
                     transient_failures: 0,
-                    ready_at: tick,
-                    layer,
-                    key: probe.key,
                 });
-                s.active += 1;
-            }
+                continue;
+            };
+            flights.push(Flight {
+                rank,
+                attempts: 0,
+                transient_failures: 0,
+                layer,
+                key: probe.key,
+            });
         }
         if flights.is_empty() {
             break;
         }
-        // --- 2. Batch selection (pure): ready flights by (job, rank), at
-        // most one flight per distinct design so per-design fault streams
-        // and cache inserts can never race inside the parallel section.
-        let mut order: Vec<usize> = (0..flights.len()).collect();
-        order.sort_unstable_by_key(|&i| (flights[i].job, flights[i].rank));
-        let mut batch: Vec<usize> = Vec::with_capacity(EM_BATCH_SLOTS);
-        for &i in &order {
-            if batch.len() == EM_BATCH_SLOTS {
-                break;
-            }
-            if flights[i].ready_at > tick {
-                continue;
-            }
-            let values = &jobs[flights[i].job].pool[flights[i].rank].values;
-            let dup = batch
-                .iter()
-                .any(|&b| &jobs[flights[b].job].pool[flights[b].rank].values == values);
-            if dup {
-                continue;
-            }
-            batch.push(i);
-        }
-        if batch.is_empty() {
-            // Every remaining flight was deferred past this tick; advance.
-            tick += 1;
-            continue;
-        }
+        // --- 2. Batch selection (pure): flights are admitted in rank
+        // order and `retain` keeps it, so the first flights are the
+        // best-ranked ones.
+        let occupied = flights.len().min(EM_BATCH_SLOTS);
         // --- 3. Execution (parallel): one solver attempt per slot,
         // collected by slot index.
-        let layers: Vec<DiffStripline> = batch.iter().map(|&i| flights[i].layer).collect();
+        let layers: Vec<DiffStripline> = flights[..occupied].iter().map(|f| f.layer).collect();
         let results = par_map_indexed(ctx.threads, &layers, |_, layer| {
             ctx.simulator.simulate(layer)
         });
-        // --- 4. Merge (serial, slot order) and charge the batch: one
-        // nominal, split across the participating jobs by slot share (a
-        // single-job batch charges that job exactly one nominal).
-        let occupied = batch.len();
+        // --- 4. Charge the batch one nominal, full or ragged, then merge
+        // (serial, slot order).
         ctx.telemetry.incr(Counter::EmBatchesCharged);
         ctx.telemetry.incr(Counter::EmSchedBatches);
         ctx.telemetry.add(
@@ -317,25 +252,11 @@ pub fn run_async(jobs: &[RolloutJob<'_>], ctx: &SchedulerCtx<'_>) -> Vec<JobRoll
             (EM_BATCH_SLOTS - occupied) as u64,
         );
         ctx.telemetry.charge_em_seconds(nominal);
-        let mut slots_of: Vec<(usize, usize)> = Vec::with_capacity(occupied);
-        for &i in &batch {
-            match slots_of.iter_mut().find(|(j, _)| *j == flights[i].job) {
-                Some((_, c)) => *c += 1,
-                None => slots_of.push((flights[i].job, 1)),
-            }
-        }
-        if slots_of.len() > 1 {
-            ctx.telemetry.incr(Counter::EmSchedInterleaved);
-        }
-        for &(j, slots) in &slots_of {
-            out[j].em_seconds += nominal * (slots as f64 / occupied as f64);
-            out[j].sched_batches += 1;
-        }
+        out.em_seconds += nominal;
         let mut dead = vec![false; flights.len()];
-        for (slot, &i) in batch.iter().enumerate() {
-            let f = &mut flights[i];
+        for (slot, f) in flights[..occupied].iter_mut().enumerate() {
             f.attempts += 1;
-            match results[slot] {
+            let result = match results[slot] {
                 Ok(result) => {
                     if let Some(key) = f.key.clone() {
                         ctx.eval_cache.insert(
@@ -346,45 +267,29 @@ pub fn run_async(jobs: &[RolloutJob<'_>], ctx: &SchedulerCtx<'_>) -> Vec<JobRoll
                             },
                         );
                     }
-                    state[f.job].active -= 1;
-                    state[f.job].delivered += 1;
-                    out[f.job].delivered.push(DeliveredSim {
+                    out.delivered.push(DeliveredSim {
                         pool_index: f.rank,
                         result,
                         attempts: f.attempts,
                         from_cache: false,
                     });
-                    fresh_records[f.job].push(RolloutSim {
-                        result: Some(result),
-                        attempts: f.attempts,
-                        transient_failures: f.transient_failures,
-                    });
-                    dead[i] = true;
+                    Some(result)
                 }
                 Err(SimError::Transient(_)) => {
                     f.transient_failures += 1;
                     if ctx.retry.retries_remaining(f.attempts) > 0 {
-                        f.ready_at = tick + 1;
-                    } else {
-                        state[f.job].active -= 1;
-                        fresh_records[f.job].push(RolloutSim {
-                            result: None,
-                            attempts: f.attempts,
-                            transient_failures: f.transient_failures,
-                        });
-                        dead[i] = true;
+                        continue;
                     }
+                    None
                 }
-                Err(SimError::Permanent(_)) => {
-                    state[f.job].active -= 1;
-                    fresh_records[f.job].push(RolloutSim {
-                        result: None,
-                        attempts: f.attempts,
-                        transient_failures: f.transient_failures,
-                    });
-                    dead[i] = true;
-                }
-            }
+                Err(SimError::Permanent(_)) => None,
+            };
+            fresh_records.push(RolloutSim {
+                result,
+                attempts: f.attempts,
+                transient_failures: f.transient_failures,
+            });
+            dead[slot] = true;
         }
         let mut idx = 0;
         flights.retain(|_| {
@@ -392,33 +297,27 @@ pub fn run_async(jobs: &[RolloutJob<'_>], ctx: &SchedulerCtx<'_>) -> Vec<JobRoll
             idx += 1;
             keep
         });
-        tick += 1;
     }
-    // --- Accounting and the cache-hit replay pass, per job in job order.
-    for (j, job) in jobs.iter().enumerate() {
-        let target = job.target.max(1);
-        out[j].drawn = state[j].next;
-        out[j].em_topped_up =
-            (state[j].next - target.min(job.pool.len()).min(state[j].next)) as u64;
-        let records = std::mem::take(&mut fresh_records[j]);
-        fold_fault_accounting(&mut out[j], &records, ctx);
-        // Replay: re-schedule the hits with oracle outcomes from their
-        // stored attempt counts — the batches the cache elided. Each
-        // replay batch books one nominal to the saved ledger and ticks
-        // `em.batches_charged` (never the live `em.sched.*` counters), so
-        // a fully-warm roll-out reports the same batch count and the same
-        // charged + saved total as its cold twin.
-        let mut remaining: Vec<u32> = hit_attempts[j].iter().map(|&a| a.max(1)).collect();
-        while !remaining.is_empty() {
-            let slots = remaining.len().min(EM_BATCH_SLOTS);
-            ctx.telemetry.incr(Counter::EmBatchesCharged);
-            ctx.telemetry.save_em_seconds(nominal);
-            out[j].em_seconds_saved += nominal;
-            for a in remaining.iter_mut().take(slots) {
-                *a -= 1;
-            }
-            remaining.retain(|&a| a > 0);
+    // --- Accounting and the cache-hit replay pass.
+    out.drawn = next;
+    out.em_topped_up = (next - target.min(pool.len()).min(next)) as u64;
+    fold_fault_accounting(&mut out, &fresh_records, ctx);
+    // Replay: re-schedule the hits with oracle outcomes from their stored
+    // attempt counts — the batches the cache elided. Each replay batch
+    // books one nominal to the saved ledger and ticks `em.batches_charged`
+    // (never the live `em.sched.*` counters), so a fully-warm roll-out
+    // reports the same batch count and the same charged + saved total as
+    // its cold twin.
+    let mut remaining: Vec<u32> = hit_attempts.iter().map(|&a| a.max(1)).collect();
+    while !remaining.is_empty() {
+        let slots = remaining.len().min(EM_BATCH_SLOTS);
+        ctx.telemetry.incr(Counter::EmBatchesCharged);
+        ctx.telemetry.save_em_seconds(nominal);
+        out.em_seconds_saved += nominal;
+        for a in remaining.iter_mut().take(slots) {
+            *a -= 1;
         }
+        remaining.retain(|&a| a > 0);
     }
     out
 }

@@ -152,31 +152,6 @@ impl ModelZoo {
         })?;
         Ok((NeuralSurrogate::new(fitted), hit))
     }
-
-    /// [`ModelZoo::fit_mlp_xgb`] through the registry; the pair is keyed by
-    /// the combined fingerprint of both unfitted parts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training failures from either part.
-    pub fn fit_mlp_xgb_registered(
-        &self,
-        space_id: u64,
-        mlp: Mlp,
-        xgb: XgbRegressor,
-        data: &Dataset,
-    ) -> Result<(MlpXgbSurrogate, bool), MlError> {
-        let Some(reg) = &self.registry else {
-            return Ok((self.fit_mlp_xgb(mlp, xgb, data)?, false));
-        };
-        let config_fp = registry::combine_fingerprints(&[
-            registry::config_fingerprint(&mlp),
-            registry::config_fingerprint(&xgb),
-        ]);
-        reg.fit_or_load(space_id, "MLP_XGB", config_fp, data, move || {
-            MlpXgbSurrogate::fit_with(mlp, xgb, data, &self.ctx)
-        })
-    }
 }
 
 /// A metric prediction `[Z, L, NEXT]` together with an input gradient, as

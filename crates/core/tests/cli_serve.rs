@@ -136,3 +136,55 @@ fn new_id_twin_of_a_finished_job_charges_nothing() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("charged EM 0.0s"), "stdout: {stdout}");
 }
+
+#[test]
+fn empty_ids_continue_past_the_journaled_ones() {
+    let scratch = Scratch::new("auto-id");
+    let first = serve(
+        &scratch,
+        &scratch.job_file("one.json", r#"[{"seed": 1}]"#),
+        "one",
+    );
+    assert!(first.status.success(), "stderr: {}", stderr(&first));
+    assert_eq!(job_report(&scratch, "one", "job-0").job, "job-0");
+
+    let second = serve(
+        &scratch,
+        &scratch.job_file("two.json", r#"[{"seed": 2}]"#),
+        "two",
+    );
+    assert!(second.status.success(), "stderr: {}", stderr(&second));
+    assert_eq!(job_report(&scratch, "two", "job-1").job, "job-1");
+    let stdout = String::from_utf8_lossy(&second.stdout);
+    assert!(stdout.contains("job-1"), "stdout: {stdout}");
+}
+
+#[test]
+fn every_refusal_line_names_its_element() {
+    let scratch = Scratch::new("element");
+    let jobs = scratch.job_file(
+        "jobs.json",
+        r#"[
+  {"id": "a", "tenant": "acme", "task": "t1", "space": "s1", "seed": 3},
+  5,
+  {"id": "bad", "task": "t9"}
+]"#,
+    );
+    let output = serve(&scratch, &jobs, "out");
+    let err = stderr(&output);
+    assert!(!output.status.success(), "refusals must fail the run");
+    let refusals: Vec<&str> = err
+        .lines()
+        .filter(|l| l.contains(r#""ok":false"#))
+        .collect();
+    assert_eq!(refusals.len(), 2, "stderr: {err}");
+    assert!(
+        refusals[0].contains(r#""element":1,"error":"bad_request""#),
+        "stderr: {err}"
+    );
+    assert!(
+        refusals[1].contains(r#""element":2,"error":"unknown_task""#),
+        "stderr: {err}"
+    );
+    assert_eq!(job_report(&scratch, "out", "a").job, "a");
+}

@@ -2,8 +2,7 @@
 //!
 //! The paper's experiments match baselines either on runtime ("-1" variants)
 //! or on the number of observed samples ("-2" variants); [`Budget`] expresses
-//! both, plus a simulated-seconds ledger so that "EM simulation time" can be
-//! accounted the way the paper does without actually sleeping.
+//! both.
 
 use std::time::{Duration, Instant};
 
@@ -14,7 +13,6 @@ pub struct Budget {
     max_wall: Option<Duration>,
     max_samples: Option<u64>,
     samples: u64,
-    simulated_seconds: f64,
 }
 
 impl Budget {
@@ -25,7 +23,6 @@ impl Budget {
             max_wall: None,
             max_samples: None,
             samples: 0,
-            simulated_seconds: 0.0,
         }
     }
 
@@ -46,19 +43,9 @@ impl Budget {
         self.samples += n;
     }
 
-    /// Adds simulated seconds (e.g. the nominal cost of an EM run).
-    pub fn record_simulated_seconds(&mut self, s: f64) {
-        self.simulated_seconds += s;
-    }
-
     /// Samples consumed so far.
     pub fn samples(&self) -> u64 {
         self.samples
-    }
-
-    /// Simulated seconds accumulated so far.
-    pub fn simulated_seconds(&self) -> f64 {
-        self.simulated_seconds
     }
 
     /// Real elapsed wall-clock.
@@ -113,13 +100,5 @@ mod tests {
         let b = Budget::unlimited().with_wall_clock(Duration::from_millis(1));
         std::thread::sleep(Duration::from_millis(5));
         assert!(b.exhausted());
-    }
-
-    #[test]
-    fn simulated_seconds_accumulate() {
-        let mut b = Budget::unlimited();
-        b.record_simulated_seconds(15.2);
-        b.record_simulated_seconds(15.2);
-        assert!((b.simulated_seconds() - 30.4).abs() < 1e-12);
     }
 }

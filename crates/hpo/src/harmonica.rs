@@ -234,16 +234,17 @@ pub fn run_traced(
         let feats = build_features(&free_bits, cfg.degree);
         let n = samples.len();
         let d = feats.len();
-        let mut xmat = vec![0.0f64; n * d];
+        // Column-major, the layout the Lasso streams.
+        let mut cols = vec![0.0f64; n * d];
         let mut yvec = vec![0.0f64; n];
         for (r, s) in samples.iter().enumerate() {
             for (c, f) in feats.iter().enumerate() {
-                xmat[r * d + c] = f.value(&s.bits);
+                cols[c * n + r] = f.value(&s.bits);
             }
             yvec[r] = s.value;
         }
         let fit =
-            lasso_coordinate_descent_traced(&xmat, &yvec, n, d, cfg.lambda, 300, 1e-7, telemetry);
+            lasso_coordinate_descent_traced(&cols, &yvec, n, d, cfg.lambda, 300, 1e-7, telemetry);
         let top = fit.top_k(cfg.top_monomials);
 
         // Collect the bits of the significant monomials, most significant

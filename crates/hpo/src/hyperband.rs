@@ -119,42 +119,6 @@ pub fn run_traced<C: Clone>(
     finalists
 }
 
-/// Plain successive halving (one Hyperband bracket): `n` configurations,
-/// halving by `eta` each rung until one remains or `rungs` are exhausted.
-pub fn successive_halving<C: Clone>(
-    n: usize,
-    rungs: usize,
-    eta: f64,
-    base_resource: f64,
-    rng: &mut StdRng,
-    mut sample: impl FnMut(&mut StdRng) -> C,
-    mut eval: impl FnMut(&mut StdRng, &C, f64) -> f64,
-) -> Vec<Ranked<C>> {
-    assert!(n > 0 && eta > 1.0);
-    let mut pool: Vec<C> = (0..n).map(|_| sample(rng)).collect();
-    let mut scored: Vec<Ranked<C>> = Vec::new();
-    for i in 0..rungs.max(1) {
-        let r_i = base_resource * eta.powi(i as i32);
-        scored = pool
-            .iter()
-            .map(|c| Ranked {
-                config: c.clone(),
-                loss: eval(rng, c, r_i),
-                resource: r_i,
-            })
-            .collect();
-        scored.sort_by(|a, b| nan_last(a.loss, b.loss));
-        let keep = ((pool.len() as f64) / eta).floor().max(1.0) as usize;
-        if i + 1 < rungs {
-            pool = scored.iter().take(keep).map(|r| r.config.clone()).collect();
-        }
-        if pool.len() <= 1 {
-            break;
-        }
-    }
-    scored
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,36 +204,5 @@ mod tests {
             .expect("span")
             .count;
         assert!(rungs >= 2, "multiple rungs expected, saw {rungs}");
-    }
-
-    #[test]
-    fn successive_halving_narrows_pool() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut evals = 0usize;
-        let results = successive_halving(
-            27,
-            4,
-            3.0,
-            1.0,
-            &mut rng,
-            |r| r.gen::<f64>(),
-            |_, &x, _| {
-                evals += 1;
-                (x - 0.25).abs()
-            },
-        );
-        assert!(!results.is_empty());
-        // Rungs of 27, 9, and 3 configs; the loop stops once one survivor
-        // remains after the third rung: 27 + 9 + 3 = 39 evaluations.
-        assert_eq!(evals, 39);
-        assert!((results[0].config - 0.25).abs() < 0.2);
-    }
-
-    #[test]
-    fn single_config_halving_works() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let results = successive_halving(1, 3, 3.0, 1.0, &mut rng, |_| 42usize, |_, _, _| 1.0);
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].config, 42);
     }
 }

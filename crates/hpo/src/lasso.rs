@@ -54,8 +54,15 @@ pub fn lasso_coordinate_descent(
     max_iter: usize,
     tol: f64,
 ) -> LassoFit {
+    assert_eq!(x.len(), n * d, "feature matrix shape mismatch");
+    let mut cols = vec![0.0f64; n * d];
+    for row in 0..n {
+        for j in 0..d {
+            cols[j * n + row] = x[row * d + j];
+        }
+    }
     lasso_coordinate_descent_traced(
-        x,
+        &cols,
         y,
         n,
         d,
@@ -66,16 +73,20 @@ pub fn lasso_coordinate_descent(
     )
 }
 
-/// [`lasso_coordinate_descent`] recording a `harmonica.lasso` span and a
+/// [`lasso_coordinate_descent`] on a **column-major** feature matrix
+/// (column `j` is `cols[j * n..(j + 1) * n]`), recording a
+/// `harmonica.lasso` span and a
 /// [`Counter::HarmonicaLassoSolves`](isop_telemetry::Counter) tick on
 /// `telemetry` — the PSR accounting surface the run report aggregates.
+/// Each coordinate update streams one contiguous column; Harmonica builds
+/// its features in this layout, so no second `n x d` copy is made.
 ///
 /// # Panics
 ///
-/// Panics if `x.len() != n * d`, `y.len() != n`, or `n == 0`.
+/// Panics if `cols.len() != n * d`, `y.len() != n`, or `n == 0`.
 #[allow(clippy::too_many_arguments)]
 pub fn lasso_coordinate_descent_traced(
-    x: &[f64],
+    cols: &[f64],
     y: &[f64],
     n: usize,
     d: usize,
@@ -86,20 +97,9 @@ pub fn lasso_coordinate_descent_traced(
 ) -> LassoFit {
     let _span = isop_telemetry::span!(telemetry, "harmonica.lasso");
     telemetry.incr(isop_telemetry::Counter::HarmonicaLassoSolves);
-    assert_eq!(x.len(), n * d, "feature matrix shape mismatch");
+    assert_eq!(cols.len(), n * d, "feature matrix shape mismatch");
     assert_eq!(y.len(), n, "target length mismatch");
     assert!(n > 0, "need at least one sample");
-
-    // Transpose once into a column-major layout: each coordinate update
-    // then streams one contiguous column instead of a stride-`d` walk
-    // through the row-major input — the O(n·d)-strided pass this kernel
-    // used to pay per update.
-    let mut cols = vec![0.0f64; n * d];
-    for row in 0..n {
-        for j in 0..d {
-            cols[j * n + row] = x[row * d + j];
-        }
-    }
 
     // Precompute the column self-inner-products: z_j = <x_j, x_j> / n.
     // Row accumulation order matches the update loops below, so the same
@@ -279,8 +279,12 @@ mod tests {
         let x = sign_matrix(n, d, 5);
         let y: Vec<f64> = (0..n).map(|i| 1.5 * x[i * d + 2]).collect();
         let plain = lasso_coordinate_descent(&x, &y, n, d, 0.05, 200, 1e-8);
+        let cols: Vec<f64> = (0..d)
+            .flat_map(|j| (0..n).map(move |i| (i, j)))
+            .map(|(i, j)| x[i * d + j])
+            .collect();
         let tele = Telemetry::enabled();
-        let traced = lasso_coordinate_descent_traced(&x, &y, n, d, 0.05, 200, 1e-8, &tele);
+        let traced = lasso_coordinate_descent_traced(&cols, &y, n, d, 0.05, 200, 1e-8, &tele);
         assert_eq!(plain, traced, "tracing must not change the fit");
         assert_eq!(tele.counter(Counter::HarmonicaLassoSolves), 1);
         assert_eq!(

@@ -14,24 +14,21 @@
 //! * [`tpe`] — a tree-structured Parzen estimator in the style of Optuna,
 //!   the paper's Bayesian-optimization baseline (sequential by design, which
 //!   is exactly the runtime handicap Tables IV/V exhibit).
-//! * [`random`] / [`grid`] — reference searchers.
 //!
 //! Searchers operate over two space views: a binary cube
 //! ([`space::BinarySpace`], Harmonica/SA) and a per-parameter discrete space
-//! ([`space::DiscreteSpace`], TPE/random/grid). The `isop` core crate maps
+//! ([`space::DiscreteSpace`], TPE). The `isop` core crate maps
 //! stack-up parameter spaces onto both.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod budget;
-pub mod grid;
 pub mod harmonica;
 pub mod hyperband;
 pub mod lasso;
 pub mod objective;
 pub mod order;
-pub mod random;
 pub mod sa;
 pub mod space;
 pub mod tpe;

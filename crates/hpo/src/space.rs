@@ -88,7 +88,7 @@ impl BinarySpace {
 }
 
 /// A per-parameter discrete search space: dimension `i` takes integer levels
-/// `0..cardinalities[i]` — the view TPE, random, and grid search use.
+/// `0..cardinalities[i]` — the view TPE uses.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DiscreteSpace {
     cardinalities: Vec<usize>,

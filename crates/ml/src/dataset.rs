@@ -91,33 +91,6 @@ impl Dataset {
         let (test_idx, train_idx) = idx.split_at(n_test);
         (self.subset(train_idx), self.subset(test_idx))
     }
-
-    /// Splits the dataset into `k` contiguous folds of shuffled rows for
-    /// cross-validation; returns `(train, validation)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 2` or `k > len()`.
-    pub fn k_folds(&self, k: usize, seed: u64) -> Vec<(Dataset, Dataset)> {
-        assert!(k >= 2 && k <= self.len(), "invalid fold count {k}");
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        idx.shuffle(&mut rng);
-        let fold_size = self.len() / k;
-        (0..k)
-            .map(|f| {
-                let lo = f * fold_size;
-                let hi = if f == k - 1 {
-                    self.len()
-                } else {
-                    lo + fold_size
-                };
-                let val: Vec<usize> = idx[lo..hi].to_vec();
-                let train: Vec<usize> = idx[..lo].iter().chain(&idx[hi..]).copied().collect();
-                (self.subset(&train), self.subset(&val))
-            })
-            .collect()
-    }
 }
 
 /// Per-column standardizer (`z = (x - mean) / std`).
@@ -271,18 +244,6 @@ mod tests {
         assert_eq!(a, b);
         let (c, _) = d.train_test_split(0.3, 43);
         assert_ne!(a, c, "different seeds should shuffle differently");
-    }
-
-    #[test]
-    fn k_folds_cover_everything() {
-        let d = toy();
-        let folds = d.k_folds(5, 1);
-        assert_eq!(folds.len(), 5);
-        let total_val: usize = folds.iter().map(|(_, v)| v.len()).sum();
-        assert_eq!(total_val, d.len());
-        for (train, val) in &folds {
-            assert_eq!(train.len() + val.len(), d.len());
-        }
     }
 
     #[test]

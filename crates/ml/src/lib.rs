@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 
 pub mod dataset;
-pub mod importance;
 pub mod linalg;
 pub mod metrics;
 pub mod models;

@@ -34,17 +34,6 @@ pub fn config_fingerprint<T: Serialize>(config: &T) -> u64 {
     codec::fnv1a(&codec::encode(config))
 }
 
-/// Folds several fingerprints into one (order-sensitive) — used to key a
-/// composite surrogate (e.g. the MLP+XGBoost pair) by its parts.
-#[must_use]
-pub fn combine_fingerprints(parts: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(parts.len() * 8);
-    for p in parts {
-        bytes.extend_from_slice(&p.to_le_bytes());
-    }
-    codec::fnv1a(&bytes)
-}
-
 /// Fingerprint of a training set: shape plus the exact bit pattern of
 /// every feature and target value.
 #[must_use]
@@ -99,8 +88,8 @@ impl ModelRegistry {
     /// invokes `fit`, so warm runs skip every training span.
     ///
     /// The data fingerprint is computed here from `data`; callers supply
-    /// the config fingerprint ([`config_fingerprint`] /
-    /// [`combine_fingerprints`]) because only they see the unfitted model.
+    /// the config fingerprint ([`config_fingerprint`]) because only they
+    /// see the unfitted model.
     ///
     /// # Errors
     ///
@@ -198,11 +187,6 @@ mod tests {
         let mut perturbed = tiny_data();
         perturbed.x[(0, 0)] += 1e-12;
         assert_ne!(fp, data_fingerprint(&perturbed), "bit-sensitive");
-
-        assert_ne!(
-            combine_fingerprints(&[a, fp]),
-            combine_fingerprints(&[fp, a])
-        );
     }
 
     #[test]

@@ -113,13 +113,8 @@ pub enum Counter {
     /// actually ran fresh simulations; cache-hit replays never tick this).
     EmSchedBatches,
     /// Unused slots across all live scheduler batches: a batch of 3 with
-    /// only 2 flights ready contributes one slack slot. The async scheduler
-    /// exists to drive this toward zero.
+    /// only 2 flights ready contributes one slack slot.
     EmSchedSlackSlots,
-    /// Live scheduler batches whose flights span more than one roll-out job
-    /// (retry chains riding with fresh candidates, or candidates from
-    /// different trials sharing a batch under interleaved experiment cells).
-    EmSchedInterleaved,
     /// Persistent-store shard files read from disk (each shard is loaded
     /// lazily at most once per process, on the first probe that hashes to
     /// it).
@@ -171,7 +166,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 43] = [
+    pub const ALL: [Counter; 42] = [
         Counter::EmSimAttempted,
         Counter::EmSimSucceeded,
         Counter::EmSimFailed,
@@ -198,7 +193,6 @@ impl Counter {
         Counter::EmToppedUp,
         Counter::EmSchedBatches,
         Counter::EmSchedSlackSlots,
-        Counter::EmSchedInterleaved,
         Counter::StoreShardLoads,
         Counter::StoreRecordsLoaded,
         Counter::StoreRecordsWritten,
@@ -247,7 +241,6 @@ impl Counter {
             Counter::EmToppedUp => "em.topped_up",
             Counter::EmSchedBatches => "em.sched.batches",
             Counter::EmSchedSlackSlots => "em.sched.slack_slots",
-            Counter::EmSchedInterleaved => "em.sched.interleaved",
             Counter::StoreShardLoads => "store.shard_loads",
             Counter::StoreRecordsLoaded => "store.records_loaded",
             Counter::StoreRecordsWritten => "store.records_written",
@@ -793,15 +786,12 @@ mod tests {
     fn scheduler_counters_have_stable_labels() {
         assert_eq!(Counter::EmSchedBatches.name(), "em.sched.batches");
         assert_eq!(Counter::EmSchedSlackSlots.name(), "em.sched.slack_slots");
-        assert_eq!(Counter::EmSchedInterleaved.name(), "em.sched.interleaved");
         let tele = Telemetry::enabled();
         tele.add(Counter::EmSchedBatches, 4);
         tele.incr(Counter::EmSchedSlackSlots);
-        tele.incr(Counter::EmSchedInterleaved);
         let report = tele.run_report();
         assert_eq!(report.counter("em.sched.batches"), 4);
         assert_eq!(report.counter("em.sched.slack_slots"), 1);
-        assert_eq!(report.counter("em.sched.interleaved"), 1);
     }
 
     #[test]

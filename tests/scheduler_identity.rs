@@ -4,12 +4,10 @@
 //! telemetry counter are bit-identical at any thread width — with faults
 //! on; a fault-free roll-out charges exactly the pinned ledger of a
 //! synchronous wave schedule on the same scenario; a warm-cache replay
-//! occupies zero live batch slots; a ragged final batch still charges a full
-//! nominal while booking its empty slots as slack; and interleaved
-//! experiment trials pack cross-trial batches without changing any
-//! trial's winner.
+//! occupies zero live batch slots; and a ragged final batch still charges a full
+//! nominal while booking its empty slots as slack.
 
-use isop::evalcache::{EvalCache, SurrogateMemo};
+use isop::evalcache::EvalCache;
 use isop::prelude::*;
 use isop_em::simulator::{AnalyticalSolver, EmSimulator};
 use isop_hpo::budget::Budget;
@@ -184,8 +182,7 @@ fn warm_cache_replay_occupies_zero_batch_slots() {
 
 /// Four candidates do not fit one batch: the stream charges two nominals
 /// (one full batch, one ragged) and books the ragged batch's two empty
-/// slots as slack — the exact waste the cross-trial interleaving exists
-/// to reclaim.
+/// slots as slack.
 #[test]
 fn ragged_final_batch_charges_full_nominal_and_books_slack() {
     let telemetry = Telemetry::enabled();
@@ -214,90 +211,4 @@ fn ragged_final_batch_charges_full_nominal_and_books_slack() {
         2,
         "the ragged batch ran with two empty slots"
     );
-}
-
-/// Cross-trial interleaving: three 2-candidate trials pack into two full
-/// batches instead of three ragged ones — strictly cheaper than the
-/// sequential cell — while every trial's winning design, metrics, and FoM
-/// stay exactly those of the sequential run, at any thread width.
-#[test]
-fn interleaved_trials_fill_ragged_batches_without_changing_winners() {
-    fn cell<'a>(
-        space: &'a ParamSpace,
-        surrogate: &'a dyn Surrogate,
-        simulator: &'a dyn EmSimulator,
-        threads: usize,
-        telemetry: &Telemetry,
-    ) -> isop::experiment::ExperimentContext<'a> {
-        isop::experiment::ExperimentContext {
-            space,
-            surrogate,
-            simulator,
-            isop_config: IsopConfig {
-                cand_num: 2,
-                ..smoke_config(threads)
-            },
-            n_trials: 3,
-            seed: SEED,
-            telemetry: telemetry.clone(),
-            eval_cache: EvalCache::disabled(),
-            surrogate_memo: SurrogateMemo::disabled(),
-        }
-    }
-    let space = isop::spaces::s1();
-    let surrogate = OracleSurrogate::new(AnalyticalSolver::new());
-    let objective = isop::tasks::objective_for(TaskId::T1, vec![]);
-
-    let seq_tele = Telemetry::enabled();
-    let seq_sim = AnalyticalSolver::new().with_telemetry(seq_tele.clone());
-    let sequential = cell(&space, &surrogate, &seq_sim, 2, &seq_tele).run_isop(&objective);
-
-    let inter_tele = Telemetry::enabled();
-    let inter_sim = AnalyticalSolver::new().with_telemetry(inter_tele.clone());
-    let interleaved =
-        cell(&space, &surrogate, &inter_sim, 2, &inter_tele).run_isop_interleaved(&objective);
-
-    // Same winners, metrics, FoM, and sample accounting per trial — only
-    // the batch packing (and with it the ledger) changed.
-    assert_eq!(sequential.results.len(), interleaved.results.len());
-    for (s, i) in sequential.results.iter().zip(&interleaved.results) {
-        assert_eq!(s.design, i.design);
-        assert_eq!(s.metrics, i.metrics);
-        assert_eq!(s.fom.to_bits(), i.fom.to_bits());
-        assert_eq!(s.success, i.success);
-        assert_eq!(s.samples_seen, i.samples_seen);
-    }
-    assert_eq!(sequential.degraded, interleaved.degraded);
-
-    // 3 trials x 2 candidates: sequential rolls three ragged batches,
-    // interleaving packs the same six flights into two full ones.
-    assert_eq!(seq_tele.counter(Counter::EmSchedBatches), 3);
-    assert_eq!(inter_tele.counter(Counter::EmSchedBatches), 2);
-    assert!(inter_tele.counter(Counter::EmSchedInterleaved) > 0);
-    assert!(
-        inter_tele.counter(Counter::EmSchedSlackSlots)
-            < seq_tele.counter(Counter::EmSchedSlackSlots)
-    );
-
-    // The interleaved pass is deterministic across thread widths too.
-    let wide_tele = Telemetry::enabled();
-    let wide_sim = AnalyticalSolver::new().with_telemetry(wide_tele.clone());
-    let wide = cell(&space, &surrogate, &wide_sim, 4, &wide_tele).run_isop_interleaved(&objective);
-    assert_eq!(interleaved.results.len(), wide.results.len());
-    for (a, b) in interleaved.results.iter().zip(&wide.results) {
-        // Everything but the real wall-clock is bit-identical.
-        assert_eq!(a.design, b.design);
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.fom.to_bits(), b.fom.to_bits());
-        assert_eq!(a.success, b.success);
-        assert_eq!(a.samples_seen, b.samples_seen);
-    }
-    for c in Counter::ALL {
-        assert_eq!(
-            inter_tele.counter(c),
-            wide_tele.counter(c),
-            "interleaved counter {} diverged between 2 and 4 threads",
-            c.name()
-        );
-    }
 }
