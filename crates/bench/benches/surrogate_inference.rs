@@ -1,8 +1,10 @@
 //! Micro-benchmark: per-model inference throughput — the mechanism behind
 //! the paper's runtime gap between surrogate-driven search and EM
 //! simulation, and between the MLP/XGB and 1D-CNN surrogates (Tables
-//! VII/VIII runtime columns) — plus the per-step cost of the gradient
-//! stage's fused value-and-gradient call.
+//! VII/VIII runtime columns) — plus the 1D-CNN's single-row and 300-row
+//! (one Harmonica stage) inference cost at the optimize benchmark's widths,
+//! and the per-step cost of the gradient stage's fused value-and-gradient
+//! call.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use isop::data::generate_dataset;
@@ -67,6 +69,22 @@ fn bench_inference(c: &mut Criterion) {
         ..Cnn1dConfig::default()
     });
     cnn_wide.fit(&data).expect("cnn fits");
+
+    // The 1D-CNN's inference kernel at the same widths: one row (a
+    // Hyperband probe) and one 300-row batch (a Harmonica stage).
+    let one_row = Matrix::from_rows(&[probe.row(0).to_vec()]);
+    let stage_rows: Vec<Vec<f64>> = (0..300).map(|r| probe.row(r).to_vec()).collect();
+    let stage = Matrix::from_rows(&stage_rows);
+    let mut g = c.benchmark_group("cnn1d_inference_optimize_widths");
+    g.sample_size(50);
+    g.bench_function("single_row", |b| {
+        b.iter(|| cnn_wide.predict(black_box(&one_row)).expect("ok"))
+    });
+    g.bench_function("batch_300_rows", |b| {
+        b.iter(|| cnn_wide.predict(black_box(&stage)).expect("ok"))
+    });
+    g.finish();
+
     let cnn_s = NeuralSurrogate::new(cnn_wide);
     let mlp_s = NeuralSurrogate::new(mlp.clone());
     let objective = objective_for(TaskId::T4, vec![]);

@@ -142,7 +142,7 @@ const SYNC_SMOKE_CANDIDATES: usize = 3;
 /// per batch of three deliveries plus one nominal per failed attempt and
 /// an exponential backoff per re-issue. The async stream must stay
 /// strictly below it.
-const SYNC_SMOKE_EM_SECONDS: f64 = 70.66666666666666;
+const SYNC_SMOKE_EM_SECONDS: f64 = 166.49999999999997;
 /// Fraction of the cold run's charged EM seconds the warm-store replay
 /// must elide (a full-hit replay elides 100%; 90% leaves room for a
 /// future smoke tweak that adds a handful of fresh designs).

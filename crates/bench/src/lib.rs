@@ -369,7 +369,6 @@ pub fn isop_config() -> isop::pipeline::IsopConfig {
             lambda: 0.02,
             top_monomials: 8,
             bits_per_stage: 8,
-            max_resample: 16_384,
         },
         use_hyperband: true,
         hyperband: HyperbandConfig {

@@ -21,7 +21,7 @@
 //!   [`import_json`] move a store's evaluations to and from the
 //!   schema-versioned JSON exchange file of `isop cache export|import`.
 //! * [`SurrogateMemo`] + [`MemoizedSurrogate`] — a sibling memo for repeated
-//!   designs inside Harmonica's adaptive-reweighting loop. It stores the
+//!   designs across Harmonica's per-stage batches. It stores the
 //!   surrogate's *metrics* (`[Z, L, NEXT]`), never the weighted objective
 //!   `g_hat`, so adaptive weight updates between stages stay exact.
 //!
@@ -524,18 +524,18 @@ impl SurrogateMemo {
     }
 }
 
-/// A memoizing decorator over any [`Surrogate`]: `predict` consults the
-/// [`SurrogateMemo`] before the wrapped model, ticking
-/// `surrogate.memo_hits` / `surrogate.memo_misses`; every other method,
-/// `value_and_grad` included, forwards untouched.
+/// A memoizing decorator over any [`Surrogate`]: `predict` and
+/// `predict_batch` consult the [`SurrogateMemo`] before the wrapped model,
+/// ticking `surrogate.memo_hits` / `surrogate.memo_misses`; every other
+/// method, `value_and_grad` included, forwards untouched.
 ///
 /// Layer it *inside* the counting wrapper
 /// ([`InstrumentedSurrogate`](crate::surrogate::InstrumentedSurrogate)) so
 /// `surrogate.predict` totals stay identical with the memo on or off — the
 /// memo elides the model's arithmetic, not the logical call.
 ///
-/// The pipeline consults the memo only from its **serial** Harmonica
-/// section: a concurrent miss-then-insert race on one key would make
+/// The pipeline consults the memo only from Harmonica's **serial**
+/// per-stage batches: a concurrent miss-then-insert race on one key would make
 /// hit/miss totals depend on thread interleaving, which would break the
 /// bit-identical-counters contract the bench gate diffs on.
 pub struct MemoizedSurrogate<'a> {
@@ -574,8 +574,58 @@ impl Surrogate for MemoizedSurrogate<'_> {
         self.inner.jacobian(x)
     }
 
+    /// Consults the memo row by row, in order, with the hit/miss totals of
+    /// a loop of [`Surrogate::predict`] calls: a row already memoized, or
+    /// equal to an earlier miss of the same batch, is a hit; any other row
+    /// is a miss. The misses go to the wrapped model in one `predict_batch`
+    /// call. A disabled memo serves nothing, so every row is a miss. A
+    /// repeat of a miss the model failed on counts as a miss and gets the
+    /// same error, as the serial loop's second call would.
     fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<Result<[f64; 3], MlError>> {
-        self.inner.predict_batch(xs)
+        let mut out: Vec<Option<Result<[f64; 3], MlError>>> = vec![None; xs.len()];
+        // Each miss's row and key; each in-batch repeat's row and the
+        // index of its miss.
+        let mut misses: Vec<(usize, Vec<u64>)> = Vec::new();
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
+        let mut first_miss: HashMap<Vec<u64>, usize> = HashMap::new();
+        for (i, x) in xs.iter().enumerate() {
+            let key = SurrogateMemo::key(x);
+            if let Some(metrics) = self.memo.get(&key) {
+                out[i] = Some(Ok(metrics));
+            } else if let Some(&m) = first_miss.get(&key) {
+                repeats.push((i, m));
+            } else {
+                if self.memo.is_enabled() {
+                    first_miss.insert(key.clone(), misses.len());
+                }
+                misses.push((i, key));
+            }
+        }
+        let predicted = if misses.len() == xs.len() {
+            self.inner.predict_batch(xs)
+        } else {
+            let rows: Vec<Vec<f64>> = misses.iter().map(|(i, _)| xs[*i].clone()).collect();
+            self.inner.predict_batch(&rows)
+        };
+        let n_misses = misses.len() as u64;
+        for ((i, key), result) in misses.into_iter().zip(&predicted) {
+            if let Ok(metrics) = result {
+                self.memo.put(key, *metrics);
+            }
+            out[i] = Some(result.clone());
+        }
+        let mut failed = 0u64;
+        for (i, m) in repeats {
+            failed += u64::from(predicted[m].is_err());
+            out[i] = Some(predicted[m].clone());
+        }
+        let served = xs.len() as u64 - n_misses - failed;
+        self.telemetry.add(Counter::SurrogateMemoHits, served);
+        self.telemetry
+            .add(Counter::SurrogateMemoMisses, n_misses + failed);
+        out.into_iter()
+            .map(|r| r.expect("every row is served"))
+            .collect()
     }
 
     fn jacobian_batch(&self, xs: &[Vec<f64>]) -> Vec<Option<Result<Matrix, MlError>>> {
@@ -980,10 +1030,12 @@ mod tests {
         assert_eq!(tele.counter(Counter::SurrogateMemoMisses), 1);
         assert_eq!(memo.len(), 1);
         assert_eq!(wrapped.name(), inner.name());
-        // Batch, Jacobian and fused value-and-gradient calls bypass the
-        // memo untouched, at a memoized design and at a fresh one.
+        // A batch consults the memo too: the memoized design is a hit.
         let batch = wrapped.predict_batch(std::slice::from_ref(&x));
         assert_eq!(batch[0].as_ref().expect("ok"), &first);
+        assert_eq!(tele.counter(Counter::SurrogateMemoHits), 2);
+        // Jacobian and fused value-and-gradient calls bypass the memo
+        // untouched, at a memoized design and at a fresh one.
         assert!(wrapped.jacobian(&x).is_some());
         let mut fresh = x.clone();
         fresh[0] += 0.5;
@@ -994,9 +1046,70 @@ mod tests {
                 .expect("valid design");
             assert_eq!(metrics, inner.predict(design).expect("predicts"));
         }
-        assert_eq!(tele.counter(Counter::SurrogateMemoHits), 1);
+        assert_eq!(tele.counter(Counter::SurrogateMemoHits), 2);
         assert_eq!(tele.counter(Counter::SurrogateMemoMisses), 1);
         assert_eq!(memo.len(), 1);
+    }
+
+    /// One `predict_batch` over rows with repeats (and a repeated row the
+    /// model rejects) returns the bits, the hit/miss totals and the memo
+    /// contents of a loop of single `predict` calls — with the memo warm,
+    /// cold, and disabled.
+    #[test]
+    fn batched_memo_matches_the_serial_loop() {
+        let space = s1();
+        let a = grid_design(&space);
+        let mut b = a.clone();
+        b[0] += space.params()[0].step;
+        let mut c = a.clone();
+        c[1] += space.params()[1].step;
+        let mut bad = a.clone();
+        bad[0] = -1.0; // invalid geometry -> the oracle errors
+        let rows = vec![
+            a.clone(),
+            b.clone(),
+            a.clone(),
+            bad.clone(),
+            c.clone(),
+            b.clone(),
+            bad,
+            a.clone(),
+        ];
+        let inner = OracleSurrogate::new(AnalyticalSolver::new());
+        let bits = |r: &Result<[f64; 3], MlError>| r.as_ref().ok().map(|m| m.map(f64::to_bits));
+        for (name, warm) in [("cold", None), ("warm", Some(&c)), ("disabled", None)] {
+            let memo = || {
+                if name == "disabled" {
+                    SurrogateMemo::disabled()
+                } else {
+                    SurrogateMemo::new()
+                }
+            };
+            let (serial_memo, batch_memo) = (memo(), memo());
+            let serial_tele = Telemetry::enabled();
+            let batch_tele = Telemetry::enabled();
+            let serial = MemoizedSurrogate::new(&inner, serial_memo.clone(), serial_tele.clone());
+            let batch = MemoizedSurrogate::new(&inner, batch_memo.clone(), batch_tele.clone());
+            if let Some(w) = warm {
+                let _ = serial.predict(w);
+                let _ = batch.predict(w);
+            }
+            let looped: Vec<_> = rows.iter().map(|x| serial.predict(x)).collect();
+            let batched = batch.predict_batch(&rows);
+            assert_eq!(
+                looped.iter().map(bits).collect::<Vec<_>>(),
+                batched.iter().map(bits).collect::<Vec<_>>(),
+                "{name}: bits"
+            );
+            for counter in [Counter::SurrogateMemoHits, Counter::SurrogateMemoMisses] {
+                assert_eq!(
+                    serial_tele.counter(counter),
+                    batch_tele.counter(counter),
+                    "{name}: {counter:?}"
+                );
+            }
+            assert_eq!(serial_memo.len(), batch_memo.len(), "{name}: memo size");
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! **invalid** (Table III's `2^73` codes vs `7.14e19` valid designs in `S_1`)
 //! and are excluded from evaluation, exactly as Section IV-A prescribes.
 
+use isop_hpo::space::BinarySpace;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -161,6 +162,19 @@ impl ParamSpace {
     /// Per-parameter level counts (for [`isop_hpo::DiscreteSpace`]).
     pub fn cardinalities(&self) -> Vec<usize> {
         self.params.iter().map(ParamDef::n_levels).collect()
+    }
+
+    /// The free binary cube of this space's encoding, with one field per
+    /// parameter (its bit width and level count), so that
+    /// [`BinarySpace::sample`] draws only codes that
+    /// [`ParamSpace::decode_levels`] accepts.
+    pub fn binary_space(&self) -> BinarySpace {
+        let layout: Vec<(usize, usize)> = self
+            .params
+            .iter()
+            .map(|p| (p.n_bits(), p.n_levels()))
+            .collect();
+        BinarySpace::with_fields(&layout)
     }
 
     /// Encodes grid `levels` into the concatenated bitstring (little-endian
@@ -326,6 +340,18 @@ mod tests {
             let p = ParamDef::new("x", lo, hi, step);
             assert_eq!(p.n_levels(), levels, "levels of [{lo},{hi}]/{step}");
             assert_eq!(p.n_bits(), bits, "bits of [{lo},{hi}]/{step}");
+        }
+    }
+
+    #[test]
+    fn binary_space_draws_only_decodable_codes() {
+        let space = simple_space();
+        let bin = space.binary_space();
+        assert_eq!(bin.n_bits(), space.total_bits());
+        assert!((bin.log2_size() - space.n_valid().log2()).abs() < 1e-12);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        for _ in 0..500 {
+            assert!(space.decode_levels(&bin.sample(&mut rng)).is_some());
         }
     }
 

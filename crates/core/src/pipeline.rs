@@ -36,7 +36,6 @@ use isop_hpo::harmonica::{self, HarmonicaConfig};
 use isop_hpo::hyperband::{self, HyperbandConfig};
 use isop_hpo::objective::BinaryObjective;
 use isop_hpo::order::nan_last;
-use isop_hpo::space::BinarySpace;
 use isop_ml::optim::Adam;
 use isop_telemetry::{Counter, Telemetry};
 use rand::rngs::StdRng;
@@ -236,26 +235,39 @@ struct SurrogateBinaryObjective<'a> {
 
 impl BinaryObjective for SurrogateBinaryObjective<'_> {
     fn eval(&mut self, bits: &[bool]) -> Option<f64> {
-        let values = match self.space.decode_values(bits) {
-            Some(v) => v,
-            None => {
-                self.invalid += 1;
-                return None;
+        self.eval_batch(&[bits.to_vec()])[0]
+    }
+
+    /// Decodes every point, scores the decodable ones in one
+    /// `predict_batch` call, and records them in draw order — the records
+    /// and values a loop of single evaluations would give, because the
+    /// objective's weights only change between stages.
+    fn eval_batch(&mut self, points: &[Vec<bool>]) -> Vec<Option<f64>> {
+        let mut out = vec![None; points.len()];
+        let mut at = Vec::with_capacity(points.len());
+        let mut rows = Vec::with_capacity(points.len());
+        for (i, bits) in points.iter().enumerate() {
+            match self.space.decode_values(bits) {
+                Some(values) => {
+                    at.push(i);
+                    rows.push(values);
+                }
+                None => self.invalid += 1,
             }
-        };
-        let metrics = match self.surrogate.predict(&values) {
-            Ok(m) => m,
-            Err(_) => {
+        }
+        let predictions = self.surrogate.predict_batch(&rows);
+        let objective = self.objective.borrow();
+        let mut records = self.records.borrow_mut();
+        for ((i, values), prediction) in at.into_iter().zip(rows).zip(predictions) {
+            let Ok(metrics) = prediction else {
                 self.invalid += 1;
-                return None;
-            }
-        };
-        self.valid += 1;
-        let g = self.objective.borrow().g_hat(&metrics, &values);
-        self.records
-            .borrow_mut()
-            .push(SampleRecord { metrics, values });
-        Some(g)
+                continue;
+            };
+            self.valid += 1;
+            out[i] = Some(objective.g_hat(&metrics, &values));
+            records.push(SampleRecord { metrics, values });
+        }
+        out
     }
 
     fn n_bits(&self) -> usize {
@@ -305,9 +317,9 @@ impl<'a> IsopOptimizer<'a> {
         self
     }
 
-    /// Attaches a surrogate-prediction memo consulted from the serial
-    /// Harmonica sampling loop (stage 1). Repeated bitstrings replay the
-    /// surrogate's metric predictions bit-exactly; `surrogate.predict`
+    /// Attaches a surrogate-prediction memo consulted by Harmonica's
+    /// per-stage batches (stage 1). Repeated designs replay the
+    /// surrogate's metric predictions bit-exactly; `surrogate.predict_batch`
     /// totals are unchanged because the memo sits *inside* the counting
     /// wrapper.
     #[must_use]
@@ -382,12 +394,13 @@ impl<'a> IsopOptimizer<'a> {
         // Every surrogate call in the pipeline goes through the counting
         // wrapper; with a disabled handle it adds one branch per call.
         let instrumented = InstrumentedSurrogate::new(self.surrogate, self.telemetry.clone());
-        // Harmonica's serial sampling loop additionally consults the
-        // prediction memo. The memo sits *inside* the counting wrapper so
-        // `surrogate.predict` totals are identical with the memo on or off,
-        // and it is kept out of the parallel sections (Hyperband, Adam,
-        // roll-out) where concurrent miss-then-insert races on one key
-        // would make hit/miss totals depend on thread interleaving.
+        // Harmonica's per-stage batches additionally consult the
+        // prediction memo, row by row in draw order. The memo sits *inside*
+        // the counting wrapper so `surrogate.predict_batch` totals are
+        // identical with the memo on or off, and it is kept out of the
+        // parallel sections (Hyperband, Adam, roll-out) where concurrent
+        // miss-then-insert races on one key would make hit/miss totals
+        // depend on thread interleaving.
         let memoized = MemoizedSurrogate::new(
             self.surrogate,
             self.surrogate_memo.clone(),
@@ -407,10 +420,9 @@ impl<'a> IsopOptimizer<'a> {
         };
         let adapter = self.config.weight_adapter;
         let adapt = self.config.adapt_weights;
-        let init_space = BinarySpace::free(self.space.total_bits());
         let result = harmonica::run_traced(
             &mut bin_obj,
-            init_space,
+            self.space.binary_space(),
             &self.config.harmonica,
             &mut budget,
             &mut rng,
@@ -590,40 +602,45 @@ impl<'a> IsopOptimizer<'a> {
         }
         // Gradient descent can collapse several seeds onto one grid point;
         // top the pool back up with the (distinct) pre-GD seeds so the
-        // accurate simulator still sees cand_num diverse candidates.
-        if rounded.len() < self.config.cand_num {
-            for (bits, _) in &seeds {
-                if rounded.len() >= self.config.cand_num {
-                    break;
-                }
-                if let Some(x) = self.space.decode_values(bits) {
-                    let r = self.space.round_to_grid(&x);
-                    if !rounded.contains(&r) {
-                        rounded.push(r);
-                    }
-                }
+        // accurate simulator still sees cand_num diverse candidates. Every
+        // other distinct pre-GD seed is backup stock, ranked after the
+        // refined designs: a fault-free roll-out never reaches it, and a
+        // permanent simulator failure draws from it once the refined
+        // surplus runs out.
+        let mut backups: Vec<Vec<f64>> = Vec::new();
+        for x in &decoded {
+            let r = self.space.round_to_grid(x);
+            if rounded.contains(&r) || backups.contains(&r) {
+                continue;
+            }
+            if rounded.len() < self.config.cand_num {
+                rounded.push(r);
+            } else {
+                backups.push(r);
             }
         }
-        // Rank by surrogate g_hat (one batched forward pass). The whole
-        // scored pool is retained — the rows beyond cand_num were already
-        // paid for by the single predict_batch above, and the surplus is
-        // exactly the backup stock the fault-tolerant top-up draws from
-        // when a permanent simulator failure empties a roll-out slot.
+        // Rank by surrogate g_hat (one batched forward pass over both
+        // tiers). The whole scored pool is retained — the rows beyond
+        // cand_num were already paid for by the single predict_batch, and
+        // the surplus is exactly the backup stock the fault-tolerant
+        // top-up draws from when a permanent simulator failure empties a
+        // roll-out slot.
+        let n_refined = rounded.len();
+        rounded.extend(backups);
         let predictions = instrumented.predict_batch(&rounded);
-        let mut pool: Vec<PoolEntry> = rounded
-            .into_iter()
-            .zip(predictions)
-            .filter_map(|(x, m)| {
-                let m = m.ok()?;
-                let g = final_objective.g_hat(&m, &x);
-                Some(PoolEntry {
-                    values: x,
-                    predicted: m,
-                    g_hat: g,
-                })
+        let mut entries = rounded.into_iter().zip(predictions).map(|(x, m)| {
+            let m = m.ok()?;
+            Some(PoolEntry {
+                g_hat: final_objective.g_hat(&m, &x),
+                values: x,
+                predicted: m,
             })
-            .collect();
+        });
+        let mut pool: Vec<PoolEntry> = entries.by_ref().take(n_refined).flatten().collect();
+        let mut backup: Vec<PoolEntry> = entries.flatten().collect();
         pool.sort_by(|a, b| nan_last(a.g_hat, b.g_hat));
+        backup.sort_by(|a, b| nan_last(a.g_hat, b.g_hat));
+        pool.extend(backup);
 
         PreparedRollout {
             pool,
@@ -729,8 +746,10 @@ impl<'a> IsopOptimizer<'a> {
 /// surrogate-ranked candidate pool plus the frozen objective and stage-1
 /// sample accounting that `IsopOptimizer::finalize` folds into the outcome.
 struct PreparedRollout {
-    /// Surrogate-scored candidate pool, best `g_hat` first. The rows
-    /// beyond `cand_num` are the backup stock top-ups draw from.
+    /// Surrogate-scored candidate pool in roll-out order: the refined
+    /// designs best `g_hat` first, then the remaining distinct pre-GD
+    /// seeds best first. The rows beyond `cand_num` are the backup stock
+    /// top-ups draw from.
     pool: Vec<PoolEntry>,
     /// The adapted objective, frozen after the global stage.
     final_objective: Objective,

@@ -13,7 +13,7 @@
 //! A wave schedule — every retry chain finishing inside its wave, each
 //! failed attempt billed at one nominal plus an exponential backoff —
 //! charges more for the same candidates. That comparison is kept as pinned
-//! constants: 70.67 s against this stream's 30.33 s on the bench gate's
+//! constants: 166.50 s against this stream's 91.00 s on the bench gate's
 //! faulted smoke (`fault_smoke` in `bench_gate.rs`), and 151.17 s against
 //! 45.5 s when every design fails twice before succeeding
 //! (`tests/em_fault_tolerance.rs`).

@@ -43,6 +43,11 @@ impl Budget {
         self.samples += n;
     }
 
+    /// Samples left under the sample limit (`None` without one).
+    pub fn remaining_samples(&self) -> Option<u64> {
+        self.max_samples.map(|m| m.saturating_sub(self.samples))
+    }
+
     /// Samples consumed so far.
     pub fn samples(&self) -> u64 {
         self.samples
@@ -84,6 +89,7 @@ mod tests {
         let mut b = Budget::unlimited();
         b.record_samples(1_000_000);
         assert!(!b.exhausted());
+        assert_eq!(b.remaining_samples(), None);
     }
 
     #[test]
@@ -91,6 +97,7 @@ mod tests {
         let mut b = Budget::unlimited().with_samples(10);
         b.record_samples(9);
         assert!(!b.exhausted());
+        assert_eq!(b.remaining_samples(), Some(1));
         b.record_samples(1);
         assert!(b.exhausted());
     }

@@ -2,15 +2,20 @@
 //! adapted as in the ISOP+ paper.
 //!
 //! Each stage draws `q` uniform samples from the current (restricted) binary
-//! cube, evaluates the objective in batch, fits a **sparse low-degree Fourier
-//! polynomial** to the observations via Lasso (the PSR subroutine of Eq. 3),
-//! and fixes the bits appearing in the most significant monomials to their
-//! best joint assignment — shrinking the search space multiplicatively while
-//! remaining trivially parallelizable, in contrast to sequential BO.
+//! cube, evaluates them in one [`BinaryObjective::eval_batch`] call, fits a
+//! **sparse low-degree Fourier polynomial** to the observations via Lasso
+//! (the PSR subroutine of Eq. 3), and fixes the bits appearing in the most
+//! significant monomials to their best joint assignment — shrinking the
+//! search space multiplicatively while remaining trivially parallelizable,
+//! in contrast to sequential BO.
 //!
-//! Invalid encodings (the objective returns `None`) are excluded from the fit
-//! and resampled, matching the paper's handling of the `2^73` vs `7.14e19`
-//! discrepancy in `S_1`.
+//! Invalid encodings (the paper's `2^73` codes vs `7.14e19` valid designs in
+//! `S_1`) are never drawn: the [`BinarySpace`] knows each parameter's field
+//! and samples only valid codes, which is the uniform distribution over the
+//! valid designs that rejection sampling would give. A point the objective
+//! still rejects (`None`) is left out of the fit. A candidate bit
+//! assignment that would leave no valid design is skipped by an exact
+//! [`BinarySpace::is_live`] test.
 
 use crate::budget::Budget;
 use crate::lasso::lasso_coordinate_descent_traced;
@@ -35,8 +40,6 @@ pub struct HarmonicaConfig {
     pub top_monomials: usize,
     /// Maximum bits fixed per stage.
     pub bits_per_stage: usize,
-    /// Resampling attempts per requested valid sample.
-    pub max_resample: usize,
 }
 
 impl Default for HarmonicaConfig {
@@ -48,7 +51,6 @@ impl Default for HarmonicaConfig {
             lambda: 0.02,
             top_monomials: 8,
             bits_per_stage: 6,
-            max_resample: 16_384,
         }
     }
 }
@@ -127,35 +129,27 @@ fn build_features(free_bits: &[usize], degree: usize) -> Vec<Parity> {
     feats
 }
 
-/// Draws up to `count` valid samples from `space`, evaluating via `obj`.
-fn sample_valid(
+/// Draws one stage's points — `count` of them, fewer when the sample
+/// budget has less left — and scores them in one batch. Returns the points
+/// the objective accepted, in draw order.
+fn sample_stage(
     obj: &mut dyn BinaryObjective,
     space: &BinarySpace,
     count: usize,
-    max_resample: usize,
     budget: &mut Budget,
     rng: &mut StdRng,
 ) -> Vec<BinarySample> {
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        if budget.exhausted() {
-            break;
-        }
-        let mut found = false;
-        for _ in 0..max_resample {
-            let bits = space.sample(rng);
-            if let Some(value) = obj.eval(&bits) {
-                budget.record_samples(1);
-                out.push(BinarySample { bits, value });
-                found = true;
-                break;
-            }
-        }
-        if !found {
-            // Space may be overwhelmingly invalid here; give up on this draw.
-            continue;
-        }
-    }
+    let count = budget
+        .remaining_samples()
+        .map_or(count, |left| count.min(left as usize));
+    let draws: Vec<Vec<bool>> = (0..count).map(|_| space.sample(rng)).collect();
+    let values = obj.eval_batch(&draws);
+    let out: Vec<BinarySample> = draws
+        .into_iter()
+        .zip(values)
+        .filter_map(|(bits, value)| value.map(|value| BinarySample { bits, value }))
+        .collect();
+    budget.record_samples(out.len() as u64);
     out
 }
 
@@ -184,8 +178,8 @@ pub fn run(
 }
 
 /// [`run`] with telemetry: records a `harmonica.sample` span around each
-/// stage's sampling batch, counts Lasso solves and completed stages, and
-/// forwards the handle into the PSR Lasso fit.
+/// stage's draws and their batched evaluation, counts Lasso solves and
+/// completed stages, and forwards the handle into the PSR Lasso fit.
 pub fn run_traced(
     obj: &mut dyn BinaryObjective,
     mut space: BinarySpace,
@@ -201,19 +195,12 @@ pub fn run_traced(
     let mut stages_run = 0;
 
     for stage in 0..cfg.stages {
-        if budget.exhausted() || space.n_free() == 0 {
+        if budget.exhausted() || space.n_free() == 0 || !space.is_live() {
             break;
         }
         let samples = {
             let _span = isop_telemetry::span!(telemetry, "harmonica.sample");
-            sample_valid(
-                obj,
-                &space,
-                cfg.samples_per_stage,
-                cfg.max_resample,
-                budget,
-                rng,
-            )
+            sample_stage(obj, &space, cfg.samples_per_stage, budget, rng)
         };
         if samples.len() < 8 {
             break; // not enough data for a meaningful fit
@@ -298,25 +285,18 @@ pub fn run_traced(
         // Fix the best assignment whose restricted space is still *alive*:
         // an assignment can force a parameter code past its level count
         // (e.g. both bits of a 3-level parameter set), leaving a space with
-        // no valid designs. Probe each candidate restriction with a handful
-        // of draws and fall through to the next assignment if it is dead.
-        let mut fixed_any = false;
+        // no valid designs. Fall through to the next assignment if it is
+        // dead; if every one is, the stage leaves the space unrestricted.
         for (_, assign) in ranked {
             let mut trial_space = space.clone();
             for (p, &b) in chosen.iter().enumerate() {
                 trial_space.fix(b, (assign >> p) & 1 == 1);
             }
-            let alive = (0..cfg.max_resample.clamp(64, 1024)).any(|_| {
-                let bits = trial_space.sample(rng);
-                obj.eval(&bits).is_some()
-            });
-            if alive {
+            if trial_space.is_live() {
                 space = trial_space;
-                fixed_any = true;
                 break;
             }
         }
-        let _ = fixed_any; // a dead stage simply leaves the space unrestricted
 
         on_stage(stage, &samples);
         history.extend(samples);
@@ -442,8 +422,11 @@ mod tests {
     }
 
     #[test]
-    fn invalid_points_are_resampled() {
-        // Half the cube (bit 15 set) is invalid.
+    fn invalid_points_are_never_drawn() {
+        // Bit 15 is a one-level field: setting it is an invalid code, so
+        // half the cube is invalid. The objective still guards it.
+        let mut layout = vec![(1, 2); 15];
+        layout.push((1, 1));
         let mut obj = BinaryFn::new(16, |b: &[bool]| {
             if b[15] {
                 None
@@ -459,7 +442,7 @@ mod tests {
         let mut budget = Budget::unlimited();
         let res = run(
             &mut obj,
-            BinarySpace::free(16),
+            BinarySpace::with_fields(&layout),
             &cfg,
             &mut budget,
             &mut rng(),
@@ -469,7 +452,7 @@ mod tests {
             res.history.iter().all(|s| !s.bits[15]),
             "no invalid samples kept"
         );
-        assert!(res.history.len() >= 90, "resampling must recover the count");
+        assert_eq!(res.history.len(), 100, "every draw is valid");
     }
 
     #[test]
@@ -498,12 +481,15 @@ mod tests {
     }
 
     /// Regression test: the PSR step must never fix bits into a dead
-    /// (all-invalid) subspace. Here bit pattern (b0, b1) = (1, 1) is the
-    /// only invalid region but also where the unconstrained polynomial
-    /// minimum lies — Harmonica must fall through to a live assignment and
-    /// keep producing samples in later stages.
+    /// (all-invalid) subspace. Bits 0–1 form a 3-level field, so the
+    /// pattern (b0, b1) = (1, 1) is the only invalid region but also where
+    /// the unconstrained polynomial minimum lies — Harmonica must fall
+    /// through to a live assignment and keep producing samples in later
+    /// stages.
     #[test]
     fn bit_fixing_avoids_dead_subspaces() {
+        let mut layout = vec![(2, 3)];
+        layout.extend([(1, 2); 8]);
         let mut obj = BinaryFn::new(10, |b: &[bool]| {
             if b[0] && b[1] {
                 return None; // invalid encoding region
@@ -523,7 +509,7 @@ mod tests {
         let mut budget = Budget::unlimited();
         let res = run(
             &mut obj,
-            BinarySpace::free(10),
+            BinarySpace::with_fields(&layout),
             &cfg,
             &mut budget,
             &mut rng(),
@@ -531,19 +517,75 @@ mod tests {
         );
         assert_eq!(res.stages_run, 3, "later stages must stay alive");
         // The space must still contain valid points.
-        let mut check_rng = StdRng::seed_from_u64(99);
-        let mut found_valid = false;
-        for _ in 0..2000 {
-            let bits = res.space.sample(&mut check_rng);
-            if !(bits[0] && bits[1]) {
-                found_valid = true;
-                break;
-            }
-        }
-        assert!(found_valid, "restricted space must not be dead");
+        assert!(res.space.is_live(), "restricted space must not be dead");
+        let bits = res.space.sample(&mut StdRng::seed_from_u64(99));
+        assert!(!(bits[0] && bits[1]), "draws stay valid");
         // And the best value is the live optimum: exactly one of b0/b1 set
         // gives -3 * (+1) - 3 * (-1) = 0.
         assert_eq!(res.best.expect("found").value, 0.0);
+    }
+
+    /// Records how Harmonica calls its objective: single evaluations and
+    /// the size of every batch.
+    struct BatchLog {
+        singles: usize,
+        batches: Vec<usize>,
+    }
+
+    impl BinaryObjective for BatchLog {
+        fn eval(&mut self, bits: &[bool]) -> Option<f64> {
+            self.singles += 1;
+            self.eval_batch(&[bits.to_vec()])[0]
+        }
+
+        fn eval_batch(&mut self, points: &[Vec<bool>]) -> Vec<Option<f64>> {
+            self.batches.push(points.len());
+            let sign = |x: bool| if x { 1.0 } else { -1.0 };
+            points
+                .iter()
+                .map(|b| Some(-2.0 * sign(b[0]) - 2.0 * sign(b[1]) + sign(b[4])))
+                .collect()
+        }
+
+        fn n_bits(&self) -> usize {
+            10
+        }
+    }
+
+    /// The objective sees one batch of exactly `samples_per_stage` points
+    /// per stage and nothing else: the liveness test evaluates nothing,
+    /// even when the best assignment is dead.
+    #[test]
+    fn objective_is_called_once_per_stage_with_the_full_batch() {
+        let mut layout = vec![(2, 3)];
+        layout.extend([(1, 2); 8]);
+        let cfg = HarmonicaConfig {
+            stages: 3,
+            samples_per_stage: 70,
+            top_monomials: 4,
+            bits_per_stage: 3,
+            lambda: 0.05,
+            ..HarmonicaConfig::default()
+        };
+        let mut obj = BatchLog {
+            singles: 0,
+            batches: Vec::new(),
+        };
+        let res = run(
+            &mut obj,
+            BinarySpace::with_fields(&layout),
+            &cfg,
+            &mut Budget::unlimited(),
+            &mut rng(),
+            |_, _| {},
+        );
+        assert_eq!(res.stages_run, 3);
+        assert_eq!(obj.singles, 0, "no single-point evaluation");
+        assert_eq!(obj.batches, vec![70; 3], "one full batch per stage");
+        assert_eq!(res.history.len(), 210);
+        // The dead corner (b0, b1) = (1, 1) was the polynomial's minimum,
+        // so the fixed assignment is a live one.
+        assert!(res.space.is_live());
     }
 
     /// Tracing must be observation-only: the traced run draws the same RNG
@@ -637,7 +679,6 @@ mod tests {
             top_monomials: 3,
             bits_per_stage: 3,
             lambda: 0.05,
-            ..HarmonicaConfig::default()
         };
         let mut budget = Budget::unlimited();
         let res = run(

@@ -1,9 +1,12 @@
 //! Objective-function traits and evaluation records.
 //!
 //! Stack-up encodings contain *invalid* codes (Table III: `S_1` spans `2^73`
-//! codes but only `7.14e19` valid designs), so binary objectives return
-//! `None` for invalid points and searchers must handle resampling — exactly
-//! the behaviour Section IV-A of the paper describes.
+//! codes but only `7.14e19` valid designs). Section IV-A of the paper leaves
+//! them out of the search. Harmonica never draws them: its
+//! [`BinarySpace`](crate::space::BinarySpace) knows the field layout and
+//! samples valid designs only. Binary objectives still return `None` for an
+//! invalid point, which searchers that move by bit flips (simulated
+//! annealing, Hyperband's neighbourhood probes) can reach.
 
 use serde::{Deserialize, Serialize};
 
@@ -21,6 +24,13 @@ pub trait BinaryObjective {
     /// Evaluates `bits`; `None` marks an invalid encoding (excluded from
     /// search statistics, as in the paper).
     fn eval(&mut self, bits: &[bool]) -> Option<f64>;
+
+    /// Evaluates `points` in order, one result per point, as if by one
+    /// [`BinaryObjective::eval`] call each. The default loops `eval`;
+    /// objectives backed by a batched model override it with one call.
+    fn eval_batch(&mut self, points: &[Vec<bool>]) -> Vec<Option<f64>> {
+        points.iter().map(|p| self.eval(p)).collect()
+    }
 
     /// Number of bits expected.
     fn n_bits(&self) -> usize;
@@ -123,6 +133,14 @@ impl<O: BinaryObjective> BinaryObjective for CountingBinary<O> {
         out
     }
 
+    fn eval_batch(&mut self, points: &[Vec<bool>]) -> Vec<Option<f64>> {
+        let out = self.inner.eval_batch(points);
+        let valid = out.iter().filter(|v| v.is_some()).count() as u64;
+        self.valid += valid;
+        self.invalid += out.len() as u64 - valid;
+        out
+    }
+
     fn n_bits(&self) -> usize {
         self.inner.n_bits()
     }
@@ -154,5 +172,8 @@ mod tests {
         assert_eq!(c.eval(&[false, false]), None);
         assert_eq!(c.eval(&[true, true]), Some(1.0));
         assert_eq!((c.valid, c.invalid, c.total()), (2, 1, 3));
+        let batch = vec![vec![false, true], vec![true, true]];
+        assert_eq!(c.eval_batch(&batch), vec![None, Some(1.0)]);
+        assert_eq!((c.valid, c.invalid), (3, 2));
     }
 }

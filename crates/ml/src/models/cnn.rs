@@ -14,6 +14,14 @@
 //! requires. That stage makes one input-gradient (VJP) evaluation per step:
 //! one forward pass plus one input-only backward pass, with no
 //! weight-gradient writes and no full Jacobian.
+//!
+//! Inference on more than one row (each Harmonica stage scores its draws in
+//! one call) runs a batch-major kernel: activations are laid out
+//! `[feature][row]` in blocks of rows, so every inner loop runs over rows,
+//! and the conv padding test is hoisted to each output position's tap
+//! range. Each output element keeps the summation order of the row-wise
+//! pass that training and the VJP use, so every row of a batch prediction
+//! is bit-identical to predicting that row alone.
 
 use crate::dataset::{Dataset, Scaler};
 use crate::linalg::Matrix;
@@ -190,6 +198,66 @@ impl BackScratch {
             d_e: vec![0.0; c0 * l0],
             d_x: vec![0.0; model.n_features],
         }
+    }
+}
+
+/// Rows per block of the batch-major inference kernel: a block's
+/// activations stay cache-resident while the inner loops still run over
+/// enough rows to vectorize.
+const PREDICT_BLOCK_ROWS: usize = 64;
+
+/// Batch-major activations for [`Cnn1d::forward_batch`], one buffer per
+/// layer, each laid out `[feature][row]` for up to `rows` rows. The
+/// activation functions run in place, so each layer needs one buffer.
+struct BatchActs {
+    rows: usize,
+    x: Vec<f64>,
+    e: Vec<f64>,
+    a1: Vec<f64>,
+    p1: Vec<f64>,
+    a2: Vec<f64>,
+    p2: Vec<f64>,
+    h: Vec<f64>,
+    out: Vec<f64>,
+}
+
+impl BatchActs {
+    fn zeros_like(model: &Cnn1d, rows: usize) -> Self {
+        let c1 = model.cfg.conv_channels;
+        let (l0, l1, l2) = (model.l0(), model.l1(), model.l2());
+        Self {
+            rows,
+            x: vec![0.0; model.n_features * rows],
+            e: vec![0.0; model.cfg.expand * rows],
+            a1: vec![0.0; c1 * l0 * rows],
+            p1: vec![0.0; c1 * l1 * rows],
+            a2: vec![0.0; c1 * l1 * rows],
+            p2: vec![0.0; c1 * l2 * rows],
+            h: vec![0.0; model.cfg.head * rows],
+            out: vec![0.0; model.n_outputs * rows],
+        }
+    }
+}
+
+/// Batch-major dense layer:
+/// `out[o][r] = b[o] + sum_j w[o][j] * input[j][r]`, summed over `j` in
+/// ascending order — the order of the row-wise loops.
+fn dense_batch(w: &[f64], b: &[f64], input: &[f64], out: &mut [f64], rows: usize) {
+    let n_in = input.len() / rows;
+    for ((o_row, w_row), &bias) in out.chunks_exact_mut(rows).zip(w.chunks_exact(n_in)).zip(b) {
+        o_row.fill(bias);
+        for (&wv, in_row) in w_row.iter().zip(input.chunks_exact(rows)) {
+            for (o, &v) in o_row.iter_mut().zip(in_row) {
+                *o += wv * v;
+            }
+        }
+    }
+}
+
+/// Leaky ReLU over a whole buffer, in place.
+fn leaky_in_place(v: &mut [f64], s: f64) {
+    for x in v {
+        *x = leaky(*x, s);
     }
 }
 
@@ -404,6 +472,115 @@ impl Cnn1d {
                 d_in[c * len + 2 * p + 1] += g;
             }
         }
+    }
+
+    /// Batch-major [`Cnn1d::conv_forward`]: `input` is `[ic][pos][row]`
+    /// and `out` is `[oc][pos][row]`. The padding test is hoisted to the
+    /// tap range of each output position, and every output element still
+    /// sums its bias, then `ic` ascending, then `dk` ascending.
+    #[allow(clippy::too_many_arguments)]
+    fn conv_forward_batch(
+        w: &[f64],
+        b: &[f64],
+        input: &[f64],
+        out: &mut [f64],
+        in_ch: usize,
+        len: usize,
+        k: usize,
+        rows: usize,
+    ) {
+        let pad = k / 2;
+        for ((o_ch, taps), &bias) in out
+            .chunks_exact_mut(len * rows)
+            .zip(w.chunks_exact(in_ch * k))
+            .zip(b)
+        {
+            for (p, o_row) in o_ch.chunks_exact_mut(rows).enumerate() {
+                // Output position p reads input p + dk - pad.
+                let dk0 = pad.saturating_sub(p);
+                let dk1 = k.min(len + pad - p);
+                o_row.fill(bias);
+                for (tap, in_ch_rows) in taps.chunks_exact(k).zip(input.chunks_exact(len * rows)) {
+                    for (dk, &wv) in tap.iter().enumerate().take(dk1).skip(dk0) {
+                        let q = p + dk - pad;
+                        let in_row = &in_ch_rows[q * rows..(q + 1) * rows];
+                        for (o, &v) in o_row.iter_mut().zip(in_row) {
+                            *o += wv * v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Batch-major [`Cnn1d::avg_pool2`] over `[c][pos][row]` buffers.
+    fn avg_pool2_batch(input: &[f64], rows: usize, out: &mut [f64]) {
+        for (o_pair, in_pair) in out.chunks_exact_mut(rows).zip(input.chunks_exact(2 * rows)) {
+            let (even, odd) = in_pair.split_at(rows);
+            for ((o, &a), &b) in o_pair.iter_mut().zip(even).zip(odd) {
+                *o = 0.5 * (a + b);
+            }
+        }
+    }
+
+    /// Inference forward pass over rows `r0..r0 + acts.rows` of the
+    /// standardized matrix `xs`, leaving the network output in `acts.out`
+    /// as `[output][row]`. Every element is computed with the arithmetic
+    /// and summation order of [`Cnn1d::forward_sample_into`], so each row
+    /// is bit-identical to it at any batch size.
+    fn forward_batch(&self, xs: &Matrix, r0: usize, acts: &mut BatchActs) {
+        let cfg = &self.cfg;
+        let (c0, c1, k) = (cfg.channels, cfg.conv_channels, cfg.kernel);
+        let (l0, l1) = (self.l0(), self.l1());
+        let s = cfg.leaky_slope;
+        let rows = acts.rows;
+        let d = self.n_features;
+
+        let x = &mut acts.x[..d * rows];
+        for r in 0..rows {
+            for (j, &v) in xs.row(r0 + r).iter().enumerate() {
+                x[j * rows + r] = v;
+            }
+        }
+        let e = &mut acts.e[..cfg.expand * rows];
+        dense_batch(&self.w_expand.data, &self.b_expand.data, x, e, rows);
+        leaky_in_place(e, s);
+
+        let a1 = &mut acts.a1[..c1 * l0 * rows];
+        Self::conv_forward_batch(
+            &self.w_conv1.data,
+            &self.b_conv1.data,
+            e,
+            a1,
+            c0,
+            l0,
+            k,
+            rows,
+        );
+        leaky_in_place(a1, s);
+        let p1 = &mut acts.p1[..c1 * l1 * rows];
+        Self::avg_pool2_batch(a1, rows, p1);
+
+        let a2 = &mut acts.a2[..c1 * l1 * rows];
+        Self::conv_forward_batch(
+            &self.w_conv2.data,
+            &self.b_conv2.data,
+            p1,
+            a2,
+            c1,
+            l1,
+            k,
+            rows,
+        );
+        leaky_in_place(a2, s);
+        let p2 = &mut acts.p2[..self.flat_len() * rows];
+        Self::avg_pool2_batch(a2, rows, p2);
+
+        let h = &mut acts.h[..cfg.head * rows];
+        dense_batch(&self.w_head.data, &self.b_head.data, p2, h, rows);
+        leaky_in_place(h, s);
+        let out = &mut acts.out[..self.n_outputs * rows];
+        dense_batch(&self.w_out.data, &self.b_out.data, h, out, rows);
     }
 
     /// Forward pass on a standardized sample, caching every intermediate
@@ -974,17 +1151,34 @@ impl Regressor for Cnn1d {
             .as_ref()
             .ok_or(MlError::NotFitted)?
             .transform(x);
-        let mut out = Matrix::zeros(x.rows(), self.n_outputs);
-        let mut caches = Caches::zeros_like(self);
-        for r in 0..x.rows() {
-            self.forward_sample_into(xs.row(r), &mut caches);
-            out.row_mut(r).copy_from_slice(&caches.out);
+        let y_scaler = self.y_scaler.as_ref().ok_or(MlError::NotFitted)?;
+        // Batch-major blocks of rows; each row's result is bit-identical
+        // to the row-wise training forward pass, which a single row takes
+        // directly because the batch kernel only pays off across rows.
+        let n = x.rows();
+        let mut out = Matrix::zeros(n, self.n_outputs);
+        if n == 1 {
+            let mut caches = Caches::zeros_like(self);
+            self.forward_sample_into(xs.row(0), &mut caches);
+            out.row_mut(0).copy_from_slice(&caches.out);
+        } else {
+            let mut acts = BatchActs::zeros_like(self, n.min(PREDICT_BLOCK_ROWS));
+            for r0 in (0..n).step_by(PREDICT_BLOCK_ROWS) {
+                acts.rows = PREDICT_BLOCK_ROWS.min(n - r0);
+                self.forward_batch(&xs, r0, &mut acts);
+                for (o, col) in acts
+                    .out
+                    .chunks_exact(acts.rows)
+                    .take(self.n_outputs)
+                    .enumerate()
+                {
+                    for (r, &v) in col.iter().enumerate() {
+                        out[(r0 + r, o)] = v;
+                    }
+                }
+            }
         }
-        Ok(self
-            .y_scaler
-            .as_ref()
-            .ok_or(MlError::NotFitted)?
-            .inverse_transform(&out))
+        Ok(y_scaler.inverse_transform(&out))
     }
 
     fn name(&self) -> &'static str {
@@ -1136,6 +1330,71 @@ mod tests {
         let pred = m.predict(&d.x).unwrap();
         assert!(r2(&d.y.col_vec(0), &pred.col_vec(0)) > 0.9);
         assert!(r2(&d.y.col_vec(1), &pred.col_vec(1)) > 0.95);
+    }
+
+    /// A model at the optimize benchmark's widths (expand 192, head 64),
+    /// briefly fitted on a 15-feature, 3-output dataset, and a probe
+    /// matrix of 300 rows that also reach outside the training range.
+    fn wide_model_and_probe() -> (Cnn1d, Matrix) {
+        let row = |i: usize, scale: f64| -> Vec<f64> {
+            (0..15)
+                .map(|j| (((i * 31 + j * 17) % 97) as f64 / 48.0 - 1.0) * scale)
+                .collect()
+        };
+        let rows: Vec<Vec<f64>> = (0..120).map(|i| row(i, 1.0)).collect();
+        let ys: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|r| vec![r[0] * r[1], r[2].sin(), r[3] - r[4] * r[4]])
+            .collect();
+        let d = Dataset::new(Matrix::from_rows(&rows), Matrix::from_rows(&ys)).unwrap();
+        let mut m = Cnn1d::new(Cnn1dConfig {
+            expand: 192,
+            channels: 8,
+            conv_channels: 16,
+            head: 64,
+            epochs: 2,
+            dropout: 0.02,
+            ..Cnn1dConfig::default()
+        });
+        m.fit(&d).unwrap();
+        let probe: Vec<Vec<f64>> = (0..300).map(|i| row(i + 7, 1.5)).collect();
+        (m, Matrix::from_rows(&probe))
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The batch-major kernel reproduces the row-wise forward pass bit
+    /// for bit at every batch size, and `predict` (which runs it in
+    /// blocks) matches both the row-wise pass and the prediction half of
+    /// the fused value-and-gradient call.
+    #[test]
+    fn batch_kernel_is_bit_identical_to_the_row_pass() {
+        let (m, probe) = wide_model_and_probe();
+        let xs = m.x_scaler.as_ref().unwrap().transform(&probe);
+        let mut caches = Caches::zeros_like(&m);
+        for n in [1, 2, 3, 64, 300] {
+            let mut acts = BatchActs::zeros_like(&m, n);
+            m.forward_batch(&xs, 0, &mut acts);
+            for r in 0..n {
+                m.forward_sample_into(xs.row(r), &mut caches);
+                let col: Vec<f64> = (0..m.n_outputs).map(|o| acts.out[o * n + r]).collect();
+                assert_eq!(bits(&col), bits(&caches.out), "batch {n}, row {r}");
+            }
+
+            let batch =
+                Matrix::from_rows(&(0..n).map(|r| probe.row(r).to_vec()).collect::<Vec<_>>());
+            let pred = m.predict(&batch).unwrap();
+            for r in 0..n {
+                let single = m
+                    .predict(&Matrix::from_rows(&[probe.row(r).to_vec()]))
+                    .unwrap();
+                assert_eq!(bits(pred.row(r)), bits(single.row(0)), "batch {n}, row {r}");
+                let (y, _) = m.value_and_vjp(probe.row(r), &|y| y.to_vec()).unwrap();
+                assert_eq!(bits(pred.row(r)), bits(&y), "batch {n}, row {r} vs fused");
+            }
+        }
     }
 
     #[test]

@@ -1063,8 +1063,13 @@ impl Store {
 }
 
 /// Validates the header of `path` and returns its declared shard count.
+/// Reads only the header's bytes, not the shard behind it.
 fn read_header(path: &Path) -> io::Result<u32> {
-    let bytes = std::fs::read(path)?;
+    use std::io::Read;
+    let mut bytes = Vec::with_capacity(HEADER_LEN);
+    std::fs::File::open(path)?
+        .take(HEADER_LEN as u64)
+        .read_to_end(&mut bytes)?;
     parse_header(&bytes, path)
 }
 
@@ -1326,6 +1331,37 @@ mod tests {
         let verify = fresh.verify().expect("verifies");
         let v = verify.iter().find(|v| v.shard == shard).expect("shard");
         assert_eq!((v.valid, v.skipped), (2, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `open` rejects a first shard shorter than the header and one with a
+    /// bad magic, naming the file, and accepts a valid header however
+    /// long the shard behind it is.
+    #[test]
+    fn open_checks_only_the_first_shard_header() {
+        let dir = temp_dir("header");
+        let store = Store::open(&dir).expect("opens");
+        store.append_eval(&eval(3, 0, 85.0));
+        store.flush().expect("flushes");
+        let name = format!("shard_{:03}.bin", store.shard_of(3));
+        drop(store);
+        let path = dir.join(&name);
+        let good = std::fs::read(&path).expect("reads");
+        assert!(good.len() > HEADER_LEN);
+
+        std::fs::write(&path, &good[..HEADER_LEN - 1]).expect("writes");
+        let err = Store::open(&dir).expect_err("short header fails");
+        assert!(err.to_string().contains("truncated store header"), "{err}");
+        assert!(err.to_string().contains(&name), "{err}");
+
+        let mut bad = good.clone();
+        bad[0] ^= 0xFF;
+        std::fs::write(&path, &bad).expect("writes");
+        let err = Store::open(&dir).expect_err("bad magic fails");
+        assert!(err.to_string().contains("bad magic"), "{err}");
+
+        std::fs::write(&path, &good).expect("writes");
+        assert!(Store::open(&dir).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
