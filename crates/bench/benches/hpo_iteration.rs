@@ -86,33 +86,6 @@ fn bench_hpo(c: &mut Criterion) {
     });
 
     g.finish();
-
-    // Hyperband-style fidelity fan-out: the pipeline evaluates a
-    // configuration's random 1-bit neighbours concurrently. Width comes from
-    // the THREADS env var (default 1); `THREADS=4 cargo bench` shows the
-    // parallel speedup, and results are index-ordered either way.
-    let threads = isop::exec::Parallelism::from_env().threads;
-    let mut rng = StdRng::seed_from_u64(4);
-    let space = BinarySpace::free(N_BITS);
-    let replicas: Vec<Vec<bool>> = (0..64).map(|_| space.sample(&mut rng)).collect();
-    // Same shape as the toy objective above, but stateless so replicas can
-    // be scored on any thread; repeated to make each replica non-trivial.
-    let score = |bits: &[bool]| -> f64 {
-        (0..256)
-            .map(|_| {
-                bits.iter()
-                    .enumerate()
-                    .map(|(i, &x)| if x { (i % 7) as f64 } else { 0.0 })
-                    .sum::<f64>()
-            })
-            .sum()
-    };
-    let mut g = c.benchmark_group("hpo_parallel_fanout");
-    g.sample_size(10);
-    g.bench_function(format!("replica_eval_t{threads}"), |b| {
-        b.iter(|| isop::exec::par_map_indexed(threads, black_box(&replicas), |_, bits| score(bits)))
-    });
-    g.finish();
 }
 
 criterion_group!(benches, bench_hpo);

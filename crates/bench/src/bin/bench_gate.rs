@@ -16,8 +16,8 @@
 //!   `max_{phase}_seconds` budget, and one loop checks them all.
 //!
 //! The smoke workload runs the seeded pipeline **twice** on one telemetry
-//! handle, sharing one evaluation cache and surrogate memo across the two
-//! runs: the second run's roll-out is served entirely from cache, which is
+//! handle, sharing one evaluation cache across the two runs: the second
+//! run's roll-out is served entirely from cache, which is
 //! what the `em.cache.*` budgets and the >= 20% saved-EM-seconds assertion
 //! pin down. The gate also verifies the cache contract directly — both
 //! runs must produce bit-identical candidates. `--no-cache` runs the same
@@ -91,7 +91,7 @@
 //! from the measurement (counters exact, wall-clock with 3x headroom).
 
 use isop::data::generate_dataset;
-use isop::evalcache::{EvalCache, SurrogateMemo};
+use isop::evalcache::EvalCache;
 use isop::prelude::*;
 use isop_em::simulator::AnalyticalSolver;
 use isop_hpo::budget::Budget;
@@ -352,8 +352,8 @@ fn demo_specs() -> [JobSpec; 4] {
 }
 
 /// Runs the seeded smoke pipeline twice on one telemetry handle, sharing
-/// one evaluation cache + surrogate memo across the runs (both disabled
-/// under `--no-cache`), then every other smoke phase on the same handle.
+/// one evaluation cache across the runs (disabled under `--no-cache`), then
+/// every other smoke phase on the same handle.
 /// Returns the budgeted report and each of [`PHASES`]' wall-clock, or an
 /// error if the runs are not bit-identical, (cache on) the saved-EM
 /// fraction falls under [`MIN_SAVED_FRACTION`], or any phase breaks its
@@ -372,17 +372,11 @@ fn run_smoke(
     } else {
         EvalCache::disabled()
     };
-    let memo = if use_cache {
-        SurrogateMemo::new()
-    } else {
-        SurrogateMemo::disabled()
-    };
     let t0 = Instant::now();
     let run = || {
         IsopOptimizer::new(&space, &surrogate, &simulator, config.clone())
             .with_telemetry(telemetry.clone())
             .with_eval_cache(cache.clone())
-            .with_surrogate_memo(memo.clone())
             .run(
                 isop::tasks::objective_for(TaskId::T1, vec![]),
                 Budget::unlimited(),

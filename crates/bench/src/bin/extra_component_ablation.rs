@@ -70,7 +70,6 @@ fn main() {
             seed: 0xC0DE,
             telemetry: isop_telemetry::Telemetry::disabled(),
             eval_cache: isop::evalcache::EvalCache::new(),
-            surrogate_memo: isop::evalcache::SurrogateMemo::new(),
         };
         let objective = isop::tasks::objective_for(TaskId::T3, vec![]);
         let results = ctx.run_isop(&objective).results;

@@ -7,9 +7,7 @@
 
 use isop::report::{fmt, Table};
 use isop::surrogate::Surrogate;
-use isop_bench::{
-    cnn_surrogate_tagged, emit, mlp_xgb_surrogate_tagged, training_dataset, BenchConfig,
-};
+use isop_bench::{cnn_surrogate, emit, mlp_xgb_surrogate, training_dataset, BenchConfig};
 use isop_ml::metrics::r2;
 
 fn main() {
@@ -17,8 +15,10 @@ fn main() {
     let data = training_dataset(&cfg);
     let (train, test) = data.train_test_split(0.2, 0x5EED);
     eprintln!("[isop-bench] fitting surrogates on {} samples", train.len());
-    let cnn = cnn_surrogate_tagged(&cfg, &train, "split80").expect("CNN trains");
-    let mlp_xgb = mlp_xgb_surrogate_tagged(&cfg, &train, "split80").expect("MLP_XGB trains");
+    // The 80% split caches under its own key: the key fingerprints the
+    // training data.
+    let cnn = cnn_surrogate(&cfg, &train).expect("CNN trains");
+    let mlp_xgb = mlp_xgb_surrogate(&cfg, &train).expect("MLP_XGB trains");
 
     // Scatter table: one row per test sample, truth and both predictions
     // for each metric.

@@ -26,8 +26,8 @@ fn main() {
     // report training spans alongside the pipeline stages.
     let train_tele = Telemetry::enabled();
     let zoo = env_zoo().with_telemetry(train_tele.clone());
-    let cnn = cnn_surrogate_with(&cfg, &data, "full", &zoo).expect("CNN trains");
-    let mlp_xgb = mlp_xgb_surrogate_with(&cfg, &data, "full", &zoo).expect("MLP_XGB trains");
+    let cnn = cnn_surrogate_with(&cfg, &data, &zoo).expect("CNN trains");
+    let mlp_xgb = mlp_xgb_surrogate_with(&cfg, &data, &zoo).expect("MLP_XGB trains");
     let s1 = isop::spaces::s1();
     // Fig. 8 measures wall-clock, so each variant re-simulates everything:
     // a shared cache here would report roll-out spans that depend on run

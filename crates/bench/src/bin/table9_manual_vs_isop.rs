@@ -108,7 +108,6 @@ fn main() {
         seed: 0x7AB9,
         telemetry: isop_telemetry::Telemetry::disabled(),
         eval_cache: isop::evalcache::EvalCache::new(),
-        surrogate_memo: isop::evalcache::SurrogateMemo::new(),
     };
     let s1 = isop::spaces::s1();
     let s1p = isop::spaces::s1_prime();

@@ -1,7 +1,7 @@
 //! Shared experiment drivers for the table-regenerating binaries.
 
 use crate::{isop_config, BenchConfig};
-use isop::evalcache::{EvalCache, SurrogateMemo};
+use isop::evalcache::EvalCache;
 use isop::experiment::{ExperimentContext, MatchMode, TrialStats};
 use isop::objective::Objective;
 use isop::params::ParamSpace;
@@ -52,7 +52,6 @@ pub fn run_comparison_cell(
         // Fresh per cell: repeated ISOP+ trials within the cell reuse each
         // other's roll-out simulations (outcomes are identical either way).
         eval_cache: EvalCache::new(),
-        surrogate_memo: SurrogateMemo::new(),
     };
     let objective: Objective = objective_for(task, vec![]);
     eprintln!(
@@ -208,7 +207,6 @@ pub fn run_ablation_variant(
         seed: 0xAB1A,
         telemetry: telemetry.clone(),
         eval_cache: eval_cache.clone(),
-        surrogate_memo: SurrogateMemo::new(),
     };
     let objective = objective_for(task, vec![]);
     eprintln!(

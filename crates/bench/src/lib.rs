@@ -24,6 +24,7 @@ use isop::surrogate::{MlpXgbSurrogate, ModelZoo, NeuralSurrogate};
 use isop_em::simulator::AnalyticalSolver;
 use isop_ml::dataset::Dataset;
 use isop_ml::models::{Cnn1d, Cnn1dConfig, Mlp, MlpConfig, XgbRegressor};
+use isop_ml::registry::{config_fingerprint, data_fingerprint};
 use isop_ml::MlError;
 use std::fs;
 use std::path::PathBuf;
@@ -192,6 +193,18 @@ fn announce_trained(what: &str, zoo: &ModelZoo, started: Instant) {
     );
 }
 
+/// Cache file name of a fitted model: `kind`, the fingerprint of the
+/// unfitted model(s) — architecture, hyperparameters and seed — and the
+/// fingerprint of the exact training set. Any change to either trains a
+/// new model instead of reloading one of the old shape.
+fn model_cache_key<T: serde::Serialize>(kind: &str, unfitted: &T, data: &Dataset) -> String {
+    format!(
+        "{kind}_{:016x}_{:016x}.json",
+        config_fingerprint(unfitted),
+        data_fingerprint(data)
+    )
+}
+
 fn load_model<M: serde::de::DeserializeOwned>(name: &str) -> Option<M> {
     let text = fs::read_to_string(cache_path(name)).ok()?;
     serde_json::from_str(&text).ok()
@@ -203,30 +216,16 @@ fn store_model<M: serde::Serialize>(name: &str, model: &M) {
     let _ = fs::write(path, serde_json::to_string(model).expect("serializable"));
 }
 
-/// Trains (or loads from cache) the 1D-CNN surrogate.
+/// Trains (or loads from cache) the 1D-CNN surrogate on `data`.
 ///
 /// # Errors
 ///
 /// Propagates training failures.
 pub fn cnn_surrogate(cfg: &BenchConfig, data: &Dataset) -> Result<NeuralSurrogate<Cnn1d>, MlError> {
-    cnn_surrogate_tagged(cfg, data, "full")
+    cnn_surrogate_with(cfg, data, &env_zoo())
 }
 
-/// [`cnn_surrogate`] with a cache tag distinguishing training subsets
-/// (e.g. the 80% split of Fig. 6 vs the full dataset).
-///
-/// # Errors
-///
-/// Propagates training failures.
-pub fn cnn_surrogate_tagged(
-    cfg: &BenchConfig,
-    data: &Dataset,
-    tag: &str,
-) -> Result<NeuralSurrogate<Cnn1d>, MlError> {
-    cnn_surrogate_with(cfg, data, tag, &env_zoo())
-}
-
-/// [`cnn_surrogate_tagged`] training through an explicit [`ModelZoo`]
+/// [`cnn_surrogate`] training through an explicit [`ModelZoo`]
 /// (thread knob + telemetry).
 ///
 /// # Errors
@@ -235,10 +234,10 @@ pub fn cnn_surrogate_tagged(
 pub fn cnn_surrogate_with(
     cfg: &BenchConfig,
     data: &Dataset,
-    tag: &str,
     zoo: &ModelZoo,
 ) -> Result<NeuralSurrogate<Cnn1d>, MlError> {
-    let key = format!("cnn_{}_{}_{}.json", cfg.dataset_size, cfg.epochs, tag);
+    let model = Cnn1d::new(cnn_config(cfg.epochs));
+    let key = model_cache_key("cnn", &model, data);
     if let Some(model) = load_model::<Cnn1d>(&key) {
         eprintln!("[isop-bench] reusing cached 1D-CNN surrogate");
         return Ok(NeuralSurrogate::new(model));
@@ -248,70 +247,23 @@ pub fn cnn_surrogate_with(
         cfg.epochs
     );
     let started = Instant::now();
-    let s = zoo.fit_neural(Cnn1d::new(cnn_config(cfg.epochs)), data)?;
+    let s = zoo.fit_neural(model, data)?;
     announce_trained("1D-CNN surrogate", zoo, started);
     store_model(&key, s.model());
     Ok(s)
 }
 
-/// Trains (or loads from cache) the MLP surrogate.
-///
-/// # Errors
-///
-/// Propagates training failures.
-pub fn mlp_surrogate(cfg: &BenchConfig, data: &Dataset) -> Result<NeuralSurrogate<Mlp>, MlError> {
-    mlp_surrogate_with(cfg, data, &env_zoo())
-}
-
-/// [`mlp_surrogate`] training through an explicit [`ModelZoo`].
-///
-/// # Errors
-///
-/// Propagates training failures.
-pub fn mlp_surrogate_with(
-    cfg: &BenchConfig,
-    data: &Dataset,
-    zoo: &ModelZoo,
-) -> Result<NeuralSurrogate<Mlp>, MlError> {
-    let key = format!("mlp_{}_{}.json", cfg.dataset_size, cfg.epochs);
-    if let Some(model) = load_model::<Mlp>(&key) {
-        eprintln!("[isop-bench] reusing cached MLP surrogate");
-        return Ok(NeuralSurrogate::new(model));
-    }
-    eprintln!(
-        "[isop-bench] training MLP surrogate ({} epochs)...",
-        cfg.epochs
-    );
-    let started = Instant::now();
-    let s = zoo.fit_neural(Mlp::new(mlp_config(cfg.epochs)), data)?;
-    announce_trained("MLP surrogate", zoo, started);
-    store_model(&key, s.model());
-    Ok(s)
-}
-
-/// Trains the DATE'23 `MLP_XGB` surrogate (MLP for Z/L, XGBoost for NEXT).
+/// Trains (or loads from cache) the DATE'23 `MLP_XGB` surrogate (MLP for
+/// Z/L, XGBoost for NEXT) on `data`.
 ///
 /// # Errors
 ///
 /// Propagates training failures.
 pub fn mlp_xgb_surrogate(cfg: &BenchConfig, data: &Dataset) -> Result<MlpXgbSurrogate, MlError> {
-    mlp_xgb_surrogate_tagged(cfg, data, "full")
+    mlp_xgb_surrogate_with(cfg, data, &env_zoo())
 }
 
-/// [`mlp_xgb_surrogate`] with a cache tag distinguishing training subsets.
-///
-/// # Errors
-///
-/// Propagates training failures.
-pub fn mlp_xgb_surrogate_tagged(
-    cfg: &BenchConfig,
-    data: &Dataset,
-    tag: &str,
-) -> Result<MlpXgbSurrogate, MlError> {
-    mlp_xgb_surrogate_with(cfg, data, tag, &env_zoo())
-}
-
-/// [`mlp_xgb_surrogate_tagged`] training through an explicit [`ModelZoo`].
+/// [`mlp_xgb_surrogate`] training through an explicit [`ModelZoo`].
 ///
 /// # Errors
 ///
@@ -319,21 +271,18 @@ pub fn mlp_xgb_surrogate_tagged(
 pub fn mlp_xgb_surrogate_with(
     cfg: &BenchConfig,
     data: &Dataset,
-    tag: &str,
     zoo: &ModelZoo,
 ) -> Result<MlpXgbSurrogate, MlError> {
-    let key = format!("mlp_xgb_{}_{}_{}.json", cfg.dataset_size, cfg.epochs, tag);
+    let mlp = Mlp::new(mlp_config(cfg.epochs));
+    let xgb = XgbRegressor::new(120, 0.15, 6, 1.0, 0.0);
+    let key = model_cache_key("mlp_xgb", &(&mlp, &xgb), data);
     if let Some(model) = load_model::<MlpXgbSurrogate>(&key) {
         eprintln!("[isop-bench] reusing cached MLP_XGB surrogate");
         return Ok(model);
     }
     eprintln!("[isop-bench] training MLP_XGB surrogate...");
     let started = Instant::now();
-    let s = zoo.fit_mlp_xgb(
-        Mlp::new(mlp_config(cfg.epochs)),
-        XgbRegressor::new(120, 0.15, 6, 1.0, 0.0),
-        data,
-    )?;
+    let s = zoo.fit_mlp_xgb(mlp, xgb, data)?;
     announce_trained("MLP_XGB surrogate", zoo, started);
     store_model(&key, &s);
     Ok(s)
@@ -432,6 +381,25 @@ mod tests {
         assert!(cfg.use_hyperband);
         assert!(cfg.adapt_weights);
         assert_eq!(cfg.cand_num, 3, "paper verifies three candidates");
+    }
+
+    /// The model cache key follows everything that determines the fit: a
+    /// width change alone moves it, and equal inputs give equal keys.
+    #[test]
+    fn model_cache_key_follows_config_and_data() {
+        let dataset = |seed| {
+            isop::data::generate_dataset(&spaces::s1(), 8, &AnalyticalSolver::new(), seed)
+                .expect("dataset")
+        };
+        let (data, other) = (dataset(1), dataset(2));
+        let key = |cfg: Cnn1dConfig, data: &Dataset| model_cache_key("cnn", &Cnn1d::new(cfg), data);
+        let wider = Cnn1dConfig {
+            conv_channels: cnn_config(3).conv_channels + 1,
+            ..cnn_config(3)
+        };
+        assert_eq!(key(cnn_config(3), &data), key(cnn_config(3), &data));
+        assert_ne!(key(cnn_config(3), &data), key(wider, &data));
+        assert_ne!(key(cnn_config(3), &data), key(cnn_config(3), &other));
     }
 
     #[test]

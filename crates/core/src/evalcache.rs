@@ -1,42 +1,35 @@
-//! Deterministic evaluation caches for the expensive halves of the pipeline.
+//! Deterministic evaluation cache for the expensive half of the pipeline.
 //!
 //! ISOP's premise is that accurate EM simulation is the scarce resource; yet
 //! the pipeline keeps re-evaluating *identical discrete designs* — roll-out
 //! rounds every refined candidate back onto the manufacturing grid, repeated
 //! trials revisit the same optima, and the ablation variants of one task all
-//! converge on the same handful of grid points. Two caches remove the
-//! duplicate work without changing a single bit of any outcome:
+//! converge on the same handful of grid points. [`EvalCache`] removes the
+//! duplicate work without changing a single bit of any outcome.
 //!
-//! * [`EvalCache`] — a thread-safe EM-result cache keyed by [`DesignKey`],
-//!   the **canonical discrete grid indices** of a design (never raw floats:
-//!   two values a rounding error apart would silently be distinct keys,
-//!   while two grids can produce bit-different floats for the same level).
-//!   Hits replay the exact stored [`SimulationResult`] (and the attempt
-//!   count of the original evaluation, via [`CachedSim`]), tick the same
-//!   simulator counters a real run would, and move the batch wall-clock into
-//!   the *seconds-saved* ledger instead of the charged one. Only **final
-//!   successes** are cached; a hit bypasses the fault-tolerant retry path
-//!   entirely, so retry counters never replay. The persistent sharded
-//!   [`Store`] is the only on-disk form of the cache; [`export_json`] and
-//!   [`import_json`] move a store's evaluations to and from the
-//!   schema-versioned JSON exchange file of `isop cache export|import`.
-//! * [`SurrogateMemo`] + [`MemoizedSurrogate`] — a sibling memo for repeated
-//!   designs across Harmonica's per-stage batches. It stores the
-//!   surrogate's *metrics* (`[Z, L, NEXT]`), never the weighted objective
-//!   `g_hat`, so adaptive weight updates between stages stay exact.
+//! It is a thread-safe EM-result cache keyed by [`DesignKey`], the
+//! **canonical discrete grid indices** of a design (never raw floats: two
+//! values a rounding error apart would silently be distinct keys, while two
+//! grids can produce bit-different floats for the same level). Hits replay
+//! the exact stored [`SimulationResult`] (and the attempt count of the
+//! original evaluation, via [`CachedSim`]), tick the same simulator counters
+//! a real run would, and move the batch wall-clock into the *seconds-saved*
+//! ledger instead of the charged one. Only **final successes** are cached; a
+//! hit bypasses the fault-tolerant retry path entirely, so retry counters
+//! never replay. The persistent sharded [`Store`] is the only on-disk form
+//! of the cache; [`export_json`] and [`import_json`] move a store's
+//! evaluations to and from the schema-versioned JSON exchange file of
+//! `isop cache export|import`.
 //!
-//! Both caches are **seed-independent** (keys never involve RNG state) and
+//! The cache is **seed-independent** (keys never involve RNG state) and
 //! purely eliding: a lookup either returns the bit-exact value the
-//! computation would produce or falls through to the computation. A
+//! simulation would produce or falls through to the simulation. A
 //! *disabled* cache still counts every probe as a miss — that is what lets
 //! the CI bench gate fail when the cache is turned off (miss count over
 //! budget) rather than silently passing with zeroed counters.
 
 use crate::params::ParamSpace;
-use crate::surrogate::{MetricsAndGrad, Surrogate};
 use isop_em::simulator::SimulationResult;
-use isop_ml::linalg::Matrix;
-use isop_ml::MlError;
 use isop_store::{EvalIndex, EvalRecord, Store, StoredEval};
 use isop_telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -458,200 +451,10 @@ impl EvalCache {
     }
 }
 
-/// Memo store: design-vector bit patterns -> predicted `(Z, IL, NEXT)`.
-type MemoStore = HashMap<Vec<u64>, [f64; 3]>;
-
-/// A thread-safe memo of surrogate *metric* predictions keyed by the exact
-/// bit patterns of the design vector. Clones share one store; the
-/// default/`disabled` handle counts every probe as a miss.
-///
-/// Only successful predictions are stored — errors re-run so their counter
-/// footprint stays identical with the memo on or off.
-#[derive(Debug, Clone, Default)]
-pub struct SurrogateMemo {
-    inner: Option<Arc<Mutex<MemoStore>>>,
-}
-
-impl SurrogateMemo {
-    /// An empty, collecting memo.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            inner: Some(Arc::new(Mutex::new(HashMap::new()))),
-        }
-    }
-
-    /// A pass-through handle (same as `SurrogateMemo::default()`).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
-    /// Whether this handle can store and serve predictions.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Number of memoized designs.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map_or(0, |m| m.lock().expect("surrogate memo lock").len())
-    }
-
-    /// `true` when nothing is memoized (always for a disabled handle).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn key(x: &[f64]) -> Vec<u64> {
-        x.iter().map(|v| v.to_bits()).collect()
-    }
-
-    fn get(&self, key: &[u64]) -> Option<[f64; 3]> {
-        self.inner
-            .as_ref()
-            .and_then(|m| m.lock().expect("surrogate memo lock").get(key).copied())
-    }
-
-    fn put(&self, key: Vec<u64>, metrics: [f64; 3]) {
-        if let Some(m) = &self.inner {
-            m.lock().expect("surrogate memo lock").insert(key, metrics);
-        }
-    }
-}
-
-/// A memoizing decorator over any [`Surrogate`]: `predict` and
-/// `predict_batch` consult the [`SurrogateMemo`] before the wrapped model,
-/// ticking `surrogate.memo_hits` / `surrogate.memo_misses`; every other
-/// method, `value_and_grad` included, forwards untouched.
-///
-/// Layer it *inside* the counting wrapper
-/// ([`InstrumentedSurrogate`](crate::surrogate::InstrumentedSurrogate)) so
-/// `surrogate.predict` totals stay identical with the memo on or off — the
-/// memo elides the model's arithmetic, not the logical call.
-///
-/// The pipeline consults the memo only from Harmonica's **serial**
-/// per-stage batches: a concurrent miss-then-insert race on one key would make
-/// hit/miss totals depend on thread interleaving, which would break the
-/// bit-identical-counters contract the bench gate diffs on.
-pub struct MemoizedSurrogate<'a> {
-    inner: &'a dyn Surrogate,
-    memo: SurrogateMemo,
-    telemetry: Telemetry,
-}
-
-impl<'a> MemoizedSurrogate<'a> {
-    /// Wraps `inner`, serving repeated `predict` calls from `memo`.
-    pub fn new(inner: &'a dyn Surrogate, memo: SurrogateMemo, telemetry: Telemetry) -> Self {
-        Self {
-            inner,
-            memo,
-            telemetry,
-        }
-    }
-}
-
-impl Surrogate for MemoizedSurrogate<'_> {
-    fn predict(&self, x: &[f64]) -> Result<[f64; 3], MlError> {
-        let key = SurrogateMemo::key(x);
-        if let Some(metrics) = self.memo.get(&key) {
-            self.telemetry.incr(Counter::SurrogateMemoHits);
-            return Ok(metrics);
-        }
-        self.telemetry.incr(Counter::SurrogateMemoMisses);
-        let out = self.inner.predict(x);
-        if let Ok(metrics) = out {
-            self.memo.put(key, metrics);
-        }
-        out
-    }
-
-    fn jacobian(&self, x: &[f64]) -> Option<Result<Matrix, MlError>> {
-        self.inner.jacobian(x)
-    }
-
-    /// Consults the memo row by row, in order, with the hit/miss totals of
-    /// a loop of [`Surrogate::predict`] calls: a row already memoized, or
-    /// equal to an earlier miss of the same batch, is a hit; any other row
-    /// is a miss. The misses go to the wrapped model in one `predict_batch`
-    /// call. A disabled memo serves nothing, so every row is a miss. A
-    /// repeat of a miss the model failed on counts as a miss and gets the
-    /// same error, as the serial loop's second call would.
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<Result<[f64; 3], MlError>> {
-        let mut out: Vec<Option<Result<[f64; 3], MlError>>> = vec![None; xs.len()];
-        // Each miss's row and key; each in-batch repeat's row and the
-        // index of its miss.
-        let mut misses: Vec<(usize, Vec<u64>)> = Vec::new();
-        let mut repeats: Vec<(usize, usize)> = Vec::new();
-        let mut first_miss: HashMap<Vec<u64>, usize> = HashMap::new();
-        for (i, x) in xs.iter().enumerate() {
-            let key = SurrogateMemo::key(x);
-            if let Some(metrics) = self.memo.get(&key) {
-                out[i] = Some(Ok(metrics));
-            } else if let Some(&m) = first_miss.get(&key) {
-                repeats.push((i, m));
-            } else {
-                if self.memo.is_enabled() {
-                    first_miss.insert(key.clone(), misses.len());
-                }
-                misses.push((i, key));
-            }
-        }
-        let predicted = if misses.len() == xs.len() {
-            self.inner.predict_batch(xs)
-        } else {
-            let rows: Vec<Vec<f64>> = misses.iter().map(|(i, _)| xs[*i].clone()).collect();
-            self.inner.predict_batch(&rows)
-        };
-        let n_misses = misses.len() as u64;
-        for ((i, key), result) in misses.into_iter().zip(&predicted) {
-            if let Ok(metrics) = result {
-                self.memo.put(key, *metrics);
-            }
-            out[i] = Some(result.clone());
-        }
-        let mut failed = 0u64;
-        for (i, m) in repeats {
-            failed += u64::from(predicted[m].is_err());
-            out[i] = Some(predicted[m].clone());
-        }
-        let served = xs.len() as u64 - n_misses - failed;
-        self.telemetry.add(Counter::SurrogateMemoHits, served);
-        self.telemetry
-            .add(Counter::SurrogateMemoMisses, n_misses + failed);
-        out.into_iter()
-            .map(|r| r.expect("every row is served"))
-            .collect()
-    }
-
-    fn jacobian_batch(&self, xs: &[Vec<f64>]) -> Vec<Option<Result<Matrix, MlError>>> {
-        self.inner.jacobian_batch(xs)
-    }
-
-    /// Forwarded to the wrapped model; never served from or stored in the
-    /// memo, because the gradient stage calls it from parallel workers.
-    fn value_and_grad(
-        &self,
-        x: &[f64],
-        dg_dm: &dyn Fn(&[f64; 3]) -> [f64; 3],
-    ) -> Option<Result<MetricsAndGrad, MlError>> {
-        self.inner.value_and_grad(x, dg_dm)
-    }
-
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spaces::{s1, s2};
-    use crate::surrogate::OracleSurrogate;
     use isop_em::simulator::{AnalyticalSolver, EmSimulator};
     use isop_em::stackup::DiffStripline;
 
@@ -1011,132 +814,5 @@ mod tests {
         assert_eq!(hydrate(), Some(before));
         assert_eq!(before, sim(0, 3), "the last record wins");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn memo_replays_exact_predictions_and_counts() {
-        let space = s1();
-        let x = grid_design(&space);
-        let inner = OracleSurrogate::new(AnalyticalSolver::new());
-        let tele = Telemetry::enabled();
-        let memo = SurrogateMemo::new();
-        let wrapped = MemoizedSurrogate::new(&inner, memo.clone(), tele.clone());
-
-        let first = wrapped.predict(&x).expect("predicts");
-        let second = wrapped.predict(&x).expect("predicts");
-        assert_eq!(first, second, "memo must replay bit-exactly");
-        assert_eq!(first, inner.predict(&x).expect("predicts"));
-        assert_eq!(tele.counter(Counter::SurrogateMemoHits), 1);
-        assert_eq!(tele.counter(Counter::SurrogateMemoMisses), 1);
-        assert_eq!(memo.len(), 1);
-        assert_eq!(wrapped.name(), inner.name());
-        // A batch consults the memo too: the memoized design is a hit.
-        let batch = wrapped.predict_batch(std::slice::from_ref(&x));
-        assert_eq!(batch[0].as_ref().expect("ok"), &first);
-        assert_eq!(tele.counter(Counter::SurrogateMemoHits), 2);
-        // Jacobian and fused value-and-gradient calls bypass the memo
-        // untouched, at a memoized design and at a fresh one.
-        assert!(wrapped.jacobian(&x).is_some());
-        let mut fresh = x.clone();
-        fresh[0] += 0.5;
-        for design in [&x, &fresh] {
-            let (metrics, _) = wrapped
-                .value_and_grad(design, &|m| *m)
-                .expect("differentiable")
-                .expect("valid design");
-            assert_eq!(metrics, inner.predict(design).expect("predicts"));
-        }
-        assert_eq!(tele.counter(Counter::SurrogateMemoHits), 2);
-        assert_eq!(tele.counter(Counter::SurrogateMemoMisses), 1);
-        assert_eq!(memo.len(), 1);
-    }
-
-    /// One `predict_batch` over rows with repeats (and a repeated row the
-    /// model rejects) returns the bits, the hit/miss totals and the memo
-    /// contents of a loop of single `predict` calls — with the memo warm,
-    /// cold, and disabled.
-    #[test]
-    fn batched_memo_matches_the_serial_loop() {
-        let space = s1();
-        let a = grid_design(&space);
-        let mut b = a.clone();
-        b[0] += space.params()[0].step;
-        let mut c = a.clone();
-        c[1] += space.params()[1].step;
-        let mut bad = a.clone();
-        bad[0] = -1.0; // invalid geometry -> the oracle errors
-        let rows = vec![
-            a.clone(),
-            b.clone(),
-            a.clone(),
-            bad.clone(),
-            c.clone(),
-            b.clone(),
-            bad,
-            a.clone(),
-        ];
-        let inner = OracleSurrogate::new(AnalyticalSolver::new());
-        let bits = |r: &Result<[f64; 3], MlError>| r.as_ref().ok().map(|m| m.map(f64::to_bits));
-        for (name, warm) in [("cold", None), ("warm", Some(&c)), ("disabled", None)] {
-            let memo = || {
-                if name == "disabled" {
-                    SurrogateMemo::disabled()
-                } else {
-                    SurrogateMemo::new()
-                }
-            };
-            let (serial_memo, batch_memo) = (memo(), memo());
-            let serial_tele = Telemetry::enabled();
-            let batch_tele = Telemetry::enabled();
-            let serial = MemoizedSurrogate::new(&inner, serial_memo.clone(), serial_tele.clone());
-            let batch = MemoizedSurrogate::new(&inner, batch_memo.clone(), batch_tele.clone());
-            if let Some(w) = warm {
-                let _ = serial.predict(w);
-                let _ = batch.predict(w);
-            }
-            let looped: Vec<_> = rows.iter().map(|x| serial.predict(x)).collect();
-            let batched = batch.predict_batch(&rows);
-            assert_eq!(
-                looped.iter().map(bits).collect::<Vec<_>>(),
-                batched.iter().map(bits).collect::<Vec<_>>(),
-                "{name}: bits"
-            );
-            for counter in [Counter::SurrogateMemoHits, Counter::SurrogateMemoMisses] {
-                assert_eq!(
-                    serial_tele.counter(counter),
-                    batch_tele.counter(counter),
-                    "{name}: {counter:?}"
-                );
-            }
-            assert_eq!(serial_memo.len(), batch_memo.len(), "{name}: memo size");
-        }
-    }
-
-    #[test]
-    fn disabled_memo_never_hits() {
-        let space = s1();
-        let x = grid_design(&space);
-        let inner = OracleSurrogate::new(AnalyticalSolver::new());
-        let tele = Telemetry::enabled();
-        let wrapped = MemoizedSurrogate::new(&inner, SurrogateMemo::disabled(), tele.clone());
-        let _ = wrapped.predict(&x);
-        let _ = wrapped.predict(&x);
-        assert_eq!(tele.counter(Counter::SurrogateMemoHits), 0);
-        assert_eq!(tele.counter(Counter::SurrogateMemoMisses), 2);
-    }
-
-    #[test]
-    fn errors_are_not_memoized() {
-        let space = s1();
-        let mut x = grid_design(&space);
-        x[0] = -1.0; // invalid geometry -> oracle errors
-        let inner = OracleSurrogate::new(AnalyticalSolver::new());
-        let tele = Telemetry::enabled();
-        let memo = SurrogateMemo::new();
-        let wrapped = MemoizedSurrogate::new(&inner, memo.clone(), tele.clone());
-        assert!(wrapped.predict(&x).is_err());
-        assert!(wrapped.predict(&x).is_err());
-        assert_eq!(memo.len(), 0);
-        assert_eq!(tele.counter(Counter::SurrogateMemoMisses), 2);
     }
 }

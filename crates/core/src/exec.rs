@@ -7,8 +7,8 @@
 //! `crates/exec/src/lib.rs` for the determinism contract.
 
 pub use isop_exec::{
-    fixed_chunks, par_map_indexed, par_map_indexed_with, par_map_mut, ControlState, CoreBudget,
-    CoreLease, Parallelism, RunControl,
+    fixed_chunks, par_map_indexed, par_map_mut, ControlState, CoreBudget, CoreLease, Parallelism,
+    RunControl,
 };
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! FoM-improvement metric (Eq. 12) behind Tables IV, V, VII, and VIII.
 
 use crate::baselines::{run_bo, run_sa, BaselineOutcome};
-use crate::evalcache::{EvalCache, SurrogateMemo};
+use crate::evalcache::EvalCache;
 use crate::objective::{Metric, Objective};
 use crate::params::ParamSpace;
 use crate::pipeline::{DesignCandidate, IsopConfig, IsopOptimizer, IsopOutcome, RolloutResolution};
@@ -192,9 +192,6 @@ pub struct ExperimentContext<'a> {
     /// ablation variants of one task) serve identical grid designs from
     /// cache; outcomes are bit-identical either way. Defaults to disabled.
     pub eval_cache: EvalCache,
-    /// Surrogate-prediction memo shared by every ISOP+ trial in this cell.
-    /// Defaults to disabled.
-    pub surrogate_memo: SurrogateMemo,
 }
 
 /// Outcome of one ISOP+ experiment cell: per-trial results, the
@@ -220,7 +217,7 @@ impl ExperimentContext<'_> {
     /// Runs ISOP+ for `n_trials` and returns per-trial results, the average
     /// (samples, algorithm wall-clock) the baselines will match, and the
     /// degraded-roll-out record. Each trial runs a fresh optimizer sharing
-    /// this cell's telemetry, eval cache, and surrogate memo; its
+    /// this cell's telemetry and eval cache; its
     /// `algorithm_seconds` covers its whole run, roll-out included.
     pub fn run_isop(&self, objective: &Objective) -> IsopCellOutcome {
         let mut results = Vec::with_capacity(self.n_trials);
@@ -236,7 +233,6 @@ impl ExperimentContext<'_> {
             )
             .with_telemetry(self.telemetry.clone())
             .with_eval_cache(self.eval_cache.clone())
-            .with_surrogate_memo(self.surrogate_memo.clone())
             .run(objective.clone(), Budget::unlimited(), self.seed + i as u64);
             total_samples += outcome.samples_seen as f64;
             total_algo += outcome.algorithm_seconds;

@@ -93,7 +93,7 @@ pub mod prelude {
         aggregate_by_tenant, Engine, EngineConfig, EngineReport, JobControls, JobResult,
         TenantSummary,
     };
-    pub use crate::evalcache::{CachedSim, DesignKey, EvalCache, MemoizedSurrogate, SurrogateMemo};
+    pub use crate::evalcache::{CachedSim, DesignKey, EvalCache};
     pub use crate::exec::{ControlState, CoreBudget, CoreLease, Parallelism, RunControl};
     pub use crate::experiment::{
         ExperimentContext, IsopCellOutcome, MatchMode, TrialResult, TrialStats,

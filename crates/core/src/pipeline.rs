@@ -22,7 +22,7 @@
 //!    surrogate-scored pool, and the outcome reports an explicit
 //!    resolution (full / degraded / all simulations failed).
 
-use crate::evalcache::{EvalCache, MemoizedSurrogate, SurrogateMemo};
+use crate::evalcache::EvalCache;
 use crate::exec::{par_map_indexed, Parallelism, RunControl};
 use crate::objective::Objective;
 use crate::params::ParamSpace;
@@ -51,7 +51,11 @@ pub struct IsopConfig {
     pub harmonica: HarmonicaConfig,
     /// Use Hyperband (vs plain random sampling) to pick GD seeds.
     pub use_hyperband: bool,
-    /// Hyperband settings.
+    /// Hyperband settings. Each fidelity probe scores up to
+    /// `max_resource` rows in one surrogate batch; with an MLP surrogate,
+    /// probes of 16 or more rows take the MLP's batch kernel, so their
+    /// last bits can differ from single-row calls (every shipped config
+    /// uses 9).
     pub hyperband: HyperbandConfig,
     /// Number of candidates fed to the local stage (`p`).
     pub gd_candidates: usize,
@@ -69,9 +73,9 @@ pub struct IsopConfig {
     pub adapt_weights: bool,
     /// Adaptive-weight parameters.
     pub weight_adapter: WeightAdapter,
-    /// Worker threads for the parallel sections (Hyperband fidelity
-    /// replicas, stage-2 Adam refinements, stage-3 roll-out). Outcomes are
-    /// identical for any thread count at a fixed seed.
+    /// Worker threads for the parallel sections (stage-2 Adam refinements
+    /// and the stage-3 roll-out). Outcomes are identical for any thread
+    /// count at a fixed seed.
     pub parallelism: Parallelism,
     /// Retry budget for transient EM failures at roll-out.
     pub retry: RetryPolicy,
@@ -218,7 +222,6 @@ pub struct IsopOptimizer<'a> {
     config: IsopConfig,
     telemetry: Telemetry,
     eval_cache: EvalCache,
-    surrogate_memo: SurrogateMemo,
     control: RunControl,
 }
 
@@ -290,7 +293,6 @@ impl<'a> IsopOptimizer<'a> {
             config,
             telemetry: Telemetry::disabled(),
             eval_cache: EvalCache::disabled(),
-            surrogate_memo: SurrogateMemo::disabled(),
             control: RunControl::none(),
         }
     }
@@ -317,17 +319,6 @@ impl<'a> IsopOptimizer<'a> {
         self
     }
 
-    /// Attaches a surrogate-prediction memo consulted by Harmonica's
-    /// per-stage batches (stage 1). Repeated designs replay the
-    /// surrogate's metric predictions bit-exactly; `surrogate.predict_batch`
-    /// totals are unchanged because the memo sits *inside* the counting
-    /// wrapper.
-    #[must_use]
-    pub fn with_surrogate_memo(mut self, memo: SurrogateMemo) -> Self {
-        self.surrogate_memo = memo;
-        self
-    }
-
     /// Attaches a cancellation/deadline token. The pipeline polls it only
     /// at **stage boundaries** — before stages 1–2 and before the
     /// accurate-simulator roll-out — never inside a parallel section, so a
@@ -345,11 +336,11 @@ impl<'a> IsopOptimizer<'a> {
     /// leased-executor hook: the multi-job engine sizes it from a
     /// [`CoreBudget`](crate::exec::CoreBudget) lease
     /// ([`CoreLease::parallelism`](crate::exec::CoreLease::parallelism)),
-    /// and because every `par_map_*` call site in the pipeline — Hyperband
-    /// fidelity replicas, stage-2 Adam refinements, the roll-out
-    /// scheduler's slot fan-out — reads this one knob, the whole run stays
-    /// inside its lease. Clamping the width never changes the outcome: all
-    /// parallel sections are width-independent by construction.
+    /// and because every `par_map_*` call site in the pipeline — stage-2
+    /// Adam refinements and the roll-out scheduler's slot fan-out — reads
+    /// this one knob, the whole run stays inside its lease. Clamping the
+    /// width never changes the outcome: all parallel sections are
+    /// width-independent by construction.
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.config.parallelism = parallelism;
@@ -394,25 +385,12 @@ impl<'a> IsopOptimizer<'a> {
         // Every surrogate call in the pipeline goes through the counting
         // wrapper; with a disabled handle it adds one branch per call.
         let instrumented = InstrumentedSurrogate::new(self.surrogate, self.telemetry.clone());
-        // Harmonica's per-stage batches additionally consult the
-        // prediction memo, row by row in draw order. The memo sits *inside*
-        // the counting wrapper so `surrogate.predict_batch` totals are
-        // identical with the memo on or off, and it is kept out of the
-        // parallel sections (Hyperband, Adam, roll-out) where concurrent
-        // miss-then-insert races on one key would make hit/miss totals
-        // depend on thread interleaving.
-        let memoized = MemoizedSurrogate::new(
-            self.surrogate,
-            self.surrogate_memo.clone(),
-            self.telemetry.clone(),
-        );
-        let memo_instrumented = InstrumentedSurrogate::new(&memoized, self.telemetry.clone());
 
         // ---- Stage 1: global exploration (Harmonica + weights + Hyperband).
         let global_span = isop_telemetry::span!(self.telemetry, "pipeline.global");
         let mut bin_obj = SurrogateBinaryObjective {
             space: self.space,
-            surrogate: &memo_instrumented,
+            surrogate: &instrumented,
             objective: &obj_cell,
             records: &records,
             valid: 0,
@@ -443,22 +421,12 @@ impl<'a> IsopOptimizer<'a> {
         let mut seeds: Vec<(Vec<bool>, f64)> = Vec::new();
         if self.config.use_hyperband {
             let _hb_span = isop_telemetry::span!(self.telemetry, "pipeline.hyperband");
-            // The weight adapter only runs between Harmonica stages, so the
-            // objective is frozen for the whole Hyperband pass — a clone can
-            // be shared read-only across worker threads.
-            let hb_objective = obj_cell.borrow().clone();
             let free_bits: Vec<usize> = (0..self.space.total_bits())
                 .filter(|&i| reduced.restriction(i).is_none())
                 .collect();
-            let threads = self.config.parallelism.threads;
-            let space = self.space;
-            let surrogate = &instrumented;
-            // Counters fold serially after each parallel batch; sample
-            // records are not collected here because the adapter never
-            // consumes Hyperband-phase records (they were always cleared
-            // before use).
-            let mut valid = 0u64;
-            let mut invalid = 0u64;
+            // Hyperband-phase records are cleared after the pass: the
+            // weight adapter only runs between Harmonica stages, so the
+            // objective is frozen here and never consumes them.
             let ranked = hyperband::run_traced(
                 &self.config.hyperband,
                 &mut rng,
@@ -482,25 +450,16 @@ impl<'a> IsopOptimizer<'a> {
                         }
                         variants.push(local);
                     }
-                    // Every RNG draw happened above; the fan-out below is
-                    // pure, and the fold runs in variant order — so the
-                    // loss is identical at any thread count.
-                    let scored = par_map_indexed(threads, &variants, |_, v| {
-                        let values = space.decode_values(v)?;
-                        let metrics = surrogate.predict(&values).ok()?;
-                        Some(hb_objective.g_hat(&metrics, &values))
-                    });
+                    // Every RNG draw happened above. The probe is scored
+                    // in one batch, the same path as a Harmonica stage,
+                    // and the fold runs in variant order (see
+                    // `IsopConfig::hyperband` for when an MLP's batch
+                    // kernel changes the last bits).
                     let mut total = 0.0;
                     let mut count = 0usize;
-                    for g in scored {
-                        match g {
-                            Some(g) => {
-                                valid += 1;
-                                total += g;
-                                count += 1;
-                            }
-                            None => invalid += 1,
-                        }
+                    for g in bin_obj.eval_batch(&variants).into_iter().flatten() {
+                        total += g;
+                        count += 1;
                     }
                     if count == 0 {
                         f64::INFINITY
@@ -509,8 +468,6 @@ impl<'a> IsopOptimizer<'a> {
                     }
                 },
             );
-            bin_obj.valid += valid;
-            bin_obj.invalid += invalid;
             for r in ranked.into_iter().take(self.config.gd_candidates) {
                 if r.loss.is_finite() {
                     seeds.push((r.config, r.loss));
@@ -1027,12 +984,10 @@ mod tests {
         );
 
         let cache = crate::evalcache::EvalCache::new();
-        let memo = crate::evalcache::SurrogateMemo::new();
         let run = |tele: &Telemetry| {
             IsopOptimizer::new(&space, &surrogate, &simulator, fast_config())
                 .with_telemetry(tele.clone())
                 .with_eval_cache(cache.clone())
-                .with_surrogate_memo(memo.clone())
                 .run(objective_for(TaskId::T1, vec![]), Budget::unlimited(), 3)
         };
         let tele_a = Telemetry::enabled();
@@ -1065,14 +1020,46 @@ mod tests {
             tele_a.counter(Counter::EmBatchesCharged),
             tele_b.counter(Counter::EmBatchesCharged)
         );
-        // The memo replayed repeated Harmonica bitstrings on the warm run.
-        assert!(tele_b.counter(Counter::SurrogateMemoHits) > 0);
+    }
+
+    /// Stage 1 and the pool build score only in batches: one
+    /// `predict_batch` per Harmonica stage, one per Hyperband probe and one
+    /// for the pool, while every single-row `predict` is a stage-2 Adam
+    /// step's fused value-and-gradient call.
+    #[test]
+    fn global_stage_and_pool_score_only_in_batches() {
+        let space = s1();
+        let surrogate = OracleSurrogate::new(AnalyticalSolver::new());
+        let simulator = AnalyticalSolver::new();
+        let config = fast_config();
+        // The probe schedule depends only on the config, not on the losses.
+        let mut probes = 0u64;
+        hyperband::run(
+            &config.hyperband,
+            &mut StdRng::seed_from_u64(0),
+            |_| (),
+            |_, _, _| {
+                probes += 1;
+                0.0
+            },
+        );
+        let tele = Telemetry::enabled();
+        let outcome = IsopOptimizer::new(&space, &surrogate, &simulator, config)
+            .with_telemetry(tele.clone())
+            .run(objective_for(TaskId::T1, vec![]), Budget::unlimited(), 3);
+        assert!(outcome.best().is_some());
+        let stages = tele.counter(Counter::HarmonicaStages);
+        assert!(stages > 0 && probes > 0);
+        assert!(tele.counter(Counter::AdamSteps) > 0);
         assert_eq!(
-            tele_a.counter(Counter::SurrogateMemoHits)
-                + tele_a.counter(Counter::SurrogateMemoMisses),
-            tele_b.counter(Counter::SurrogateMemoHits)
-                + tele_b.counter(Counter::SurrogateMemoMisses),
-            "memo probe totals are a property of the seed, not the memo state"
+            tele.counter(Counter::SurrogatePredict),
+            tele.counter(Counter::AdamSteps),
+            "single-row calls come only from Adam steps"
+        );
+        assert_eq!(
+            tele.counter(Counter::SurrogatePredictBatch),
+            stages + probes + 1,
+            "one batch per Harmonica stage, per Hyperband probe and for the pool"
         );
     }
 

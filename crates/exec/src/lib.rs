@@ -1,10 +1,9 @@
 //! Deterministic parallel execution for the workspace's embarrassingly
-//! parallel sections: the pipeline's stage-2 Adam refinements, stage-3
-//! roll-out and Hyperband fidelity replicas (via `isop-core`), the async
-//! batch scheduler's per-batch slot fan-out (`isop::scheduler`, which
-//! keeps admission and merge serial and parallelizes only the slot
-//! simulations through `par_map_indexed`), and the surrogate zoo's
-//! data-parallel training engine (via `isop-ml`).
+//! parallel sections: the pipeline's stage-2 Adam refinements (via
+//! `isop-core`), the stage-3 roll-out's per-batch slot fan-out
+//! (`isop::scheduler`, which keeps admission and merge serial and
+//! parallelizes only the slot simulations through `par_map_indexed`), and
+//! the surrogate zoo's data-parallel training engine (via `isop-ml`).
 //!
 //! Built on `std::thread::scope` plus an `mpsc` channel — no external
 //! thread-pool crate. Determinism contract: every primitive here returns
@@ -382,38 +381,9 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_indexed_with(threads, || (), items, |(), i, t| f(i, t))
-}
-
-/// Like [`par_map_indexed`], but gives each worker a private scratch state
-/// built by `init` (one per worker, reused across every item that worker
-/// claims). The training engine uses this for per-worker forward/backward
-/// workspaces so hot loops stop allocating per batch.
-///
-/// The scratch must not carry information between items in a way that
-/// changes results — each item's output has to be a pure function of
-/// `(index, item)` alone, or determinism across thread counts is lost.
-/// Buffers that are fully overwritten (or zeroed) per item are fine.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` or `init` (the scope joins all workers
-/// first).
-pub fn par_map_indexed_with<S, T, R, I, F>(threads: usize, init: I, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
     let n = items.len();
     if threads <= 1 || n <= 1 {
-        let mut scratch = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut scratch, i, t))
-            .collect();
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let workers = threads.min(n);
     let next = AtomicUsize::new(0);
@@ -424,18 +394,14 @@ where
             let tx = tx.clone();
             let next = &next;
             let f = &f;
-            let init = &init;
-            scope.spawn(move || {
-                let mut scratch = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // A send can only fail if the receiver is gone, which
-                    // cannot happen while the scope borrows it.
-                    let _ = tx.send((i, f(&mut scratch, i, &items[i])));
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
+                // A send can only fail if the receiver is gone, which
+                // cannot happen while the scope borrows it.
+                let _ = tx.send((i, f(i, &items[i])));
             });
         }
         drop(tx);
@@ -573,29 +539,6 @@ mod tests {
         assert!(par_map_mut(4, &mut empty, |_, x| *x).is_empty());
         let mut one = [7u32];
         assert_eq!(par_map_mut(4, &mut one, |_, x| *x + 1), vec![8]);
-    }
-
-    #[test]
-    fn per_worker_scratch_does_not_change_results() {
-        let items: Vec<u64> = (0..53).collect();
-        // Scratch is a reused accumulator buffer, fully overwritten per item.
-        let run = |threads| {
-            par_map_indexed_with(
-                threads,
-                || vec![0u64; 8],
-                &items,
-                |buf, i, &x| {
-                    for (k, b) in buf.iter_mut().enumerate() {
-                        *b = x * k as u64 + i as u64;
-                    }
-                    buf.iter().sum::<u64>()
-                },
-            )
-        };
-        let serial = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), serial, "threads = {threads}");
-        }
     }
 
     #[test]

@@ -617,6 +617,46 @@ mod tests {
         assert!(r2(&d.y.col_vec(1), &pred.col_vec(1)) > 0.95);
     }
 
+    /// A batch of 2..=15 rows predicts each row bit for bit as a single-row
+    /// call does, because `Matrix::matmul` keeps its row-independent dot
+    /// kernel below 16 rows. At 16 or more rows it switches to the axpy
+    /// kernel, whose accumulation order differs.
+    #[test]
+    fn small_batches_match_single_row_predictions_bit_for_bit() {
+        let rows: Vec<Vec<f64>> = (0..60)
+            .map(|i| {
+                let t = i as f64 / 60.0;
+                vec![t, (3.0 * t).sin(), 1.0 - t * t]
+            })
+            .collect();
+        let ys: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|r| vec![r[0] * r[1] + r[2], r[0] - r[2]])
+            .collect();
+        let d = Dataset::new(Matrix::from_rows(&rows), Matrix::from_rows(&ys)).unwrap();
+        let mut m = Mlp::new(MlpConfig {
+            epochs: 5,
+            ..small_cfg()
+        });
+        m.fit(&d).unwrap();
+        let single: Vec<Vec<u64>> = rows
+            .iter()
+            .map(|r| {
+                let p = m
+                    .predict(&Matrix::from_rows(std::slice::from_ref(r)))
+                    .unwrap();
+                p.row(0).iter().map(|v| v.to_bits()).collect()
+            })
+            .collect();
+        for n in 2..=15 {
+            let batch = m.predict(&Matrix::from_rows(&rows[..n])).unwrap();
+            for (i, want) in single.iter().take(n).enumerate() {
+                let got: Vec<u64> = batch.row(i).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(&got, want, "batch of {n}, row {i}");
+            }
+        }
+    }
+
     #[test]
     fn input_jacobian_matches_finite_differences() {
         let d = sine_dataset(200);

@@ -81,11 +81,12 @@ pub enum Counter {
     /// cache counts every probe as a miss, so the bench gate catches a
     /// cache outage as a miss-count regression.
     EmCacheMisses,
-    /// Harmonica-stage surrogate predictions served from the
-    /// bitstring-keyed prediction memo.
+    /// Reserved; always 0. It counted hits of a surrogate-prediction memo
+    /// that no longer exists. The label keeps its place so every report
+    /// has the same counter set and journaled reports keep their size.
     SurrogateMemoHits,
-    /// Harmonica-stage memo probes that fell through to the surrogate
-    /// (a disabled memo counts every probe here).
+    /// Reserved; always 0, like [`Counter::SurrogateMemoHits`]. perfbench
+    /// still reads this label.
     SurrogateMemoMisses,
     /// Work units dispatched to the data-parallel training engine: minibatch
     /// gradient chunks (MLP/CNN), bootstrap trees (forest), boosting-stage

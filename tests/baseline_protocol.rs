@@ -24,7 +24,6 @@ fn context<'a>(
         seed: 77,
         telemetry: isop_telemetry::Telemetry::disabled(),
         eval_cache: isop::evalcache::EvalCache::disabled(),
-        surrogate_memo: isop::evalcache::SurrogateMemo::disabled(),
     }
 }
 

@@ -7,7 +7,7 @@
 //! resolves as `all_simulations_failed` instead of an ordinary infeasible
 //! trial.
 
-use isop::evalcache::{EvalCache, SurrogateMemo};
+use isop::evalcache::EvalCache;
 use isop::prelude::*;
 use isop_em::fault::{PermanentFault, TransientFault};
 use isop_em::simulator::{AnalyticalSolver, EmSimulator, SimulationResult, PAPER_EM_BATCH_SECONDS};
@@ -332,7 +332,6 @@ fn total_outage_resolves_as_all_simulations_failed() {
         seed: SEED,
         telemetry: Telemetry::disabled(),
         eval_cache: EvalCache::disabled(),
-        surrogate_memo: SurrogateMemo::disabled(),
     };
     let cell = ctx.run_isop(&isop::tasks::objective_for(TaskId::T1, vec![]));
     assert!(cell.results.is_empty());

@@ -1,11 +1,11 @@
 //! Integration tests of the evaluation-cache determinism contract: the
-//! cache and memo only elide work whose result is already known exactly,
-//! so toggling them — or changing the thread width with them enabled —
+//! cache only elides work whose result is already known exactly, so
+//! toggling it — or changing the thread width with it enabled —
 //! must not move a single bit of the `RunReport` counters or the final
 //! FoM. The simulator and optimizer share one telemetry handle, exactly
 //! as the CI bench gate wires them.
 
-use isop::evalcache::{EvalCache, SurrogateMemo};
+use isop::evalcache::EvalCache;
 use isop::prelude::*;
 use isop_em::simulator::AnalyticalSolver;
 use isop_hpo::budget::Budget;
@@ -35,12 +35,11 @@ fn smoke_config(threads: usize) -> IsopConfig {
     }
 }
 
-/// Two seeded smoke runs sharing `cache`/`memo`, returning the aggregate
-/// report and both outcomes.
+/// Two seeded smoke runs sharing `cache`, returning the aggregate report
+/// and both outcomes.
 fn run_pair(
     threads: usize,
     cache: &EvalCache,
-    memo: &SurrogateMemo,
 ) -> (
     RunReport,
     isop::pipeline::IsopOutcome,
@@ -54,7 +53,6 @@ fn run_pair(
         IsopOptimizer::new(&space, &surrogate, &simulator, smoke_config(threads))
             .with_telemetry(telemetry.clone())
             .with_eval_cache(cache.clone())
-            .with_surrogate_memo(memo.clone())
             .run(
                 isop::tasks::objective_for(TaskId::T1, vec![]),
                 Budget::unlimited(),
@@ -75,20 +73,15 @@ fn non_cache_counters(report: &RunReport) -> Vec<(String, u64)> {
     report
         .counters
         .iter()
-        .filter(|c| {
-            !c.name.starts_with("em.cache.")
-                && !c.name.starts_with("surrogate.memo")
-                && !c.name.starts_with("em.sched.")
-        })
+        .filter(|c| !c.name.starts_with("em.cache.") && !c.name.starts_with("em.sched."))
         .map(|c| (c.name.clone(), c.value))
         .collect()
 }
 
 #[test]
 fn cache_on_and_off_report_bit_identical_counters_and_fom() {
-    let (off_report, off_first, off_second) =
-        run_pair(2, &EvalCache::disabled(), &SurrogateMemo::disabled());
-    let (on_report, on_first, on_second) = run_pair(2, &EvalCache::new(), &SurrogateMemo::new());
+    let (off_report, off_first, off_second) = run_pair(2, &EvalCache::disabled());
+    let (on_report, on_first, on_second) = run_pair(2, &EvalCache::new());
 
     // Every non-cache counter — including the simulator's own attempt /
     // success ticks, replayed on hits — is bit-identical.
@@ -98,7 +91,6 @@ fn cache_on_and_off_report_bit_identical_counters_and_fom() {
     );
     // The cache genuinely engaged on the warm run...
     assert!(on_report.counter("em.cache.hits") > 0);
-    assert!(on_report.counter("surrogate.memo_hits") > 0);
     assert_eq!(off_report.counter("em.cache.hits"), 0);
 
     // ...while candidates, FoM, and the EM ledger invariant held.
@@ -125,10 +117,8 @@ fn cache_on_and_off_report_bit_identical_counters_and_fom() {
 
 #[test]
 fn cache_enabled_reports_are_bit_identical_across_thread_widths() {
-    let (serial_report, serial_first, serial_second) =
-        run_pair(1, &EvalCache::new(), &SurrogateMemo::new());
-    let (parallel_report, parallel_first, parallel_second) =
-        run_pair(4, &EvalCache::new(), &SurrogateMemo::new());
+    let (serial_report, serial_first, serial_second) = run_pair(1, &EvalCache::new());
+    let (parallel_report, parallel_first, parallel_second) = run_pair(4, &EvalCache::new());
 
     // Full bitwise identity, cache counters included: probes happen in the
     // serial sections only, so hit/miss totals cannot depend on the width.
@@ -151,7 +141,7 @@ fn cache_enabled_reports_are_bit_identical_across_thread_widths() {
 /// warm run's candidates and FoM are bit-identical to the cold run's.
 #[test]
 fn cache_warm_replay_is_bit_identical() {
-    let (report, cold, warm) = run_pair(1, &EvalCache::new(), &SurrogateMemo::disabled());
+    let (report, cold, warm) = run_pair(1, &EvalCache::new());
 
     assert!(report.counter("em.cache.hits") > 0, "warm run never hit");
     assert_eq!(cold.candidates, warm.candidates);
