@@ -418,7 +418,7 @@ where
 /// Maps `f` over mutable `items` on up to `threads` workers, returning
 /// results in input order. The mutable cousin of [`par_map_indexed`]: each
 /// item is handed to exactly one worker as `&mut T`, so `f` may mutate it
-/// in place (the training engine fits ensemble members this way).
+/// in place (the 1D-CNN trainer runs its gradient chunks this way).
 ///
 /// Work is distributed through a mutex-guarded iterator queue (safe Rust's
 /// way of handing out disjoint `&mut` items across threads); results are

@@ -84,8 +84,7 @@ impl GradientBoosting {
     /// Creates a boosted ensemble of `n_stages` trees with shrinkage
     /// `learning_rate`, per-stage tree shape `cfg`, and a deterministic
     /// `seed` for the stage trees' feature-subsampling RNG (only consumed
-    /// when `cfg.max_features` is set — but distinct seeds are what let
-    /// boosted members of an [`super::Ensemble`] decorrelate).
+    /// when `cfg.max_features` is set).
     ///
     /// # Panics
     ///

@@ -15,13 +15,17 @@
 //! one forward pass plus one input-only backward pass, with no
 //! weight-gradient writes and no full Jacobian.
 //!
-//! Inference on more than one row (each Harmonica stage scores its draws in
-//! one call) runs a batch-major kernel: activations are laid out
-//! `[feature][row]` in blocks of rows, so every inner loop runs over rows,
-//! and the conv padding test is hoisted to each output position's tap
-//! range. Each output element keeps the summation order of the row-wise
-//! pass that training and the VJP use, so every row of a batch prediction
-//! is bit-identical to predicting that row alone.
+//! Training and inference on more than one row (each Harmonica stage scores
+//! its draws in one call) run one batch-major forward pass: activations are
+//! laid out `[feature][row]` in blocks of rows, so the inner loops run over
+//! rows. Training carries each gradient chunk of [`CNN_CHUNK_ROWS`] rows
+//! forward and backward this way; weight gradients read a row-major copy of
+//! the layer input instead, one row after another. Each conv kernel tap is
+//! one contiguous run over the positions it reaches inside the padding.
+//! Every element keeps the summation order of the row-wise pass (which
+//! one-row prediction and the VJP still use, being faster at one row), so a
+//! batch prediction is bit-identical to predicting each row alone, and the
+//! fitted weights do not depend on how rows are blocked.
 
 use crate::dataset::{Dataset, Scaler};
 use crate::linalg::Matrix;
@@ -133,11 +137,10 @@ impl Tensor {
     }
 }
 
-/// Per-sample forward caches used by backprop, preallocated once and
-/// refilled by [`Cnn1d::forward_sample_into`] so the per-sample hot loop
-/// is allocation-free.
+/// One row's forward activations, filled by
+/// [`Cnn1d::forward_sample_into`] for a one-row prediction and for the
+/// input-only backward pass that the VJP runs.
 struct Caches {
-    x: Vec<f64>,
     e_pre: Vec<f64>,
     e_act: Vec<f64>,
     z1: Vec<f64>,
@@ -157,7 +160,6 @@ impl Caches {
         let c1 = model.cfg.conv_channels;
         let (l0, l1, l2) = (model.l0(), model.l1(), model.l2());
         Self {
-            x: vec![0.0; model.n_features],
             e_pre: vec![0.0; model.cfg.expand],
             e_act: vec![0.0; model.cfg.expand],
             z1: vec![0.0; c1 * l0],
@@ -173,8 +175,8 @@ impl Caches {
     }
 }
 
-/// Reusable backward-pass buffers; every field is (re)zeroed at its point
-/// of use inside [`Cnn1d::backward_sample`].
+/// Buffers of [`Cnn1d::backward_input`]; each is overwritten or zeroed
+/// where it is used.
 struct BackScratch {
     d_h: Vec<f64>,
     d_p2: Vec<f64>,
@@ -204,44 +206,60 @@ impl BackScratch {
 /// Rows per block of the batch-major inference kernel: a block's
 /// activations stay cache-resident while the inner loops still run over
 /// enough rows to vectorize.
-const PREDICT_BLOCK_ROWS: usize = 64;
+const PREDICT_BLOCK_ROWS: usize = 32;
 
-/// Batch-major activations for [`Cnn1d::forward_batch`], one buffer per
-/// layer, each laid out `[feature][row]` for up to `rows` rows. The
-/// activation functions run in place, so each layer needs one buffer.
+/// Batch-major buffers for up to `rows` rows, each laid out
+/// `[feature][row]`. The forward pass keeps what the training backward
+/// pass reads: the pre-activations that leaky-ReLU's derivative needs, each
+/// pooled layer's output, and the network output. `ga` and `gb` are one
+/// pair of gradient buffers reused layer after layer; the forward pass
+/// parks its transient activations there, and the (dropped) head
+/// activation is still in `gb` when the backward pass starts. `rm` holds
+/// the input rows on the way in, then the row-major copy of the layer
+/// input whose weight gradient is being summed; `acc` holds a conv layer's
+/// weight gradient as `[oc][dk][ic]`.
 struct BatchActs {
     rows: usize,
-    x: Vec<f64>,
-    e: Vec<f64>,
-    a1: Vec<f64>,
+    e_pre: Vec<f64>,
+    z1: Vec<f64>,
     p1: Vec<f64>,
-    a2: Vec<f64>,
+    z2: Vec<f64>,
     p2: Vec<f64>,
-    h: Vec<f64>,
+    h_pre: Vec<f64>,
     out: Vec<f64>,
+    ga: Vec<f64>,
+    gb: Vec<f64>,
+    rm: Vec<f64>,
+    acc: Vec<f64>,
 }
 
 impl BatchActs {
     fn zeros_like(model: &Cnn1d, rows: usize) -> Self {
-        let c1 = model.cfg.conv_channels;
-        let (l0, l1, l2) = (model.l0(), model.l1(), model.l2());
+        let cfg = &model.cfg;
+        let (c0, c1, head, m) = (cfg.channels, cfg.conv_channels, cfg.head, model.n_outputs);
+        let (l0, l1) = (model.l0(), model.l1());
+        let grad_len = (c0.max(c1) * l0).max(head).max(m) * rows;
+        let rm_len = (c0 * l0).max(c1 * l1).max(head).max(model.n_features) * rows;
         Self {
             rows,
-            x: vec![0.0; model.n_features * rows],
-            e: vec![0.0; model.cfg.expand * rows],
-            a1: vec![0.0; c1 * l0 * rows],
+            e_pre: vec![0.0; c0 * l0 * rows],
+            z1: vec![0.0; c1 * l0 * rows],
             p1: vec![0.0; c1 * l1 * rows],
-            a2: vec![0.0; c1 * l1 * rows],
-            p2: vec![0.0; c1 * l2 * rows],
-            h: vec![0.0; model.cfg.head * rows],
-            out: vec![0.0; model.n_outputs * rows],
+            z2: vec![0.0; c1 * l1 * rows],
+            p2: vec![0.0; model.flat_len() * rows],
+            h_pre: vec![0.0; head * rows],
+            out: vec![0.0; m * rows],
+            ga: vec![0.0; grad_len],
+            gb: vec![0.0; grad_len],
+            rm: vec![0.0; rm_len],
+            acc: vec![0.0; c1 * cfg.kernel * c0.max(c1)],
         }
     }
 }
 
 /// Batch-major dense layer:
 /// `out[o][r] = b[o] + sum_j w[o][j] * input[j][r]`, summed over `j` in
-/// ascending order — the order of the row-wise loops.
+/// ascending order — the order of [`dense_row`].
 fn dense_batch(w: &[f64], b: &[f64], input: &[f64], out: &mut [f64], rows: usize) {
     let n_in = input.len() / rows;
     for ((o_row, w_row), &bias) in out.chunks_exact_mut(rows).zip(w.chunks_exact(n_in)).zip(b) {
@@ -254,10 +272,249 @@ fn dense_batch(w: &[f64], b: &[f64], input: &[f64], out: &mut [f64], rows: usize
     }
 }
 
-/// Leaky ReLU over a whole buffer, in place.
-fn leaky_in_place(v: &mut [f64], s: f64) {
-    for x in v {
-        *x = leaky(*x, s);
+/// Row-wise dense layer: `out[o] = b[o] + sum_j w[o][j] * x[j]`, summed
+/// over `j` ascending.
+fn dense_row(w: &[f64], b: &[f64], x: &[f64], out: &mut [f64]) {
+    for ((o, w_row), &bias) in out.iter_mut().zip(w.chunks_exact(x.len())).zip(b) {
+        let mut acc = bias;
+        for (wv, xv) in w_row.iter().zip(x) {
+            acc += wv * xv;
+        }
+        *o = acc;
+    }
+}
+
+/// Batch-major dense-layer backward at output gradient `d` (`[out][row]`).
+/// Adds `d[o][r]` into `gb[o]` and `d[o][r] * input_rm[r][j]` into
+/// `gw[o][j]`, rows ascending, and, if asked, writes the input gradient
+/// `d_in[j][r] = sum_o d[o][r] * w[o][j]`, summed over `o` ascending from
+/// zero — the orders of one row at a time.
+fn dense_backward_batch(
+    w: &[f64],
+    d: &[f64],
+    input_rm: &[f64],
+    (gw, gb): (&mut [f64], &mut [f64]),
+    d_in: Option<&mut [f64]>,
+    rows: usize,
+) {
+    let n_in = input_rm.len() / rows;
+    for (r, in_row) in input_rm.chunks_exact(n_in).enumerate() {
+        for ((gw_row, gbv), d_o) in gw
+            .chunks_exact_mut(n_in)
+            .zip(gb.iter_mut())
+            .zip(d.chunks_exact(rows))
+        {
+            let g = d_o[r];
+            *gbv += g;
+            for (a, &v) in gw_row.iter_mut().zip(in_row) {
+                *a += g * v;
+            }
+        }
+    }
+    if let Some(d_in) = d_in {
+        d_in.fill(0.0);
+        for (w_row, d_o) in w.chunks_exact(n_in).zip(d.chunks_exact(rows)) {
+            for (&wv, d_j) in w_row.iter().zip(d_in.chunks_exact_mut(rows)) {
+                for (a, &g) in d_j.iter_mut().zip(d_o) {
+                    *a += g * wv;
+                }
+            }
+        }
+    }
+}
+
+/// `out = leaky(pre)` element-wise.
+fn leaky_into(pre: &[f64], s: f64, out: &mut [f64]) {
+    for (a, &z) in out.iter_mut().zip(pre) {
+        *a = leaky(z, s);
+    }
+}
+
+/// Multiplies the batch-major `v` (`[feature][row]`) by the row-major
+/// inverted-dropout masks (`[row][feature]`).
+fn mask_rows(v: &mut [f64], masks: &[f64], rows: usize) {
+    let width = v.len() / rows;
+    for (j, v_j) in v.chunks_exact_mut(rows).enumerate() {
+        for (r, x) in v_j.iter_mut().enumerate() {
+            *x *= masks[r * width + j];
+        }
+    }
+}
+
+/// Writes `rm[r][q][c] = f(cols[c][q][r])`: the row-major copy of a
+/// `[channel][pos][row]` block that a weight gradient reads, with `f`
+/// applied on the way. A dense layer's input is the case of one position.
+fn row_major(cols: &[f64], ch: usize, rows: usize, rm: &mut [f64], f: impl Fn(f64) -> f64) {
+    let len = cols.len() / (ch * rows);
+    for (c, col) in cols.chunks_exact(len * rows).enumerate() {
+        for (q, pos) in col.chunks_exact(rows).enumerate() {
+            for (r, &v) in pos.iter().enumerate() {
+                rm[(r * len + q) * ch + c] = f(v);
+            }
+        }
+    }
+}
+
+/// Batch-major average pool of width 2 over `[c][pos][row]` buffers.
+fn avg_pool2_batch(input: &[f64], rows: usize, out: &mut [f64]) {
+    for (o_pair, in_pair) in out.chunks_exact_mut(rows).zip(input.chunks_exact(2 * rows)) {
+        let (even, odd) = in_pair.split_at(rows);
+        for ((o, &a), &b) in o_pair.iter_mut().zip(even).zip(odd) {
+            *o = 0.5 * (a + b);
+        }
+    }
+}
+
+/// Batch-major average-unpool, then leaky-ReLU's derivative:
+/// `d_in[c][2p + i][r] = (0.0 + 0.5 * d_out[c][p][r]) * leaky'(pre[c][2p + i][r])`.
+fn unpool2_leaky_batch(d_out: &[f64], pre: &[f64], s: f64, rows: usize, d_in: &mut [f64]) {
+    for ((pair, z), d) in d_in
+        .chunks_exact_mut(2 * rows)
+        .zip(pre.chunks_exact(2 * rows))
+        .zip(d_out.chunks_exact(rows))
+    {
+        let (even, odd) = pair.split_at_mut(rows);
+        let (z_even, z_odd) = z.split_at(rows);
+        for ((((a, b), &za), &zb), &g) in even.iter_mut().zip(odd).zip(z_even).zip(z_odd).zip(d) {
+            let g = 0.5 * g;
+            *a = (0.0 + g) * leaky_d(za, s);
+            *b = (0.0 + g) * leaky_d(zb, s);
+        }
+    }
+}
+
+/// A conv layer's weights (`[oc][ic][dk]`) and bias with its geometry:
+/// input channels, signal length and an odd kernel with implicit
+/// same-padding. Output position `p` reads input `p + dk - pad`. Buffers
+/// are batch-major, `[ch][pos][row]`; the row-wise pass is one row.
+#[derive(Clone, Copy)]
+struct Conv<'a> {
+    w: &'a [f64],
+    b: &'a [f64],
+    in_ch: usize,
+    len: usize,
+    k: usize,
+}
+
+impl Conv<'_> {
+    /// Output positions `p0..p1` that tap `dk` reaches inside the padding,
+    /// and the input position `q0` the first of them reads: one contiguous
+    /// run, so the inner loops carry no bounds branch.
+    fn tap_run(&self, dk: usize) -> Option<(usize, usize, usize)> {
+        let pad = self.k / 2;
+        let p0 = pad.saturating_sub(dk);
+        let p1 = (self.len + pad).saturating_sub(dk).min(self.len);
+        (p0 < p1).then(|| (p0, p1, p0 + dk - pad))
+    }
+
+    /// `out[oc][p] = b[oc] + sum_ic sum_dk w[oc][ic][dk] * input[ic][p + dk - pad]`,
+    /// summed from the bias, then `ic` ascending, then `dk` ascending.
+    fn forward(&self, input: &[f64], out: &mut [f64], rows: usize) {
+        let run = self.len * rows;
+        for ((o_ch, taps), &bias) in out
+            .chunks_exact_mut(run)
+            .zip(self.w.chunks_exact(self.in_ch * self.k))
+            .zip(self.b)
+        {
+            o_ch.fill(bias);
+            for (tap, in_ch) in taps.chunks_exact(self.k).zip(input.chunks_exact(run)) {
+                for (dk, &wv) in tap.iter().enumerate() {
+                    let Some((p0, p1, q0)) = self.tap_run(dk) else {
+                        continue;
+                    };
+                    let src = &in_ch[q0 * rows..(q0 + p1 - p0) * rows];
+                    for (o, &v) in o_ch[p0 * rows..p1 * rows].iter_mut().zip(src) {
+                        *o += wv * v;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Writes the input gradient at output gradient `d_out` into `d_in`.
+    /// An input element sums from zero over `oc` ascending, then over its
+    /// taps: `dk` ascending, or with `positions_ascending` reversed, which
+    /// visits the output positions in ascending order as training's
+    /// summation order requires.
+    fn backward_input(
+        &self,
+        d_out: &[f64],
+        d_in: &mut [f64],
+        rows: usize,
+        positions_ascending: bool,
+    ) {
+        let run = self.len * rows;
+        d_in.fill(0.0);
+        for (taps, g) in self
+            .w
+            .chunks_exact(self.in_ch * self.k)
+            .zip(d_out.chunks_exact(run))
+        {
+            for (tap, d) in taps.chunks_exact(self.k).zip(d_in.chunks_exact_mut(run)) {
+                for i in 0..self.k {
+                    let dk = if positions_ascending {
+                        self.k - 1 - i
+                    } else {
+                        i
+                    };
+                    let Some((p0, p1, q0)) = self.tap_run(dk) else {
+                        continue;
+                    };
+                    let wv = tap[dk];
+                    let dst = &mut d[q0 * rows..(q0 + p1 - p0) * rows];
+                    for (dv, gv) in dst.iter_mut().zip(&g[p0 * rows..p1 * rows]) {
+                        *dv += gv * wv;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adds the weight and bias gradients at output gradient `d_out` into
+    /// `gw` and `gb`, reading the layer input as its row-major copy
+    /// `input_rm` (`[row][pos][ic]`). Each weight sums over rows in order,
+    /// then positions ascending. `acc` holds those sums as `[oc][dk][ic]`,
+    /// where the taps one position reaches are one contiguous run, and is
+    /// added into `gw` at the end.
+    fn weight_grads(
+        &self,
+        d_out: &[f64],
+        input_rm: &[f64],
+        acc: &mut [f64],
+        (gw, gb): (&mut [f64], &mut [f64]),
+        rows: usize,
+    ) {
+        let (in_ch, len, k) = (self.in_ch, self.len, self.k);
+        let pad = k / 2;
+        let acc = &mut acc[..gw.len()];
+        acc.fill(0.0);
+        for (r, in_r) in input_rm.chunks_exact(len * in_ch).enumerate() {
+            for ((acc_oc, gbv), d_oc) in acc
+                .chunks_exact_mut(k * in_ch)
+                .zip(gb.iter_mut())
+                .zip(d_out.chunks_exact(len * rows))
+            {
+                for p in 0..len {
+                    let g = d_oc[p * rows + r];
+                    *gbv += g;
+                    let (dk0, dk1) = (pad.saturating_sub(p), k.min(len + pad - p));
+                    let (a0, q0, n) = (dk0 * in_ch, (p + dk0 - pad) * in_ch, (dk1 - dk0) * in_ch);
+                    for (a, &v) in acc_oc[a0..a0 + n].iter_mut().zip(&in_r[q0..q0 + n]) {
+                        *a += g * v;
+                    }
+                }
+            }
+        }
+        for (gw_oc, acc_oc) in gw
+            .chunks_exact_mut(in_ch * k)
+            .zip(acc.chunks_exact(k * in_ch))
+        {
+            for (ic, taps) in gw_oc.chunks_exact_mut(k).enumerate() {
+                for (dk, t) in taps.iter_mut().enumerate() {
+                    *t += acc_oc[dk * in_ch + ic];
+                }
+            }
+        }
     }
 }
 
@@ -353,465 +610,275 @@ impl Cnn1d {
         self.cfg.conv_channels * self.l2()
     }
 
-    /// `out[oc][p] = b[oc] + sum_ic sum_dk w[oc][ic][dk] * input[ic][p + dk - pad]`.
-    #[allow(clippy::too_many_arguments)]
-    fn conv_forward(
-        w: &[f64],
-        b: &[f64],
-        input: &[f64],
-        out: &mut [f64],
-        in_ch: usize,
-        out_ch: usize,
-        len: usize,
-        k: usize,
-    ) {
-        let pad = k / 2;
-        for oc in 0..out_ch {
-            for p in 0..len {
-                let mut acc = b[oc];
-                for ic in 0..in_ch {
-                    let w_base = (oc * in_ch + ic) * k;
-                    let in_base = ic * len;
-                    for dk in 0..k {
-                        let idx = p + dk;
-                        if idx < pad || idx - pad >= len {
-                            continue;
-                        }
-                        acc += w[w_base + dk] * input[in_base + idx - pad];
-                    }
-                }
-                out[oc * len + p] = acc;
-            }
-        }
-    }
-
-    /// Accumulates parameter gradients and the input gradient of a conv layer.
-    #[allow(clippy::too_many_arguments)]
-    fn conv_backward(
-        w: &[f64],
-        d_out: &[f64],
-        input: &[f64],
-        gw: &mut [f64],
-        gb: &mut [f64],
-        d_in: &mut [f64],
-        in_ch: usize,
-        out_ch: usize,
-        len: usize,
-        k: usize,
-    ) {
-        let pad = k / 2;
-        for oc in 0..out_ch {
-            for p in 0..len {
-                let g = d_out[oc * len + p];
-                if g == 0.0 {
-                    continue;
-                }
-                gb[oc] += g;
-                for ic in 0..in_ch {
-                    let w_base = (oc * in_ch + ic) * k;
-                    let in_base = ic * len;
-                    for dk in 0..k {
-                        let idx = p + dk;
-                        if idx < pad || idx - pad >= len {
-                            continue;
-                        }
-                        gw[w_base + dk] += g * input[in_base + idx - pad];
-                        d_in[in_base + idx - pad] += g * w[w_base + dk];
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`Cnn1d::conv_backward`] without the parameter gradients: adds only
-    /// the input gradient into `d_in`. Each kernel tap is one contiguous
-    /// run over the positions it reaches inside the padding, so the inner
-    /// loop carries no bounds branch.
-    fn conv_backward_input(
-        w: &[f64],
-        d_out: &[f64],
-        d_in: &mut [f64],
-        in_ch: usize,
-        len: usize,
-        k: usize,
-    ) {
-        let pad = k / 2;
-        for (taps, g) in w.chunks_exact(in_ch * k).zip(d_out.chunks_exact(len)) {
-            for (tap, d) in taps.chunks_exact(k).zip(d_in.chunks_exact_mut(len)) {
-                for (dk, &wv) in tap.iter().enumerate() {
-                    // Output position p reads input p + dk - pad.
-                    let p0 = pad.saturating_sub(dk);
-                    let p1 = (len + pad).saturating_sub(dk).min(len);
-                    if p0 >= p1 {
-                        continue;
-                    }
-                    let q0 = p0 + dk - pad;
-                    for (dv, gv) in d[q0..q0 + (p1 - p0)].iter_mut().zip(&g[p0..p1]) {
-                        *dv += gv * wv;
-                    }
-                }
-            }
-        }
-    }
-
-    fn avg_pool2(input: &[f64], ch: usize, len: usize, out: &mut [f64]) {
-        let half = len / 2;
-        for c in 0..ch {
-            for p in 0..half {
-                out[c * half + p] = 0.5 * (input[c * len + 2 * p] + input[c * len + 2 * p + 1]);
-            }
-        }
-    }
-
-    fn avg_unpool2(d_out: &[f64], ch: usize, len: usize, d_in: &mut [f64]) {
-        let half = len / 2;
-        for c in 0..ch {
-            for p in 0..half {
-                let g = 0.5 * d_out[c * half + p];
-                d_in[c * len + 2 * p] += g;
-                d_in[c * len + 2 * p + 1] += g;
-            }
-        }
-    }
-
-    /// Batch-major [`Cnn1d::conv_forward`]: `input` is `[ic][pos][row]`
-    /// and `out` is `[oc][pos][row]`. The padding test is hoisted to the
-    /// tap range of each output position, and every output element still
-    /// sums its bias, then `ic` ascending, then `dk` ascending.
-    #[allow(clippy::too_many_arguments)]
-    fn conv_forward_batch(
-        w: &[f64],
-        b: &[f64],
-        input: &[f64],
-        out: &mut [f64],
-        in_ch: usize,
-        len: usize,
-        k: usize,
-        rows: usize,
-    ) {
-        let pad = k / 2;
-        for ((o_ch, taps), &bias) in out
-            .chunks_exact_mut(len * rows)
-            .zip(w.chunks_exact(in_ch * k))
-            .zip(b)
-        {
-            for (p, o_row) in o_ch.chunks_exact_mut(rows).enumerate() {
-                // Output position p reads input p + dk - pad.
-                let dk0 = pad.saturating_sub(p);
-                let dk1 = k.min(len + pad - p);
-                o_row.fill(bias);
-                for (tap, in_ch_rows) in taps.chunks_exact(k).zip(input.chunks_exact(len * rows)) {
-                    for (dk, &wv) in tap.iter().enumerate().take(dk1).skip(dk0) {
-                        let q = p + dk - pad;
-                        let in_row = &in_ch_rows[q * rows..(q + 1) * rows];
-                        for (o, &v) in o_row.iter_mut().zip(in_row) {
-                            *o += wv * v;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batch-major [`Cnn1d::avg_pool2`] over `[c][pos][row]` buffers.
-    fn avg_pool2_batch(input: &[f64], rows: usize, out: &mut [f64]) {
-        for (o_pair, in_pair) in out.chunks_exact_mut(rows).zip(input.chunks_exact(2 * rows)) {
-            let (even, odd) = in_pair.split_at(rows);
-            for ((o, &a), &b) in o_pair.iter_mut().zip(even).zip(odd) {
-                *o = 0.5 * (a + b);
-            }
-        }
-    }
-
-    /// Inference forward pass over rows `r0..r0 + acts.rows` of the
-    /// standardized matrix `xs`, leaving the network output in `acts.out`
-    /// as `[output][row]`. Every element is computed with the arithmetic
-    /// and summation order of [`Cnn1d::forward_sample_into`], so each row
-    /// is bit-identical to it at any batch size.
-    fn forward_batch(&self, xs: &Matrix, r0: usize, acts: &mut BatchActs) {
-        let cfg = &self.cfg;
-        let (c0, c1, k) = (cfg.channels, cfg.conv_channels, cfg.kernel);
-        let (l0, l1) = (self.l0(), self.l1());
-        let s = cfg.leaky_slope;
-        let rows = acts.rows;
-        let d = self.n_features;
-
-        let x = &mut acts.x[..d * rows];
-        for r in 0..rows {
-            for (j, &v) in xs.row(r0 + r).iter().enumerate() {
-                x[j * rows + r] = v;
-            }
-        }
-        let e = &mut acts.e[..cfg.expand * rows];
-        dense_batch(&self.w_expand.data, &self.b_expand.data, x, e, rows);
-        leaky_in_place(e, s);
-
-        let a1 = &mut acts.a1[..c1 * l0 * rows];
-        Self::conv_forward_batch(
-            &self.w_conv1.data,
-            &self.b_conv1.data,
-            e,
+    /// Lengths over `rows` rows of the expansion output, the conv1 output,
+    /// the conv2 input and output, the flattened pool2 output and the head.
+    fn act_lens(&self, rows: usize) -> [usize; 5] {
+        let a1 = self.cfg.conv_channels * self.l0() * rows;
+        [
+            self.cfg.expand * rows,
             a1,
-            c0,
-            l0,
-            k,
-            rows,
-        );
-        leaky_in_place(a1, s);
-        let p1 = &mut acts.p1[..c1 * l1 * rows];
-        Self::avg_pool2_batch(a1, rows, p1);
-
-        let a2 = &mut acts.a2[..c1 * l1 * rows];
-        Self::conv_forward_batch(
-            &self.w_conv2.data,
-            &self.b_conv2.data,
-            p1,
-            a2,
-            c1,
-            l1,
-            k,
-            rows,
-        );
-        leaky_in_place(a2, s);
-        let p2 = &mut acts.p2[..self.flat_len() * rows];
-        Self::avg_pool2_batch(a2, rows, p2);
-
-        let h = &mut acts.h[..cfg.head * rows];
-        dense_batch(&self.w_head.data, &self.b_head.data, p2, h, rows);
-        leaky_in_place(h, s);
-        let out = &mut acts.out[..self.n_outputs * rows];
-        dense_batch(&self.w_out.data, &self.b_out.data, h, out, rows);
+            a1 / 2,
+            a1 / 4,
+            self.cfg.head * rows,
+        ]
     }
 
-    /// Forward pass on a standardized sample, caching every intermediate
-    /// into the reusable `c` (same arithmetic as the original allocating
-    /// pass — `conv_forward` and the dense loops overwrite every element).
-    fn forward_sample_into(&self, x: &[f64], c: &mut Caches) {
-        let cfg = &self.cfg;
-        let (c0, c1, k) = (cfg.channels, cfg.conv_channels, cfg.kernel);
-        let (l0, l1) = (self.l0(), self.l1());
-        let s = cfg.leaky_slope;
-
-        c.x.clear();
-        c.x.extend_from_slice(x);
-        for (o, pre) in c.e_pre.iter_mut().enumerate() {
-            let mut acc = self.b_expand.data[o];
-            let base = o * self.n_features;
-            for (j, xv) in x.iter().enumerate() {
-                acc += self.w_expand.data[base + j] * xv;
-            }
-            *pre = acc;
-        }
-        for (a, &z) in c.e_act.iter_mut().zip(&c.e_pre) {
-            *a = leaky(z, s);
-        }
-
-        Self::conv_forward(
-            &self.w_conv1.data,
-            &self.b_conv1.data,
-            &c.e_act,
-            &mut c.z1,
-            c0,
-            c1,
-            l0,
-            k,
-        );
-        for (a, &z) in c.a1.iter_mut().zip(&c.z1) {
-            *a = leaky(z, s);
-        }
-        Self::avg_pool2(&c.a1, c1, l0, &mut c.p1);
-
-        Self::conv_forward(
-            &self.w_conv2.data,
-            &self.b_conv2.data,
-            &c.p1,
-            &mut c.z2,
-            c1,
-            c1,
-            l1,
-            k,
-        );
-        for (a, &z) in c.a2.iter_mut().zip(&c.z2) {
-            *a = leaky(z, s);
-        }
-        Self::avg_pool2(&c.a2, c1, l1, &mut c.p2);
-
-        let flat = self.flat_len();
-        for (o, pre) in c.h_pre.iter_mut().enumerate() {
-            let mut acc = self.b_head.data[o];
-            let base = o * flat;
-            for (j, v) in c.p2.iter().enumerate() {
-                acc += self.w_head.data[base + j] * v;
-            }
-            *pre = acc;
-        }
-        for (a, &z) in c.h_act.iter_mut().zip(&c.h_pre) {
-            *a = leaky(z, s);
-        }
-
-        for (o, ov) in c.out.iter_mut().enumerate() {
-            let mut acc = self.b_out.data[o];
-            let base = o * cfg.head;
-            for (j, v) in c.h_act.iter().enumerate() {
-                acc += self.w_out.data[base + j] * v;
-            }
-            *ov = acc;
+    fn conv1(&self) -> Conv<'_> {
+        Conv {
+            w: &self.w_conv1.data,
+            b: &self.b_conv1.data,
+            in_ch: self.cfg.channels,
+            len: self.l0(),
+            k: self.cfg.kernel,
         }
     }
 
-    /// Backward pass from `d_out` (gradient at the network output); adds
-    /// parameter gradients into `grads` and leaves the input gradient in
-    /// `scratch.d_x`. `head_mask` is the inverted-dropout mask applied to
-    /// the head activation during training (`None` at inference).
-    fn backward_sample(
+    fn conv2(&self) -> Conv<'_> {
+        Conv {
+            w: &self.w_conv2.data,
+            b: &self.b_conv2.data,
+            in_ch: self.cfg.conv_channels,
+            len: self.l1(),
+            k: self.cfg.kernel,
+        }
+    }
+
+    /// The parameter tensors, in optimizer order.
+    fn params_mut(&mut self) -> [&mut Vec<f64>; 10] {
+        [
+            &mut self.w_expand.data,
+            &mut self.b_expand.data,
+            &mut self.w_conv1.data,
+            &mut self.b_conv1.data,
+            &mut self.w_conv2.data,
+            &mut self.b_conv2.data,
+            &mut self.w_head.data,
+            &mut self.b_head.data,
+            &mut self.w_out.data,
+            &mut self.b_out.data,
+        ]
+    }
+
+    /// Batch-major forward pass over the `acts.rows` standardized rows
+    /// `x`, leaving the network output in `acts.out` as `[output][row]`.
+    /// Every element is computed with the arithmetic and summation order
+    /// of [`Cnn1d::forward_sample_into`], so each row is bit-identical to
+    /// it at any batch size. `masks`, the rows' inverted-dropout head masks
+    /// (row-major), drop head activations before the output layer.
+    fn forward_rows<'a>(
         &self,
-        caches: &Caches,
-        d_out: &[f64],
-        head_mask: Option<&[f64]>,
-        grads: &mut CnnGrads,
-        scratch: &mut BackScratch,
+        x: impl Iterator<Item = &'a [f64]>,
+        masks: Option<&[f64]>,
+        acts: &mut BatchActs,
     ) {
-        let cfg = &self.cfg;
-        let (c0, c1, k) = (cfg.channels, cfg.conv_channels, cfg.kernel);
-        let (l0, l1) = (self.l0(), self.l1());
-        let s = cfg.leaky_slope;
-        let flat = self.flat_len();
+        let (rows, s) = (acts.rows, self.cfg.leaky_slope);
+        let [e_len, a1_len, p1_len, p2_len, h_len] = self.act_lens(rows);
+        let BatchActs {
+            e_pre,
+            z1,
+            p1,
+            z2,
+            p2,
+            h_pre,
+            out,
+            ga,
+            gb,
+            rm,
+            ..
+        } = acts;
+        for (r, row) in x.enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                rm[j * rows + r] = v;
+            }
+        }
+        let e_pre = &mut e_pre[..e_len];
+        dense_batch(
+            &self.w_expand.data,
+            &self.b_expand.data,
+            &rm[..self.n_features * rows],
+            e_pre,
+            rows,
+        );
+        leaky_into(e_pre, s, &mut ga[..e_len]);
+        self.conv1().forward(&ga[..e_len], &mut z1[..a1_len], rows);
+        leaky_into(&z1[..a1_len], s, &mut gb[..a1_len]);
+        avg_pool2_batch(&gb[..a1_len], rows, &mut p1[..p1_len]);
+        self.conv2().forward(&p1[..p1_len], &mut z2[..p1_len], rows);
+        leaky_into(&z2[..p1_len], s, &mut gb[..p1_len]);
+        avg_pool2_batch(&gb[..p1_len], rows, &mut p2[..p2_len]);
+        dense_batch(
+            &self.w_head.data,
+            &self.b_head.data,
+            &p2[..p2_len],
+            &mut h_pre[..h_len],
+            rows,
+        );
+        let h = &mut gb[..h_len];
+        leaky_into(&h_pre[..h_len], s, h);
+        if let Some(masks) = masks {
+            mask_rows(h, masks, rows);
+        }
+        dense_batch(
+            &self.w_out.data,
+            &self.b_out.data,
+            h,
+            &mut out[..self.n_outputs * rows],
+            rows,
+        );
+    }
 
-        // Output layer.
-        scratch.d_h.fill(0.0);
-        for (o, &g) in d_out.iter().enumerate() {
-            grads.b_out[o] += g;
-            let base = o * cfg.head;
-            for (j, dh) in scratch.d_h.iter_mut().enumerate() {
-                grads.w_out[base + j] += g * caches.h_act[j];
-                *dh += g * self.w_out.data[base + j];
+    /// [`Cnn1d::forward_rows`] over rows `r0..r0 + acts.rows` of `xs`,
+    /// without dropout.
+    fn forward_batch(&self, xs: &Matrix, r0: usize, acts: &mut BatchActs) {
+        self.forward_rows((r0..r0 + acts.rows).map(|r| xs.row(r)), None, acts);
+    }
+
+    /// One training chunk, batch-major: the forward and backward pass over
+    /// the standardized rows `idx` of `xs`/`ys`, adding the parameter
+    /// gradients of the squared error into the zeroed `grads`. `masks`
+    /// holds the rows' inverted-dropout head masks, row-major.
+    ///
+    /// Every element keeps the arithmetic and summation order of running
+    /// the rows one at a time: a weight or bias gradient sums over the
+    /// rows in chunk order, then positions ascending; an input gradient
+    /// sums over output features ascending (for a conv input, `oc`, then
+    /// positions ascending). So the fitted weights do not depend on how
+    /// rows are blocked. Terms with a zero output gradient add a signed
+    /// zero to a sum that started at +0, which leaves it unchanged while
+    /// the weights stay finite.
+    fn train_chunk(
+        &self,
+        (xs, ys): (&Matrix, &Matrix),
+        idx: &[usize],
+        masks: Option<&[f64]>,
+        acts: &mut BatchActs,
+        grads: &mut CnnGrads,
+    ) {
+        acts.rows = idx.len();
+        self.forward_rows(idx.iter().map(|&i| xs.row(i)), masks, acts);
+        let (rows, s, d) = (acts.rows, self.cfg.leaky_slope, self.n_features);
+        let (c0, c1, head) = (self.cfg.channels, self.cfg.conv_channels, self.cfg.head);
+        let [e_len, a1_len, p1_len, p2_len, h_len] = self.act_lens(rows);
+        let o_len = self.n_outputs * rows;
+        let BatchActs {
+            e_pre,
+            z1,
+            p1,
+            z2,
+            p2,
+            h_pre,
+            out,
+            ga,
+            gb,
+            rm,
+            acc,
+            ..
+        } = acts;
+        let [w_expand, b_expand, w_conv1, b_conv1, w_conv2, b_conv2, w_head, b_head, w_out, b_out] =
+            &mut grads.0;
+
+        // Output layer; the dropped head activation is still in `gb`.
+        for (o, (d_o, out_o)) in ga
+            .chunks_exact_mut(rows)
+            .zip(out[..o_len].chunks_exact(rows))
+            .enumerate()
+        {
+            for ((dv, &p), &i) in d_o.iter_mut().zip(out_o).zip(idx) {
+                *dv = 2.0 * (p - ys[(i, o)]);
             }
         }
-        if let Some(mask) = head_mask {
-            for (dh, mk) in scratch.d_h.iter_mut().zip(mask) {
-                *dh *= mk;
-            }
+        row_major(&gb[..h_len], head, rows, rm, |v| v);
+        dense_backward_batch(
+            &self.w_out.data,
+            &ga[..o_len],
+            &rm[..h_len],
+            (w_out, b_out),
+            Some(&mut gb[..h_len]),
+            rows,
+        );
+        if let Some(masks) = masks {
+            mask_rows(&mut gb[..h_len], masks, rows);
         }
-        for (j, dh) in scratch.d_h.iter_mut().enumerate() {
-            *dh *= leaky_d(caches.h_pre[j], s);
+        for (dv, &z) in gb[..h_len].iter_mut().zip(&h_pre[..h_len]) {
+            *dv *= leaky_d(z, s);
         }
 
         // Head layer.
-        scratch.d_p2.fill(0.0);
-        for (o, &g) in scratch.d_h.iter().enumerate() {
-            grads.b_head[o] += g;
-            let base = o * flat;
-            for (j, dp) in scratch.d_p2.iter_mut().enumerate() {
-                grads.w_head[base + j] += g * caches.p2[j];
-                *dp += g * self.w_head.data[base + j];
-            }
-        }
+        row_major(&p2[..p2_len], p2_len / rows, rows, rm, |v| v);
+        dense_backward_batch(
+            &self.w_head.data,
+            &gb[..h_len],
+            &rm[..p2_len],
+            (w_head, b_head),
+            Some(&mut ga[..p2_len]),
+            rows,
+        );
 
         // Pool2 + conv2.
-        scratch.d_a2.fill(0.0);
-        Self::avg_unpool2(&scratch.d_p2, c1, l1, &mut scratch.d_a2);
-        for (j, da) in scratch.d_a2.iter_mut().enumerate() {
-            *da *= leaky_d(caches.z2[j], s);
-        }
-        scratch.d_p1.fill(0.0);
-        Self::conv_backward(
-            &self.w_conv2.data,
-            &scratch.d_a2,
-            &caches.p1,
-            &mut grads.w_conv2,
-            &mut grads.b_conv2,
-            &mut scratch.d_p1,
-            c1,
-            c1,
-            l1,
-            k,
-        );
+        unpool2_leaky_batch(&ga[..p2_len], &z2[..p1_len], s, rows, &mut gb[..p1_len]);
+        row_major(&p1[..p1_len], c1, rows, rm, |v| v);
+        self.conv2()
+            .weight_grads(&gb[..p1_len], &rm[..p1_len], acc, (w_conv2, b_conv2), rows);
+        self.conv2()
+            .backward_input(&gb[..p1_len], &mut ga[..p1_len], rows, true);
 
         // Pool1 + conv1.
-        scratch.d_a1.fill(0.0);
-        Self::avg_unpool2(&scratch.d_p1, c1, l0, &mut scratch.d_a1);
-        for (j, da) in scratch.d_a1.iter_mut().enumerate() {
-            *da *= leaky_d(caches.z1[j], s);
-        }
-        scratch.d_e.fill(0.0);
-        Self::conv_backward(
-            &self.w_conv1.data,
-            &scratch.d_a1,
-            &caches.e_act,
-            &mut grads.w_conv1,
-            &mut grads.b_conv1,
-            &mut scratch.d_e,
-            c0,
-            c1,
-            l0,
-            k,
-        );
+        unpool2_leaky_batch(&ga[..p1_len], &z1[..a1_len], s, rows, &mut gb[..a1_len]);
+        row_major(&e_pre[..e_len], c0, rows, rm, |z| leaky(z, s));
+        self.conv1()
+            .weight_grads(&gb[..a1_len], &rm[..e_len], acc, (w_conv1, b_conv1), rows);
+        self.conv1()
+            .backward_input(&gb[..a1_len], &mut ga[..e_len], rows, true);
 
-        // Expansion layer.
-        for (j, de) in scratch.d_e.iter_mut().enumerate() {
-            *de *= leaky_d(caches.e_pre[j], s);
+        // Expansion layer; its input gradient is not needed.
+        for (dv, &z) in ga[..e_len].iter_mut().zip(&e_pre[..e_len]) {
+            *dv *= leaky_d(z, s);
         }
-        scratch.d_x.fill(0.0);
-        for (o, &g) in scratch.d_e.iter().enumerate() {
-            grads.b_expand[o] += g;
-            let base = o * self.n_features;
-            for (j, dx) in scratch.d_x.iter_mut().enumerate() {
-                grads.w_expand[base + j] += g * caches.x[j];
-                *dx += g * self.w_expand.data[base + j];
-            }
+        for (rm_r, &i) in rm.chunks_exact_mut(d).zip(idx) {
+            rm_r.copy_from_slice(xs.row(i));
         }
+        dense_backward_batch(
+            &self.w_expand.data,
+            &ga[..e_len],
+            &rm[..d * rows],
+            (w_expand, b_expand),
+            None,
+            rows,
+        );
     }
 
-    /// Input-only backward pass at inference: [`Cnn1d::backward_sample`]
-    /// without a dropout mask and without any parameter-gradient write.
-    /// Leaves the gradient with respect to the standardized input in
-    /// `scratch.d_x`.
-    fn backward_input(&self, caches: &Caches, d_out: &[f64], scratch: &mut BackScratch) {
-        let cfg = &self.cfg;
-        let (c0, c1, k) = (cfg.channels, cfg.conv_channels, cfg.kernel);
-        let (l0, l1) = (self.l0(), self.l1());
-        let s = cfg.leaky_slope;
+    /// Row-wise forward pass on one standardized sample into `c`.
+    fn forward_sample_into(&self, x: &[f64], c: &mut Caches) {
+        let s = self.cfg.leaky_slope;
+        dense_row(&self.w_expand.data, &self.b_expand.data, x, &mut c.e_pre);
+        leaky_into(&c.e_pre, s, &mut c.e_act);
+        self.conv1().forward(&c.e_act, &mut c.z1, 1);
+        leaky_into(&c.z1, s, &mut c.a1);
+        avg_pool2_batch(&c.a1, 1, &mut c.p1);
+        self.conv2().forward(&c.p1, &mut c.z2, 1);
+        leaky_into(&c.z2, s, &mut c.a2);
+        avg_pool2_batch(&c.a2, 1, &mut c.p2);
+        dense_row(&self.w_head.data, &self.b_head.data, &c.p2, &mut c.h_pre);
+        leaky_into(&c.h_pre, s, &mut c.h_act);
+        dense_row(&self.w_out.data, &self.b_out.data, &c.h_act, &mut c.out);
+    }
 
-        // Output and head layers.
+    /// Input-only backward pass of one row at inference: no dropout mask
+    /// and no parameter gradients. Leaves the gradient with respect to the
+    /// standardized input in `scratch.d_x`.
+    fn backward_input(&self, caches: &Caches, d_out: &[f64], scratch: &mut BackScratch) {
+        let s = self.cfg.leaky_slope;
         row_combination(&self.w_out.data, d_out, &mut scratch.d_h);
         for (dh, &z) in scratch.d_h.iter_mut().zip(&caches.h_pre) {
             *dh *= leaky_d(z, s);
         }
         row_combination(&self.w_head.data, &scratch.d_h, &mut scratch.d_p2);
-
-        // Pool2 + conv2.
-        scratch.d_a2.fill(0.0);
-        Self::avg_unpool2(&scratch.d_p2, c1, l1, &mut scratch.d_a2);
-        for (da, &z) in scratch.d_a2.iter_mut().zip(&caches.z2) {
-            *da *= leaky_d(z, s);
-        }
-        scratch.d_p1.fill(0.0);
-        Self::conv_backward_input(
-            &self.w_conv2.data,
-            &scratch.d_a2,
-            &mut scratch.d_p1,
-            c1,
-            l1,
-            k,
-        );
-
-        // Pool1 + conv1.
-        scratch.d_a1.fill(0.0);
-        Self::avg_unpool2(&scratch.d_p1, c1, l0, &mut scratch.d_a1);
-        for (da, &z) in scratch.d_a1.iter_mut().zip(&caches.z1) {
-            *da *= leaky_d(z, s);
-        }
-        scratch.d_e.fill(0.0);
-        Self::conv_backward_input(
-            &self.w_conv1.data,
-            &scratch.d_a1,
-            &mut scratch.d_e,
-            c0,
-            l0,
-            k,
-        );
-
-        // Expansion layer.
+        unpool2_leaky_batch(&scratch.d_p2, &caches.z2, s, 1, &mut scratch.d_a2);
+        self.conv2()
+            .backward_input(&scratch.d_a2, &mut scratch.d_p1, 1, false);
+        unpool2_leaky_batch(&scratch.d_p1, &caches.z1, s, 1, &mut scratch.d_a1);
+        self.conv1()
+            .backward_input(&scratch.d_a1, &mut scratch.d_e, 1, false);
         for (de, &z) in scratch.d_e.iter_mut().zip(&caches.e_pre) {
             *de *= leaky_d(z, s);
         }
@@ -837,69 +904,17 @@ impl Cnn1d {
     }
 }
 
-/// Gradient accumulator mirroring the parameter tensors.
-struct CnnGrads {
-    w_expand: Vec<f64>,
-    b_expand: Vec<f64>,
-    w_conv1: Vec<f64>,
-    b_conv1: Vec<f64>,
-    w_conv2: Vec<f64>,
-    b_conv2: Vec<f64>,
-    w_head: Vec<f64>,
-    b_head: Vec<f64>,
-    w_out: Vec<f64>,
-    b_out: Vec<f64>,
-}
+/// Gradient accumulator mirroring the parameter tensors, in optimizer
+/// order.
+struct CnnGrads([Vec<f64>; 10]);
 
 impl CnnGrads {
-    fn zeros_like(model: &Cnn1d) -> Self {
-        Self {
-            w_expand: vec![0.0; model.w_expand.data.len()],
-            b_expand: vec![0.0; model.b_expand.data.len()],
-            w_conv1: vec![0.0; model.w_conv1.data.len()],
-            b_conv1: vec![0.0; model.b_conv1.data.len()],
-            w_conv2: vec![0.0; model.w_conv2.data.len()],
-            b_conv2: vec![0.0; model.b_conv2.data.len()],
-            w_head: vec![0.0; model.w_head.data.len()],
-            b_head: vec![0.0; model.b_head.data.len()],
-            w_out: vec![0.0; model.w_out.data.len()],
-            b_out: vec![0.0; model.b_out.data.len()],
-        }
-    }
-
-    /// The tensors in parameter order (matching the optimizer order).
-    fn fields(&self) -> [&Vec<f64>; 10] {
-        [
-            &self.w_expand,
-            &self.b_expand,
-            &self.w_conv1,
-            &self.b_conv1,
-            &self.w_conv2,
-            &self.b_conv2,
-            &self.w_head,
-            &self.b_head,
-            &self.w_out,
-            &self.b_out,
-        ]
-    }
-
-    fn fields_mut(&mut self) -> [&mut Vec<f64>; 10] {
-        [
-            &mut self.w_expand,
-            &mut self.b_expand,
-            &mut self.w_conv1,
-            &mut self.b_conv1,
-            &mut self.w_conv2,
-            &mut self.b_conv2,
-            &mut self.w_head,
-            &mut self.b_head,
-            &mut self.w_out,
-            &mut self.b_out,
-        ]
+    fn zeros(lens: &[usize; 10]) -> Self {
+        Self(lens.map(|n| vec![0.0; n]))
     }
 
     fn zero_fill(&mut self) {
-        for t in self.fields_mut() {
+        for t in &mut self.0 {
             t.fill(0.0);
         }
     }
@@ -907,7 +922,7 @@ impl CnnGrads {
     /// Element-wise accumulation; tensors are summed left-to-right by the
     /// caller, which keeps the chunk-order reduction a fixed association.
     fn add_in_place(&mut self, rhs: &CnnGrads) {
-        for (t, r) in self.fields_mut().into_iter().zip(rhs.fields()) {
+        for (t, r) in self.0.iter_mut().zip(&rhs.0) {
             for (a, b) in t.iter_mut().zip(r) {
                 *a += b;
             }
@@ -915,37 +930,8 @@ impl CnnGrads {
     }
 
     fn scale(&mut self, k: f64) {
-        for t in self.fields_mut() {
-            for v in t.iter_mut() {
-                *v *= k;
-            }
-        }
-    }
-}
-
-/// Reusable workspace for one gradient chunk of the CNN's data-parallel
-/// backprop: forward caches, backward scratch, and the chunk's gradient
-/// partial — one slot per chunk, recycled every minibatch.
-struct CnnChunkSlot {
-    /// Sample range `[r0, r1)` into the current minibatch, set before
-    /// dispatch.
-    r0: usize,
-    r1: usize,
-    caches: Caches,
-    scratch: BackScratch,
-    d_out: Vec<f64>,
-    grads: CnnGrads,
-}
-
-impl CnnChunkSlot {
-    fn zeros_like(model: &Cnn1d) -> Self {
-        Self {
-            r0: 0,
-            r1: 0,
-            caches: Caches::zeros_like(model),
-            scratch: BackScratch::zeros_like(model),
-            d_out: vec![0.0; model.n_outputs],
-            grads: CnnGrads::zeros_like(model),
+        for v in self.0.iter_mut().flatten() {
+            *v *= k;
         }
     }
 }
@@ -980,21 +966,8 @@ impl Regressor for Cnn1d {
         let xs = x_scaler.transform(&data.x);
         let ys = y_scaler.transform(&data.y);
 
-        let mut opts: Vec<Adam> = [
-            self.w_expand.data.len(),
-            self.b_expand.data.len(),
-            self.w_conv1.data.len(),
-            self.b_conv1.data.len(),
-            self.w_conv2.data.len(),
-            self.b_conv2.data.len(),
-            self.w_head.data.len(),
-            self.b_head.data.len(),
-            self.w_out.data.len(),
-            self.b_out.data.len(),
-        ]
-        .iter()
-        .map(|&n| Adam::new(cfg.lr, n))
-        .collect();
+        let lens = self.params_mut().map(|p| p.len());
+        let mut opts: Vec<Adam> = lens.iter().map(|&n| Adam::new(cfg.lr, n)).collect();
 
         let n = data.len();
         let bs = cfg.batch_size.clamp(1, n);
@@ -1003,11 +976,12 @@ impl Regressor for Cnn1d {
         let mut order: Vec<usize> = (0..n).collect();
         let threads = ctx.parallelism.threads;
 
-        // Reusable training state: one workspace slot per gradient chunk,
-        // the reduced per-batch gradient, and the pre-drawn head dropout
-        // masks for the whole minibatch.
-        let mut slots: Vec<CnnChunkSlot> = Vec::new();
-        let mut totals = CnnGrads::zeros_like(self);
+        // Reusable training state: one workspace per worker, one gradient
+        // partial per chunk, the reduced per-batch gradient, and the
+        // pre-drawn head dropout masks for the whole minibatch.
+        let mut workspaces: Vec<BatchActs> = Vec::new();
+        let mut partials: Vec<CnnGrads> = Vec::new();
+        let mut totals = CnnGrads::zeros(&lens);
         let mut head_masks = Matrix::zeros(0, 0);
 
         for epoch in 0..cfg.epochs {
@@ -1039,91 +1013,44 @@ impl Regressor for Cnn1d {
                 }
 
                 // Chunk boundaries depend only on the batch length, never
-                // the thread count, so the chunk-order reduction below
-                // associates identically at any parallelism width.
+                // the thread count, and every chunk sums its own partial,
+                // so the chunk-order reduction below associates identically
+                // at any parallelism width. Each worker runs a run of
+                // consecutive chunks through its own workspace.
                 let ranges = fixed_chunks(batch.len(), CNN_CHUNK_ROWS);
                 ctx.telemetry.add(Counter::TrainChunks, ranges.len() as u64);
-                while slots.len() < ranges.len() {
-                    slots.push(CnnChunkSlot::zeros_like(self));
+                let per_worker = ranges.len().div_ceil(threads.max(1));
+                while partials.len() < ranges.len() {
+                    partials.push(CnnGrads::zeros(&lens));
                 }
-                for (slot, &(r0, r1)) in slots.iter_mut().zip(&ranges) {
-                    slot.r0 = r0;
-                    slot.r1 = r1;
+                while workspaces.len() * per_worker < ranges.len() {
+                    workspaces.push(BatchActs::zeros_like(self, CNN_CHUNK_ROWS));
                 }
-
+                let mut work: Vec<_> = workspaces
+                    .iter_mut()
+                    .zip(partials[..ranges.len()].chunks_mut(per_worker))
+                    .zip(ranges.chunks(per_worker))
+                    .collect();
                 let model: &Cnn1d = self;
-                par_map_mut(threads, &mut slots[..ranges.len()], |_, slot| {
-                    slot.grads.zero_fill();
-                    for (off, &i) in batch[slot.r0..slot.r1].iter().enumerate() {
-                        model.forward_sample_into(xs.row(i), &mut slot.caches);
-                        // Inverted dropout on the head activation.
-                        let mask: Option<&[f64]> = if has_dropout {
-                            let m = head_masks.row(slot.r0 + off);
-                            for (h, mk) in slot.caches.h_act.iter_mut().zip(m) {
-                                *h *= mk;
-                            }
-                            // Recompute output with the dropped activations.
-                            for (o, ov) in slot.caches.out.iter_mut().enumerate() {
-                                let mut acc = model.b_out.data[o];
-                                let base = o * model.cfg.head;
-                                for (j, v) in slot.caches.h_act.iter().enumerate() {
-                                    acc += model.w_out.data[base + j] * v;
-                                }
-                                *ov = acc;
-                            }
-                            Some(m)
-                        } else {
-                            None
-                        };
-                        for ((d, p), t) in
-                            slot.d_out.iter_mut().zip(&slot.caches.out).zip(ys.row(i))
-                        {
-                            *d = 2.0 * (p - t);
-                        }
-                        model.backward_sample(
-                            &slot.caches,
-                            &slot.d_out,
-                            mask,
-                            &mut slot.grads,
-                            &mut slot.scratch,
-                        );
+                let masks = has_dropout.then(|| head_masks.as_slice());
+                par_map_mut(threads, &mut work, |_, ((ws, parts), chunks)| {
+                    for (grads, &(r0, r1)) in parts.iter_mut().zip(chunks.iter()) {
+                        grads.zero_fill();
+                        let mask = masks.map(|m| &m[r0 * cfg.head..r1 * cfg.head]);
+                        model.train_chunk((&xs, &ys), &batch[r0..r1], mask, ws, grads);
                     }
                 });
 
                 // Reduce chunk partials in chunk order (fixed association),
                 // then take the optimizer steps serially.
                 totals.zero_fill();
-                for slot in &slots[..ranges.len()] {
-                    totals.add_in_place(&slot.grads);
+                for part in &partials[..ranges.len()] {
+                    totals.add_in_place(part);
                 }
                 totals.scale(1.0 / batch.len() as f64);
-                let mut it = opts.iter_mut();
-                it.next()
-                    .unwrap()
-                    .step(&mut self.w_expand.data, &totals.w_expand);
-                it.next()
-                    .unwrap()
-                    .step(&mut self.b_expand.data, &totals.b_expand);
-                it.next()
-                    .unwrap()
-                    .step(&mut self.w_conv1.data, &totals.w_conv1);
-                it.next()
-                    .unwrap()
-                    .step(&mut self.b_conv1.data, &totals.b_conv1);
-                it.next()
-                    .unwrap()
-                    .step(&mut self.w_conv2.data, &totals.w_conv2);
-                it.next()
-                    .unwrap()
-                    .step(&mut self.b_conv2.data, &totals.b_conv2);
-                it.next()
-                    .unwrap()
-                    .step(&mut self.w_head.data, &totals.w_head);
-                it.next()
-                    .unwrap()
-                    .step(&mut self.b_head.data, &totals.b_head);
-                it.next().unwrap().step(&mut self.w_out.data, &totals.w_out);
-                it.next().unwrap().step(&mut self.b_out.data, &totals.b_out);
+                for ((opt, p), g) in opts.iter_mut().zip(self.params_mut()).zip(&totals.0) {
+                    opt.step(p, g);
+                }
             }
         }
 
@@ -1187,6 +1114,9 @@ impl Regressor for Cnn1d {
 }
 
 impl Differentiable for Cnn1d {
+    /// One forward pass, then one input-only backward pass per output with
+    /// a one-hot cotangent: row `o` is bit-identical to
+    /// [`Differentiable::value_and_vjp`] with cotangent `e_o`.
     fn input_jacobian(&self, x: &[f64]) -> Result<Matrix, MlError> {
         let (x_scaler, y_scaler) = self.fitted_scalers(x)?;
         let mut row = x.to_vec();
@@ -1195,16 +1125,20 @@ impl Differentiable for Cnn1d {
         self.forward_sample_into(&row, &mut caches);
 
         let mut jac = Matrix::zeros(self.n_outputs, self.n_features);
-        let mut grads = CnnGrads::zeros_like(self);
         let mut scratch = BackScratch::zeros_like(self);
-        let mut d_out = vec![0.0; self.n_outputs];
         for o in 0..self.n_outputs {
-            d_out.fill(0.0);
-            d_out[o] = 1.0;
-            self.backward_sample(&caches, &d_out, None, &mut grads, &mut scratch);
-            let sy = y_scaler.stds()[o];
-            for (c, g) in scratch.d_x.iter().enumerate() {
-                jac[(o, c)] = g * sy / x_scaler.stds()[c];
+            let d_out: Vec<f64> = (0..self.n_outputs)
+                .zip(y_scaler.stds())
+                .map(|(i, sd)| f64::from(u8::from(i == o)) * sd)
+                .collect();
+            self.backward_input(&caches, &d_out, &mut scratch);
+            for ((j, g), sd) in jac
+                .row_mut(o)
+                .iter_mut()
+                .zip(&scratch.d_x)
+                .zip(x_scaler.stds())
+            {
+                *j = g / sd;
             }
         }
         Ok(jac)
@@ -1393,6 +1327,135 @@ mod tests {
                 assert_eq!(bits(pred.row(r)), bits(single.row(0)), "batch {n}, row {r}");
                 let (y, _) = m.value_and_vjp(probe.row(r), &|y| y.to_vec()).unwrap();
                 assert_eq!(bits(pred.row(r)), bits(&y), "batch {n}, row {r} vs fused");
+            }
+        }
+    }
+
+    /// FNV-1a over the bits of every parameter, in parameter order.
+    fn param_hash(m: &Cnn1d) -> u64 {
+        let tensors = [
+            &m.w_expand,
+            &m.b_expand,
+            &m.w_conv1,
+            &m.b_conv1,
+            &m.w_conv2,
+            &m.b_conv2,
+            &m.w_head,
+            &m.b_head,
+            &m.w_out,
+            &m.b_out,
+        ];
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in tensors.iter().flat_map(|t| &t.data) {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The parameter hash and the first output's bits on the first three
+    /// rows of `probe`.
+    fn fit_pin(m: &Cnn1d, probe: &Matrix) -> (u64, [u64; 3]) {
+        let rows: Vec<Vec<f64>> = (0..3).map(|r| probe.row(r).to_vec()).collect();
+        let pred = m.predict(&Matrix::from_rows(&rows)).unwrap();
+        (param_hash(m), [0, 1, 2].map(|r| pred[(r, 0)].to_bits()))
+    }
+
+    /// Fitted weights and predictions are pinned bit for bit, so a change
+    /// to the training kernel that moves any rounding fails here. The pins
+    /// cover dropout on the optimize widths, the tiny config without
+    /// dropout, and a kernel-5 fit whose minibatch leaves a short tail
+    /// chunk and reaches every tap range of both conv layers.
+    #[test]
+    fn fitted_weights_are_pinned() {
+        let (wide, probe) = wide_model_and_probe();
+        let got_wide = fit_pin(&wide, &probe);
+
+        let d = curve_dataset(100);
+        let mut tiny = Cnn1d::new(Cnn1dConfig {
+            epochs: 6,
+            ..tiny_cfg()
+        });
+        tiny.fit(&d).unwrap();
+        let got_tiny = fit_pin(&tiny, &d.x);
+
+        let rows: Vec<Vec<f64>> = (0..50)
+            .map(|i| {
+                let t = i as f64 / 25.0 - 1.0;
+                vec![t, (2.0 * t).cos(), t * t * t]
+            })
+            .collect();
+        let ys: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|r| vec![r[0] * r[1], r[2] - r[0]])
+            .collect();
+        let d5 = Dataset::new(Matrix::from_rows(&rows), Matrix::from_rows(&ys)).unwrap();
+        let mut k5 = Cnn1d::new(Cnn1dConfig {
+            expand: 64,
+            channels: 4,
+            conv_channels: 6,
+            kernel: 5,
+            head: 12,
+            epochs: 4,
+            batch_size: 21,
+            dropout: 0.1,
+            seed: 5,
+            ..Cnn1dConfig::default()
+        });
+        k5.fit(&d5).unwrap();
+        let got_k5 = fit_pin(&k5, &d5.x);
+
+        let want = [
+            (
+                0x85b2_a4bf_83b8_766f,
+                [
+                    0x3fae_c5ad_1ec3_7682,
+                    0x3fae_eec8_476b_447b,
+                    0x3fa9_fbf3_f874_c507,
+                ],
+            ),
+            (
+                0x36ac_0b2c_a30f_f487,
+                [
+                    0x3fc0_d5dd_c579_a786,
+                    0x3fc2_3fbf_e923_ea02,
+                    0x3fc3_b768_5863_d310,
+                ],
+            ),
+            (
+                0xa205_e65a_7e64_001a,
+                [
+                    0x3f99_8f81_1dde_619c,
+                    0x3f97_e016_4bce_c178,
+                    0x3f96_6d8c_bc22_9788,
+                ],
+            ),
+        ];
+        assert_eq!(
+            [got_wide, got_tiny, got_k5],
+            want,
+            "{:#x?}",
+            [got_wide, got_tiny, got_k5]
+        );
+    }
+
+    /// Row `o` of the Jacobian is the VJP with the one-hot cotangent `e_o`,
+    /// bit for bit.
+    #[test]
+    fn input_jacobian_rows_are_one_hot_vjps() {
+        let (m, probe) = wide_model_and_probe();
+        for r in [0, 5, 299] {
+            let x = probe.row(r);
+            let jac = m.input_jacobian(x).unwrap();
+            for o in 0..m.n_outputs {
+                let (_, g) = m
+                    .value_and_vjp(x, &|y| {
+                        (0..y.len()).map(|i| f64::from(u8::from(i == o))).collect()
+                    })
+                    .unwrap();
+                assert_eq!(bits(jac.row(o)), bits(&g), "row {r}, output {o}");
             }
         }
     }

@@ -7,9 +7,7 @@
 
 mod boosting;
 mod cnn;
-mod ensemble;
 mod forest;
-mod knn;
 mod linear;
 mod mlp;
 mod svr;
@@ -17,9 +15,7 @@ mod tree;
 
 pub use boosting::{GradientBoosting, XgbRegressor};
 pub use cnn::{Cnn1d, Cnn1dConfig};
-pub use ensemble::Ensemble;
 pub use forest::RandomForest;
-pub use knn::KnnRegressor;
 pub use linear::PolynomialRidge;
 pub use mlp::{Mlp, MlpConfig};
 pub use svr::LinearSvr;

@@ -25,9 +25,12 @@ use isop_telemetry::Telemetry;
 /// the batched `matmul` fast path.
 pub const MLP_CHUNK_ROWS: usize = 16;
 
-/// Samples per gradient chunk for 1D-CNN minibatch backprop (per-sample
-/// cost is much higher than the MLP's, so chunks are smaller to balance
-/// workers).
+/// Rows per gradient chunk for 1D-CNN minibatch backprop. Fixed like
+/// [`MLP_CHUNK_ROWS`]: each chunk sums its own gradient partial, so this
+/// value is part of every fitted CNN's bits. A chunk runs forward and
+/// backward batch-major (`[feature][row]`) through one worker's
+/// workspace, which is sized for this many rows; a worker runs its
+/// consecutive chunks one after another.
 pub const CNN_CHUNK_ROWS: usize = 8;
 
 /// Rows per in-place update chunk for boosting's residual fill and
@@ -76,18 +79,6 @@ impl TrainContext {
         self.telemetry = telemetry;
         self
     }
-
-    /// The context an outer parallel section hands to nested fits: serial
-    /// execution (no spawn-on-spawn), same telemetry. Used when an
-    /// ensemble trains members on parallel workers — the members must see
-    /// the *same* inner context at every outer width for bit-identity.
-    #[must_use]
-    pub fn nested(&self) -> Self {
-        Self {
-            parallelism: Parallelism::serial(),
-            telemetry: self.telemetry.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -100,16 +91,5 @@ mod tests {
         assert_eq!(ctx.parallelism.threads, 1);
         assert!(!ctx.telemetry.is_enabled());
         assert_eq!(TrainContext::serial().parallelism.threads, 1);
-    }
-
-    #[test]
-    fn nested_context_is_serial_but_keeps_telemetry() {
-        let tele = Telemetry::enabled();
-        let ctx = TrainContext::new(Parallelism::new(8)).with_telemetry(tele.clone());
-        let inner = ctx.nested();
-        assert_eq!(inner.parallelism.threads, 1);
-        assert!(inner.telemetry.is_enabled());
-        inner.telemetry.incr(isop_telemetry::Counter::TrainChunks);
-        assert_eq!(tele.counter(isop_telemetry::Counter::TrainChunks), 1);
     }
 }

@@ -89,8 +89,8 @@ pub enum Counter {
     /// still reads this label.
     SurrogateMemoMisses,
     /// Work units dispatched to the data-parallel training engine: minibatch
-    /// gradient chunks (MLP/CNN), bootstrap trees (forest), boosting-stage
-    /// row chunks, and ensemble members. Deterministic for a fixed config —
+    /// gradient chunks (MLP/CNN), bootstrap trees (forest), and
+    /// boosting-stage row chunks. Deterministic for a fixed config —
     /// chunk boundaries never depend on the thread count.
     TrainChunks,
     /// Roll-out retry attempts: EM simulations re-issued after a

@@ -15,8 +15,8 @@ use isop_hpo::budget::Budget;
 use isop_ml::dataset::Dataset;
 use isop_ml::linalg::Matrix;
 use isop_ml::models::{
-    Cnn1d, Cnn1dConfig, DecisionTree, Ensemble, GradientBoosting, Mlp, MlpConfig, RandomForest,
-    TreeConfig, XgbRegressor,
+    Cnn1d, Cnn1dConfig, DecisionTree, GradientBoosting, Mlp, MlpConfig, RandomForest, TreeConfig,
+    XgbRegressor,
 };
 use isop_ml::train::TrainContext;
 use isop_ml::Regressor;
@@ -154,20 +154,27 @@ fn cnn_with_dropout_identical_across_widths() {
     assert_bit_identical("Cnn1d", make(), make(), &data, 8);
 }
 
+/// A kernel-5 CNN whose 28-row minibatch splits into chunks of 8, 8, 8
+/// and 4 rows: the short tail chunk and every conv tap range go through
+/// the data-parallel backward pass.
 #[test]
-fn ensemble_identical_across_widths() {
-    let data = synth(300, 7);
-    let member = |seed| {
-        Mlp::new(MlpConfig {
-            hidden: vec![24],
-            epochs: 8,
+fn cnn_kernel5_identical_across_widths() {
+    let data = synth(200, 9);
+    let make = || {
+        Box::new(Cnn1d::new(Cnn1dConfig {
+            expand: 48,
+            channels: 4,
+            conv_channels: 6,
+            kernel: 5,
+            head: 16,
+            epochs: 4,
+            batch_size: 28,
             dropout: 0.05,
-            seed,
-            ..MlpConfig::default()
-        })
+            seed: 4,
+            ..Cnn1dConfig::default()
+        }))
     };
-    let make = || Box::new(Ensemble::new(vec![member(1), member(2), member(3)]));
-    assert_bit_identical("Ensemble<Mlp>", make(), make(), &data, 8);
+    assert_bit_identical("Cnn1d k=5", make(), make(), &data, 3);
 }
 
 /// `fit` (no context) must stay the exact serial path: a model trained via
