@@ -2,8 +2,8 @@
 //!
 //! Each `[[bin]]` target reproduces one artifact of the ISOP+ paper's
 //! evaluation (see DESIGN.md §3 for the index). This library holds the
-//! shared plumbing: environment-controlled scaling, surrogate training with
-//! on-disk caching, and result writing.
+//! shared plumbing: environment-controlled scaling, surrogate training
+//! through the persistent model registry, and result writing.
 //!
 //! ## Scaling knobs (environment variables)
 //!
@@ -13,7 +13,7 @@
 //! | `ISOP_DATASET` | 32000 | surrogate-training samples (paper: 90 000) |
 //! | `ISOP_EPOCHS` | 60 | neural-surrogate training epochs |
 //! | `ISOP_RESULTS_DIR` | `results` | artifact output directory |
-//! | `ISOP_CACHE_DIR` | `target/isop-cache/em_store` | persistent sharded eval-store directory the ablation bins share accurate EM results through |
+//! | `ISOP_CACHE_DIR` | `target/isop-cache/em_store` | persistent sharded store: the ablation bins share accurate EM results through it, and every bin reloads its trained surrogates from it |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,7 +24,7 @@ use isop::surrogate::{MlpXgbSurrogate, ModelZoo, NeuralSurrogate};
 use isop_em::simulator::AnalyticalSolver;
 use isop_ml::dataset::Dataset;
 use isop_ml::models::{Cnn1d, Cnn1dConfig, Mlp, MlpConfig, XgbRegressor};
-use isop_ml::registry::{config_fingerprint, data_fingerprint};
+use isop_ml::registry::{config_fingerprint, ModelRegistry};
 use isop_ml::MlError;
 use std::fs;
 use std::path::PathBuf;
@@ -185,38 +185,40 @@ pub fn env_zoo() -> ModelZoo {
     ModelZoo::from_env()
 }
 
-fn announce_trained(what: &str, zoo: &ModelZoo, started: Instant) {
+/// Registry space id of the harness surrogates. They are trained on the
+/// mixed training set and serve every search space, so one fixed id keys
+/// them; the registry's config and data fingerprints tell fits apart.
+const SURROGATE_SPACE_ID: u64 = 0x15_0900;
+
+/// `zoo` with the model registry of the store at
+/// [`BenchConfig::cache_dir`] attached, or `zoo` as is when the store is
+/// unusable.
+fn registered_zoo(cfg: &BenchConfig, zoo: &ModelZoo) -> ModelZoo {
+    match open_store(cfg) {
+        Some(store) => zoo.clone().with_registry(ModelRegistry::new(store)),
+        None => zoo.clone(),
+    }
+}
+
+/// Reports how `what` was obtained and, after a fresh fit, flushes it into
+/// the registry so the next run reloads it.
+fn record_fit(what: &str, zoo: &ModelZoo, started: Instant, hit: bool) {
+    if hit {
+        eprintln!("[isop-bench] reusing registered {what}");
+        return;
+    }
     eprintln!(
         "[isop-bench] trained {what} in {:.2}s at {} thread(s)",
         started.elapsed().as_secs_f64(),
         zoo.context().parallelism.threads
     );
+    if let Some(Err(e)) = zoo.registry().map(ModelRegistry::persist) {
+        eprintln!("[isop-bench] model registry: flush failed: {e}");
+    }
 }
 
-/// Cache file name of a fitted model: `kind`, the fingerprint of the
-/// unfitted model(s) — architecture, hyperparameters and seed — and the
-/// fingerprint of the exact training set. Any change to either trains a
-/// new model instead of reloading one of the old shape.
-fn model_cache_key<T: serde::Serialize>(kind: &str, unfitted: &T, data: &Dataset) -> String {
-    format!(
-        "{kind}_{:016x}_{:016x}.json",
-        config_fingerprint(unfitted),
-        data_fingerprint(data)
-    )
-}
-
-fn load_model<M: serde::de::DeserializeOwned>(name: &str) -> Option<M> {
-    let text = fs::read_to_string(cache_path(name)).ok()?;
-    serde_json::from_str(&text).ok()
-}
-
-fn store_model<M: serde::Serialize>(name: &str, model: &M) {
-    let path = cache_path(name);
-    let _ = fs::create_dir_all(path.parent().expect("has parent"));
-    let _ = fs::write(path, serde_json::to_string(model).expect("serializable"));
-}
-
-/// Trains (or loads from cache) the 1D-CNN surrogate on `data`.
+/// Trains (or reloads from the model registry) the 1D-CNN surrogate on
+/// `data`.
 ///
 /// # Errors
 ///
@@ -236,24 +238,15 @@ pub fn cnn_surrogate_with(
     data: &Dataset,
     zoo: &ModelZoo,
 ) -> Result<NeuralSurrogate<Cnn1d>, MlError> {
-    let model = Cnn1d::new(cnn_config(cfg.epochs));
-    let key = model_cache_key("cnn", &model, data);
-    if let Some(model) = load_model::<Cnn1d>(&key) {
-        eprintln!("[isop-bench] reusing cached 1D-CNN surrogate");
-        return Ok(NeuralSurrogate::new(model));
-    }
-    eprintln!(
-        "[isop-bench] training 1D-CNN surrogate ({} epochs)...",
-        cfg.epochs
-    );
+    let zoo = registered_zoo(cfg, zoo);
     let started = Instant::now();
-    let s = zoo.fit_neural(model, data)?;
-    announce_trained("1D-CNN surrogate", zoo, started);
-    store_model(&key, s.model());
+    let (s, hit) =
+        zoo.fit_neural_registered(SURROGATE_SPACE_ID, Cnn1d::new(cnn_config(cfg.epochs)), data)?;
+    record_fit("1D-CNN surrogate", &zoo, started, hit);
     Ok(s)
 }
 
-/// Trains (or loads from cache) the DATE'23 `MLP_XGB` surrogate (MLP for
+/// Trains (or reloads from the model registry) the DATE'23 `MLP_XGB` surrogate (MLP for
 /// Z/L, XGBoost for NEXT) on `data`.
 ///
 /// # Errors
@@ -275,16 +268,18 @@ pub fn mlp_xgb_surrogate_with(
 ) -> Result<MlpXgbSurrogate, MlError> {
     let mlp = Mlp::new(mlp_config(cfg.epochs));
     let xgb = XgbRegressor::new(120, 0.15, 6, 1.0, 0.0);
-    let key = model_cache_key("mlp_xgb", &(&mlp, &xgb), data);
-    if let Some(model) = load_model::<MlpXgbSurrogate>(&key) {
-        eprintln!("[isop-bench] reusing cached MLP_XGB surrogate");
-        return Ok(model);
-    }
-    eprintln!("[isop-bench] training MLP_XGB surrogate...");
+    let zoo = registered_zoo(cfg, zoo);
     let started = Instant::now();
-    let s = zoo.fit_mlp_xgb(mlp, xgb, data)?;
-    announce_trained("MLP_XGB surrogate", zoo, started);
-    store_model(&key, &s);
+    let (s, hit) = match zoo.registry() {
+        Some(registry) => {
+            let config_fp = config_fingerprint(&(&mlp, &xgb));
+            registry.fit_or_load(SURROGATE_SPACE_ID, "MLP_XGB", config_fp, data, || {
+                zoo.fit_mlp_xgb(mlp, xgb, data)
+            })?
+        }
+        None => (zoo.fit_mlp_xgb(mlp, xgb, data)?, false),
+    };
+    record_fit("MLP_XGB surrogate", &zoo, started, hit);
     Ok(s)
 }
 
@@ -381,25 +376,6 @@ mod tests {
         assert!(cfg.use_hyperband);
         assert!(cfg.adapt_weights);
         assert_eq!(cfg.cand_num, 3, "paper verifies three candidates");
-    }
-
-    /// The model cache key follows everything that determines the fit: a
-    /// width change alone moves it, and equal inputs give equal keys.
-    #[test]
-    fn model_cache_key_follows_config_and_data() {
-        let dataset = |seed| {
-            isop::data::generate_dataset(&spaces::s1(), 8, &AnalyticalSolver::new(), seed)
-                .expect("dataset")
-        };
-        let (data, other) = (dataset(1), dataset(2));
-        let key = |cfg: Cnn1dConfig, data: &Dataset| model_cache_key("cnn", &Cnn1d::new(cfg), data);
-        let wider = Cnn1dConfig {
-            conv_channels: cnn_config(3).conv_channels + 1,
-            ..cnn_config(3)
-        };
-        assert_eq!(key(cnn_config(3), &data), key(cnn_config(3), &data));
-        assert_ne!(key(cnn_config(3), &data), key(wider, &data));
-        assert_ne!(key(cnn_config(3), &data), key(cnn_config(3), &other));
     }
 
     #[test]

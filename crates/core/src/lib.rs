@@ -67,7 +67,6 @@
 #![forbid(unsafe_code)]
 
 pub mod baselines;
-pub mod board;
 pub mod daemon;
 pub mod data;
 pub mod engine;

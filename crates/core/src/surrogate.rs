@@ -734,7 +734,7 @@ mod tests {
             .expect("trains");
         assert!(!hit, "no registry attached");
 
-        let cold_pred;
+        let (cold_pred, cold_rows);
         {
             let store = Arc::new(isop_store::Store::open(&dir).expect("opens"));
             let zoo = ModelZoo::new(isop_exec::Parallelism::serial())
@@ -744,6 +744,7 @@ mod tests {
                 .expect("trains");
             assert!(!hit, "cold run trains");
             cold_pred = s.predict(&x).expect("predicts");
+            cold_rows = Regressor::predict(s.model(), &data.x).expect("predicts");
             zoo.registry()
                 .expect("attached")
                 .persist()
@@ -764,6 +765,12 @@ mod tests {
         let warm_pred = s.predict(&x).expect("predicts");
         for (a, b) in cold_pred.iter().zip(&warm_pred) {
             assert_eq!(a.to_bits(), b.to_bits(), "bit-identical warm surrogate");
+        }
+        let warm_rows = Regressor::predict(s.model(), &data.x).expect("predicts");
+        for r in 0..data.x.rows() {
+            for (a, b) in cold_rows.row(r).iter().zip(warm_rows.row(r)) {
+                assert_eq!(a.to_bits(), b.to_bits(), "bit-identical row {r}");
+            }
         }
         let report = tele.run_report();
         assert_eq!(report.counter("store.model_hits"), 1);

@@ -169,7 +169,7 @@ pub struct FaultConfig {
 
 impl FaultConfig {
     /// A configuration that injects nothing; wrapping with it is a
-    /// bit-exact no-op (verified by the integration suite and bench gate).
+    /// bit-exact no-op (verified by the integration suite).
     #[must_use]
     pub fn disabled(seed: u64) -> Self {
         Self {

@@ -1667,4 +1667,131 @@ mod tests {
         assert!(Store::open(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// Property tests: every record type survives its binary encoding with
+    /// exact f64 bits — NaN payloads, ±0 and ±∞ included — and payload
+    /// trees survive [`codec::encode`]/[`codec::decode`].
+    mod codec_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// An f64 from a selector and raw bits, with ±0, NaNs of any sign
+        /// and payload, and ±∞ drawn as often as arbitrary bit patterns.
+        fn float(sel: u64, bits: u64) -> f64 {
+            match sel % 5 {
+                0 if bits & 1 == 0 => 0.0,
+                0 => -0.0,
+                1 => f64::from_bits(0x7ff0_0000_0000_0001 | (bits & 0x800f_ffff_ffff_ffff)),
+                2 if bits & 1 == 0 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                _ => f64::from_bits(bits),
+            }
+        }
+
+        /// Up to four characters below U+1000 (control, ASCII, accented).
+        fn text(bits: u64) -> String {
+            (0..bits % 5)
+                .filter_map(|i| char::from_u32(((bits >> (12 * i + 3)) & 0xfff) as u32))
+                .collect()
+        }
+
+        /// A `Value` tree, at most four levels deep, built from `words`.
+        fn tree(words: &mut impl Iterator<Item = u64>, depth: u32) -> Value {
+            let Some(w) = words.next() else {
+                return Value::Null;
+            };
+            let width = (w >> 3) % 4;
+            match w % 7 {
+                1 => Value::Bool(w & 8 != 0),
+                2 | 3 => Value::Num(float(w >> 3, words.next().unwrap_or(w))),
+                4 => Value::Str(text(w >> 3)),
+                5 if depth < 4 => Value::Arr((0..width).map(|_| tree(words, depth + 1)).collect()),
+                6 if depth < 4 => Value::Obj(
+                    (0..width)
+                        .map(|i| (text(w.rotate_right(i as u32 * 16)), tree(words, depth + 1)))
+                        .collect(),
+                ),
+                _ => Value::Null,
+            }
+        }
+
+        fn payload() -> impl Strategy<Value = Value> {
+            prop::collection::vec(0..=u64::MAX, 0..40).prop_map(|w| tree(&mut w.into_iter(), 0))
+        }
+
+        /// Structural equality with numbers compared by their bits.
+        fn same_bits(a: &Value, b: &Value) -> bool {
+            match (a, b) {
+                (Value::Num(x), Value::Num(y)) => x.to_bits() == y.to_bits(),
+                (Value::Arr(x), Value::Arr(y)) => {
+                    x.len() == y.len() && x.iter().zip(y).all(|(x, y)| same_bits(x, y))
+                }
+                (Value::Obj(x), Value::Obj(y)) => {
+                    x.len() == y.len()
+                        && x.iter()
+                            .zip(y)
+                            .all(|((kx, x), (ky, y))| kx == ky && same_bits(x, y))
+                }
+                _ => a == b,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn payload_trees_round_trip_through_the_codec(v in payload()) {
+                let back: Value = codec::decode(&codec::encode(&v)).expect("decodes");
+                prop_assert!(same_bits(&back, &v), "{v:?} came back as {back:?}");
+            }
+
+            #[test]
+            fn eval_records_round_trip(
+                space_id in 0..=u64::MAX,
+                levels in prop::collection::vec(0..=u32::MAX, 0..16),
+                floats in prop::collection::vec((0..=u64::MAX, 0..=u64::MAX), 3),
+                attempts in 0..=u32::MAX,
+            ) {
+                let metrics = [0, 1, 2].map(|i| float(floats[i].0, floats[i].1));
+                let record = EvalRecord { space_id, levels, metrics, attempts };
+                let back = EvalRecord::decode(&record.encode()).expect("decodes");
+                prop_assert_eq!(&back.levels, &record.levels);
+                prop_assert_eq!((back.space_id, back.attempts), (space_id, attempts));
+                prop_assert_eq!(back.metrics.map(f64::to_bits), metrics.map(f64::to_bits));
+            }
+
+            #[test]
+            fn model_records_round_trip(
+                fps in (0..=u64::MAX, 0..=u64::MAX, 0..=u64::MAX),
+                name in (0..=u64::MAX).prop_map(text),
+                payload in payload(),
+            ) {
+                let (space_id, config_fp, data_fp) = fps;
+                let record = ModelRecord { space_id, config_fp, data_fp, name, payload };
+                let back = ModelRecord::decode(&record.encode()).expect("decodes");
+                prop_assert_eq!(
+                    (back.space_id, back.config_fp, back.data_fp, &back.name),
+                    (space_id, config_fp, data_fp, &record.name)
+                );
+                prop_assert!(same_bits(&back.payload, &record.payload));
+            }
+
+            #[test]
+            fn job_records_round_trip(
+                epoch in 0..=u64::MAX,
+                state in 0u8..3,
+                job_id in (0..=u64::MAX).prop_map(text),
+                payload in payload(),
+            ) {
+                let state = JobState::from_u8(state).expect("valid state");
+                let record = JobRecord { epoch, state, job_id, payload };
+                let back = JobRecord::decode(&record.encode()).expect("decodes");
+                prop_assert_eq!(
+                    (back.epoch, back.state, &back.job_id),
+                    (epoch, state, &record.job_id)
+                );
+                prop_assert!(same_bits(&back.payload, &record.payload));
+            }
+        }
+    }
 }

@@ -7,8 +7,10 @@
 //! recovery that replays the journal bit-identically to an uninterrupted
 //! run without double-charging an EM second, and the epoch-streaming
 //! determinism claim — streaming jobs across epochs reproduces a one-shot
-//! batch when epoch boundaries coincide with wave boundaries. The heavy
-//! tests run under both 1 and 4 engine cores.
+//! batch when epoch boundaries coincide with wave boundaries. Jobs
+//! submitted over TCP to a store-backed daemon journal exactly one
+//! `Finished` frame each. The heavy tests run under both 1 and 4 engine
+//! cores.
 
 use isop::prelude::*;
 use isop_hpo::harmonica::HarmonicaConfig;
@@ -405,21 +407,105 @@ fn killed_mid_epoch_daemon_replays_bit_identically() {
             );
         }
 
-        // Zero double-charging: one Finished frame per job, no more.
-        let store = Store::open(crash_scratch.path()).expect("reopen store");
-        let frames = store.load_jobs().expect("journal");
-        for s in submissions() {
-            let finished = frames
-                .iter()
-                .filter(|f| f.state == JobState::Finished && f.job_id == s.id)
-                .count();
-            assert_eq!(
-                finished, 1,
-                "cores {cores}: job '{}' journaled {finished} Finished frames",
-                s.id
-            );
-        }
+        // Zero double-charging: the charged ledgers agree, and the journal
+        // holds one Finished frame per job, no more.
+        let charged = |jobs: &[JobResult]| jobs.iter().map(|j| j.em_seconds_charged).sum::<f64>();
+        assert_eq!(
+            charged(&revived_jobs).to_bits(),
+            charged(&calm_jobs).to_bits(),
+            "cores {cores}: charged EM seconds"
+        );
+        assert_one_finished_frame_per_job(
+            crash_scratch.path(),
+            &submissions(),
+            &format!("cores {cores}"),
+        );
     }
+}
+
+/// Asserts the journal of the store at `dir` holds exactly one `Finished`
+/// frame for each of `specs`; `what` labels a failure.
+fn assert_one_finished_frame_per_job(dir: &Path, specs: &[JobSpec], what: &str) {
+    let frames = Store::open(dir)
+        .expect("reopen store")
+        .load_jobs()
+        .expect("journal");
+    for s in specs {
+        let finished = frames
+            .iter()
+            .filter(|f| f.state == JobState::Finished && f.job_id == s.id)
+            .count();
+        assert_eq!(
+            finished, 1,
+            "{what}: job '{}' journaled {finished} Finished frames",
+            s.id
+        );
+    }
+}
+
+/// Jobs submitted over one loopback connection to a store-backed daemon
+/// are all accepted and finish, and the reopened store's journal holds
+/// exactly one `Finished` frame per job.
+#[test]
+fn tcp_submissions_finish_with_one_journaled_frame_each() {
+    use serde::json::Value;
+    use serde::Serialize;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+
+    let scratch = Scratch::new("tcp");
+    let daemon = Arc::new(daemon_on(scratch.path(), daemon_config(2, 2)));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let addr = listener.local_addr().expect("bound address");
+    let server = {
+        let daemon = Arc::clone(&daemon);
+        std::thread::spawn(move || daemon.serve(listener))
+    };
+    let stream = TcpStream::connect(addr).expect("connects");
+    let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+    let mut writer = stream;
+    let mut ask = |request: &str| {
+        writer
+            .write_all(format!("{request}\n").as_bytes())
+            .expect("writes");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reads");
+        let reply = Value::parse(line.trim()).expect("JSON reply");
+        let fields = reply.as_obj().expect("object reply").to_vec();
+        assert_eq!(
+            Value::field(&fields, "ok"),
+            &Value::Bool(true),
+            "refused: {line}"
+        );
+        fields
+    };
+
+    // Two tenants, each submitting a job and a rerun of it.
+    let specs = [
+        spec("t0", "acme", 71),
+        spec("t0-rerun", "acme", 71),
+        spec("t1", "bolt", 72),
+        spec("t1-rerun", "bolt", 72),
+    ];
+    for s in &specs {
+        ask(&format!(
+            r#"{{"op":"submit","job":{}}}"#,
+            s.to_value().to_json_string()
+        ));
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    while Value::field(&ask(r#"{"op":"status"}"#), "finished") != &Value::Num(4.0) {
+        assert!(std::time::Instant::now() < deadline, "jobs never finished");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    ask(r#"{"op":"shutdown"}"#);
+    drop((reader, writer));
+    server
+        .join()
+        .expect("serve thread")
+        .expect("serve returns Ok");
+    drop(daemon);
+    assert_one_finished_frame_per_job(scratch.path(), &specs, "tcp");
 }
 
 /// A daemon killed while a whole epoch is still queued resumes it after

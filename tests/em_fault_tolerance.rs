@@ -190,6 +190,10 @@ fn faulted_outcome_and_counters_bit_identical_across_thread_widths() {
     assert_eq!(serial.em_failures_permanent, wide.em_failures_permanent);
     assert_eq!(serial.em_topped_up, wide.em_topped_up);
     assert_eq!(serial.em_seconds.to_bits(), wide.em_seconds.to_bits());
+    assert_eq!(
+        serial.em_seconds_saved.to_bits(),
+        wide.em_seconds_saved.to_bits()
+    );
     for c in Counter::ALL {
         assert_eq!(
             serial_tele.counter(c),

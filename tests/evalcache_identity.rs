@@ -97,6 +97,13 @@ fn cache_on_and_off_report_bit_identical_counters_and_fom() {
     assert_eq!(off_first.candidates, on_first.candidates);
     assert_eq!(off_second.candidates, on_second.candidates);
     assert_eq!(off_first.candidates, off_second.candidates);
+    // The warm run replays the cold one: same outcome, same ledger total.
+    assert_eq!(on_first.candidates, on_second.candidates);
+    assert_eq!(on_first.success, on_second.success);
+    assert_eq!(
+        (on_first.em_seconds + on_first.em_seconds_saved).to_bits(),
+        (on_second.em_seconds + on_second.em_seconds_saved).to_bits()
+    );
     let fom_off = off_second.best().expect("candidate").g_exact;
     let fom_on = on_second.best().expect("candidate").g_exact;
     assert_eq!(fom_off.to_bits(), fom_on.to_bits());

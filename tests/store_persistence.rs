@@ -104,6 +104,10 @@ fn fresh_handles_replay_a_previous_runs_work_bit_identically() {
         cold_report.em_seconds_charged.to_bits(),
         "the saved ledger replays the cold charge exactly"
     );
+    assert_eq!(
+        (warm.em_seconds + warm.em_seconds_saved).to_bits(),
+        (cold.em_seconds + cold.em_seconds_saved).to_bits()
+    );
     assert!(warm_report.counter("store.cross_job_hits") > 0);
     assert_eq!(
         warm_report.counter("store.cross_job_hits"),
@@ -115,6 +119,7 @@ fn fresh_handles_replay_a_previous_runs_work_bit_identically() {
     // probing happen in the roll-out's serial sections.
     assert_eq!(warm.candidates, wide.candidates);
     assert_eq!(warm_report.counters, wide_report.counters);
+    assert_eq!(warm.em_seconds.to_bits(), wide.em_seconds.to_bits());
     assert_eq!(
         warm_report.em_seconds_saved.to_bits(),
         wide_report.em_seconds_saved.to_bits()

@@ -93,6 +93,7 @@ fn random_forest_identical_across_widths() {
     };
     let make = || Box::new(RandomForest::new(12, cfg, 3));
     assert_bit_identical("RandomForest", make(), make(), &data, 8);
+    assert_bit_identical("RandomForest", make(), make(), &data, 4);
     // An odd width exercises uneven work distribution over the 12 trees.
     assert_bit_identical("RandomForest", make(), make(), &data, 5);
 }
@@ -129,6 +130,7 @@ fn mlp_with_dropout_identical_across_widths() {
         }))
     };
     assert_bit_identical("Mlp", make(), make(), &data, 8);
+    assert_bit_identical("Mlp", make(), make(), &data, 4);
     // Odd width: the 64-row batch splits into four 16-row chunks that do
     // not divide evenly over three workers.
     assert_bit_identical("Mlp", make(), make(), &data, 3);
