@@ -2,7 +2,7 @@
 
 use crate::{isop_config, BenchConfig};
 use isop::evalcache::EvalCache;
-use isop::experiment::{ExperimentContext, MatchMode, TrialStats};
+use isop::experiment::{fom_improvement, ExperimentContext, MatchMode, TrialStats};
 use isop::objective::Objective;
 use isop::params::ParamSpace;
 use isop::pipeline::IsopConfig;
@@ -143,7 +143,7 @@ pub fn render_comparison(cells: &[ComparisonCell], include_next: bool) -> Table 
             }
             cells_out.push(fmt(row.fom, 3));
             cells_out.push(match isop_fom {
-                Some(f) if row.method != "ISOP+" => fmt(row.improvement_of(f), 1),
+                Some(f) if row.method != "ISOP+" => fmt(fom_improvement(row.fom, f), 1),
                 _ => "-".to_string(),
             });
             table.push_row(cells_out);
@@ -271,9 +271,7 @@ pub fn render_ablation(rows: &[AblationRow], include_next: bool) -> Table {
             }
             out.push(fmt(row.stats.fom, 3));
             out.push(match reference {
-                Some(f) if row.technique != "H_GD" => {
-                    fmt(100.0 * (row.stats.fom - f) / row.stats.fom, 1)
-                }
+                Some(f) if row.technique != "H_GD" => fmt(fom_improvement(row.stats.fom, f), 1),
                 _ => "-".to_string(),
             });
             table.push_row(out);

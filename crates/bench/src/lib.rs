@@ -42,7 +42,7 @@ pub struct BenchConfig {
     /// Output directory for generated tables.
     pub results_dir: PathBuf,
     /// Persistent sharded eval-store directory (`ISOP_CACHE_DIR`, default
-    /// [`cache_path`]`("em_store")`).
+    /// `target/isop-cache/em_store`).
     pub cache_dir: PathBuf,
 }
 
@@ -69,34 +69,18 @@ impl BenchConfig {
                 .unwrap_or_else(|_| "results".to_string())
                 .into(),
             cache_dir: std::env::var("ISOP_CACHE_DIR")
-                .map_or_else(|_| cache_path("em_store"), PathBuf::from),
-        }
-    }
-
-    /// The paper's full protocol (10 trials, 90 k samples).
-    pub fn paper_scale() -> Self {
-        Self {
-            trials: 10,
-            dataset_size: 90_000,
-            epochs: 40,
-            results_dir: "results".into(),
-            cache_dir: cache_path("em_store"),
+                .unwrap_or_else(|_| "target/isop-cache/em_store".to_string())
+                .into(),
         }
     }
 }
 
-/// Generates (or reuses a cached) surrogate-training dataset over the Table
-/// III training ranges.
+/// Generates the surrogate-training dataset over the Table III training
+/// ranges. It is regenerated on every call rather than cached on disk:
+/// 90 000 samples take well under a tenth of a second, less than reading
+/// them back from JSON, and a file keyed only by its size would outlive a
+/// change to the generator, the spaces, the mix or the seed.
 pub fn training_dataset(cfg: &BenchConfig) -> Dataset {
-    let cache = cache_path(&format!("dataset_{}.json", cfg.dataset_size));
-    if let Ok(text) = fs::read_to_string(&cache) {
-        if let Ok(d) = serde_json::from_str::<Dataset>(&text) {
-            if d.len() == cfg.dataset_size {
-                eprintln!("[isop-bench] reusing cached dataset ({} samples)", d.len());
-                return d;
-            }
-        }
-    }
     eprintln!(
         "[isop-bench] generating {} training samples via the EM simulator...",
         cfg.dataset_size
@@ -104,7 +88,7 @@ pub fn training_dataset(cfg: &BenchConfig) -> Dataset {
     // 60% wide Table III training ranges + 40% optimization region (S_2,
     // the superset of S_1 and S_1') — see DESIGN.md for why this mixed
     // protocol substitutes for the paper's 90 k-sample uniform one.
-    let d = generate_mixed_dataset(
+    generate_mixed_dataset(
         &isop::spaces::training_space(),
         &isop::spaces::s2(),
         cfg.dataset_size,
@@ -112,15 +96,7 @@ pub fn training_dataset(cfg: &BenchConfig) -> Dataset {
         &AnalyticalSolver::new(),
         0xDA7A,
     )
-    .expect("dataset generation");
-    let _ = fs::create_dir_all(cache.parent().expect("has parent"));
-    let _ = fs::write(&cache, serde_json::to_string(&d).expect("serializable"));
-    d
-}
-
-/// Cache file path under `target/isop-cache/`.
-pub fn cache_path(name: &str) -> PathBuf {
-    PathBuf::from("target").join("isop-cache").join(name)
+    .expect("dataset generation")
 }
 
 /// Opens the persistent eval store at [`BenchConfig::cache_dir`], or
@@ -360,13 +336,6 @@ mod tests {
         let cfg = BenchConfig::from_env();
         assert!(cfg.trials >= 1);
         assert!(cfg.dataset_size >= 100);
-    }
-
-    #[test]
-    fn paper_scale_matches_protocol() {
-        let cfg = BenchConfig::paper_scale();
-        assert_eq!(cfg.trials, 10);
-        assert_eq!(cfg.dataset_size, 90_000);
     }
 
     #[test]

@@ -180,8 +180,9 @@ fn roll_out(
 
 /// Runs the paper's simulated-annealing baseline.
 ///
-/// The budget expresses the match mode: `SA-1` caps samples at ISOP+'s
-/// count; `SA-2` caps wall-clock at ISOP+'s runtime.
+/// The budget expresses the match mode: `SA-1` (`MatchMode::Runtime`) caps
+/// wall-clock at ISOP+'s runtime; `SA-2` (`MatchMode::Samples`) caps
+/// samples at ISOP+'s count.
 pub fn run_sa(
     space: &ParamSpace,
     surrogate: &dyn Surrogate,

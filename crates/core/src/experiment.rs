@@ -151,12 +151,6 @@ impl TrialStats {
             fom: results.iter().map(|r| r.fom).sum::<f64>() / n as f64,
         }
     }
-
-    /// The paper's Eq. 12: percentage FoM improvement of ISOP+ over this
-    /// method. Positive = ISOP+ better.
-    pub fn improvement_of(&self, isop_fom: f64) -> f64 {
-        100.0 * (self.fom - isop_fom) / self.fom
-    }
 }
 
 /// Which baseline budget-matching mode to use (the paper's `-1` / `-2`
@@ -333,7 +327,8 @@ impl ExperimentContext<'_> {
     }
 }
 
-/// The paper's Eq. 12 as a free function.
+/// The paper's Eq. 12: percentage FoM improvement of ISOP+ over a method
+/// with FoM `method_fom`. Positive = ISOP+ better.
 pub fn fom_improvement(method_fom: f64, isop_fom: f64) -> f64 {
     100.0 * (method_fom - isop_fom) / method_fom
 }

@@ -153,20 +153,6 @@ impl BinarySpace {
         bits
     }
 
-    /// Projects `bits` onto the space by overwriting restricted positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != n_bits()`.
-    pub fn project(&self, bits: &mut [bool]) {
-        assert_eq!(bits.len(), self.fixed.len(), "bit length mismatch");
-        for (b, f) in bits.iter_mut().zip(&self.fixed) {
-            if let Some(v) = f {
-                *b = *v;
-            }
-        }
-    }
-
     /// `true` when `bits` satisfies every restriction.
     ///
     /// # Panics
@@ -278,16 +264,6 @@ mod tests {
             assert!(s.contains(&x));
         }
         assert_eq!(s.n_free(), 6);
-    }
-
-    #[test]
-    fn project_enforces_restrictions() {
-        let mut s = BinarySpace::free(4);
-        s.fix(0, true);
-        let mut bits = vec![false, false, true, true];
-        s.project(&mut bits);
-        assert!(bits[0]);
-        assert!(s.contains(&bits));
     }
 
     #[test]

@@ -285,38 +285,7 @@ impl Matrix {
         }
     }
 
-    /// Elementwise sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shape mismatch.
-    pub fn add(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "add shape mismatch"
-        );
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-
-    /// Scales every entry by `k`.
-    pub fn scale(&self, k: f64) -> Matrix {
-        Matrix::from_vec(
-            self.rows,
-            self.cols,
-            self.data.iter().map(|v| v * k).collect(),
-        )
-    }
-
-    /// Elementwise `self += rhs` without allocating. Element order is
-    /// left-to-right, the same as [`Matrix::add`], so an in-place
-    /// accumulation chain produces the exact bits of the allocating one.
+    /// Elementwise `self += rhs` without allocating, left to right.
     ///
     /// # Panics
     ///
@@ -329,13 +298,6 @@ impl Matrix {
         );
         for (a, b) in self.data.iter_mut().zip(&rhs.data) {
             *a += b;
-        }
-    }
-
-    /// Scales every entry by `k` in place (allocation-free [`Matrix::scale`]).
-    pub fn scale_in_place(&mut self, k: f64) {
-        for v in &mut self.data {
-            *v *= k;
         }
     }
 
@@ -424,11 +386,6 @@ impl Matrix {
             }
         }
         Some(x)
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 }
 
@@ -549,10 +506,14 @@ mod tests {
     fn cholesky_solves_spd_system() {
         // A = M^T M + I is SPD.
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let a = m.transpose().matmul(&m).add(&Matrix::identity(2));
+        let mut a = m.transpose().matmul(&m);
+        a.add_in_place(&Matrix::identity(2));
         let b = Matrix::column(&[1.0, -1.0]);
         let x = a.cholesky_solve(&b).expect("SPD");
-        let residual = a.matmul(&x).add(&b.scale(-1.0)).frobenius_norm();
+        let ax = a.matmul(&x);
+        let residual = (0..2)
+            .map(|i| (ax[(i, 0)] - b[(i, 0)]).abs())
+            .fold(0.0, f64::max);
         assert!(residual < 1e-9, "residual {residual}");
     }
 
@@ -578,10 +539,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_add() {
-        let a = Matrix::from_rows(&[vec![1.0, -2.0]]);
-        let b = a.scale(2.0).add(&a);
-        assert_eq!(b, Matrix::from_rows(&[vec![3.0, -6.0]]));
+    fn add_in_place_sums_elementwise() {
+        let mut a = Matrix::from_rows(&[vec![1.0, -2.0]]);
+        a.add_in_place(&Matrix::from_rows(&[vec![2.0, -4.0]]));
+        assert_eq!(a, Matrix::from_rows(&[vec![3.0, -6.0]]));
     }
 
     #[test]

@@ -69,21 +69,6 @@ pub fn smape(truth: &[f64], pred: &[f64]) -> f64 {
         / truth.len() as f64
 }
 
-/// Mean squared error.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mse(truth: &[f64], pred: &[f64]) -> f64 {
-    check(truth, pred);
-    truth
-        .iter()
-        .zip(pred)
-        .map(|(t, p)| (t - p) * (t - p))
-        .sum::<f64>()
-        / truth.len() as f64
-}
-
 /// Coefficient of determination R^2 (1 = perfect, 0 = mean predictor).
 ///
 /// # Panics
@@ -120,7 +105,6 @@ mod tests {
         assert_eq!(mae(&t, &t), 0.0);
         assert_eq!(mape(&t, &t), 0.0);
         assert_eq!(smape(&t, &t), 0.0);
-        assert_eq!(mse(&t, &t), 0.0);
         assert_eq!(r2(&t, &t), 1.0);
     }
 

@@ -121,11 +121,6 @@ impl GradientBoosting {
             0,
         )
     }
-
-    /// Number of fitted stages.
-    pub fn n_fitted_stages(&self) -> usize {
-        self.stages.len()
-    }
 }
 
 impl Regressor for GradientBoosting {
@@ -605,6 +600,6 @@ mod tests {
         let d = surface(8);
         let mut m = GradientBoosting::new(7, 0.3, TreeConfig::default(), 0);
         m.fit(&d).unwrap();
-        assert_eq!(m.n_fitted_stages(), 7);
+        assert_eq!(m.stages.len(), 7);
     }
 }

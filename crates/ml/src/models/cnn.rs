@@ -15,17 +15,18 @@
 //! one forward pass plus one input-only backward pass, with no
 //! weight-gradient writes and no full Jacobian.
 //!
-//! Training and inference on more than one row (each Harmonica stage scores
-//! its draws in one call) run one batch-major forward pass: activations are
-//! laid out `[feature][row]` in blocks of rows, so the inner loops run over
-//! rows. Training carries each gradient chunk of [`CNN_CHUNK_ROWS`] rows
-//! forward and backward this way; weight gradients read a row-major copy of
-//! the layer input instead, one row after another. Each conv kernel tap is
-//! one contiguous run over the positions it reaches inside the padding.
-//! Every element keeps the summation order of the row-wise pass (which
-//! one-row prediction and the VJP still use, being faster at one row), so a
-//! batch prediction is bit-identical to predicting each row alone, and the
-//! fitted weights do not depend on how rows are blocked.
+//! Every pass is batch-major: activations are laid out `[feature][row]`, so
+//! the inner loops run over rows, and one kernel per layer kind serves every
+//! row count: a Harmonica stage's 300 rows, a training chunk of
+//! [`CNN_CHUNK_ROWS`], and the single row of a Hyperband probe or a VJP.
+//! Training and the VJP run the same input-gradient kernels; weight
+//! gradients read a row-major copy of the layer input instead. The dense
+//! kernels hold their sums in registers over blocks of [`DENSE_BLOCK_ROWS`]
+//! rows and take the rest one row at a time; each conv kernel tap is one
+//! contiguous run over the positions it reaches inside the padding. No
+//! element's summation order depends on how rows are blocked, so a batch
+//! prediction is bit-identical to predicting each row alone, and the fitted
+//! weights do not depend on the chunking.
 
 use crate::dataset::{Dataset, Scaler};
 use crate::linalg::Matrix;
@@ -103,14 +104,10 @@ fn leaky_d(v: f64, s: f64) -> f64 {
     }
 }
 
-/// `out = v^T * w` for a row-major `w` with `v.len()` rows of `out.len()`
-/// columns: the input gradient of a dense layer at output gradient `v`.
-fn row_combination(w: &[f64], v: &[f64], out: &mut [f64]) {
-    out.fill(0.0);
-    for (&g, row) in v.iter().zip(w.chunks_exact(out.len())) {
-        for (o, wv) in out.iter_mut().zip(row) {
-            *o += g * wv;
-        }
+/// `d *= leaky'(pre)` element-wise: a gradient back through leaky-ReLU.
+fn mul_leaky_d(d: &mut [f64], pre: &[f64], s: f64) {
+    for (dv, &z) in d.iter_mut().zip(pre) {
+        *dv *= leaky_d(z, s);
     }
 }
 
@@ -137,87 +134,25 @@ impl Tensor {
     }
 }
 
-/// One row's forward activations, filled by
-/// [`Cnn1d::forward_sample_into`] for a one-row prediction and for the
-/// input-only backward pass that the VJP runs.
-struct Caches {
-    e_pre: Vec<f64>,
-    e_act: Vec<f64>,
-    z1: Vec<f64>,
-    a1: Vec<f64>,
-    p1: Vec<f64>,
-    z2: Vec<f64>,
-    a2: Vec<f64>,
-    p2: Vec<f64>,
-    h_pre: Vec<f64>,
-    h_act: Vec<f64>,
-    out: Vec<f64>,
-}
-
-impl Caches {
-    /// Buffers sized for `model` (which must already know its data shape).
-    fn zeros_like(model: &Cnn1d) -> Self {
-        let c1 = model.cfg.conv_channels;
-        let (l0, l1, l2) = (model.l0(), model.l1(), model.l2());
-        Self {
-            e_pre: vec![0.0; model.cfg.expand],
-            e_act: vec![0.0; model.cfg.expand],
-            z1: vec![0.0; c1 * l0],
-            a1: vec![0.0; c1 * l0],
-            p1: vec![0.0; c1 * l1],
-            z2: vec![0.0; c1 * l1],
-            a2: vec![0.0; c1 * l1],
-            p2: vec![0.0; c1 * l2],
-            h_pre: vec![0.0; model.cfg.head],
-            h_act: vec![0.0; model.cfg.head],
-            out: vec![0.0; model.n_outputs],
-        }
-    }
-}
-
-/// Buffers of [`Cnn1d::backward_input`]; each is overwritten or zeroed
-/// where it is used.
-struct BackScratch {
-    d_h: Vec<f64>,
-    d_p2: Vec<f64>,
-    d_a2: Vec<f64>,
-    d_p1: Vec<f64>,
-    d_a1: Vec<f64>,
-    d_e: Vec<f64>,
-    d_x: Vec<f64>,
-}
-
-impl BackScratch {
-    fn zeros_like(model: &Cnn1d) -> Self {
-        let (c0, c1) = (model.cfg.channels, model.cfg.conv_channels);
-        let (l0, l1, l2) = (model.l0(), model.l1(), model.l2());
-        Self {
-            d_h: vec![0.0; model.cfg.head],
-            d_p2: vec![0.0; c1 * l2],
-            d_a2: vec![0.0; c1 * l1],
-            d_p1: vec![0.0; c1 * l1],
-            d_a1: vec![0.0; c1 * l0],
-            d_e: vec![0.0; c0 * l0],
-            d_x: vec![0.0; model.n_features],
-        }
-    }
-}
-
 /// Rows per block of the batch-major inference kernel: a block's
 /// activations stay cache-resident while the inner loops still run over
 /// enough rows to vectorize.
 const PREDICT_BLOCK_ROWS: usize = 32;
 
+/// Rows per register block of the dense kernels: the block's running sums
+/// stay in registers for the whole inner loop.
+const DENSE_BLOCK_ROWS: usize = 8;
+
 /// Batch-major buffers for up to `rows` rows, each laid out
-/// `[feature][row]`. The forward pass keeps what the training backward
-/// pass reads: the pre-activations that leaky-ReLU's derivative needs, each
-/// pooled layer's output, and the network output. `ga` and `gb` are one
-/// pair of gradient buffers reused layer after layer; the forward pass
-/// parks its transient activations there, and the (dropped) head
-/// activation is still in `gb` when the backward pass starts. `rm` holds
-/// the input rows on the way in, then the row-major copy of the layer
-/// input whose weight gradient is being summed; `acc` holds a conv layer's
-/// weight gradient as `[oc][dk][ic]`.
+/// `[feature][row]`. The forward pass keeps what the backward passes read:
+/// the pre-activations that leaky-ReLU's derivative needs, each pooled
+/// layer's output, and the network output. `ga` and `gb` are one pair of
+/// gradient buffers reused layer after layer; the forward pass parks its
+/// transient activations there, and the (dropped) head activation is still
+/// in `gb` when the backward pass starts. `rm` holds the input rows on the
+/// way in, then the row-major copy of the layer input whose weight gradient
+/// is being summed, or the input-only pass's gradient at the input; `acc`
+/// holds a conv layer's weight gradient as `[oc][dk][ic]`.
 struct BatchActs {
     rows: usize,
     e_pre: Vec<f64>,
@@ -258,43 +193,72 @@ impl BatchActs {
 }
 
 /// Batch-major dense layer:
-/// `out[o][r] = b[o] + sum_j w[o][j] * input[j][r]`, summed over `j` in
-/// ascending order — the order of [`dense_row`].
+/// `out[o][r] = b[o] + sum_j w[o][j] * input[j][r]`, summed from the bias
+/// over `j` ascending.
 fn dense_batch(w: &[f64], b: &[f64], input: &[f64], out: &mut [f64], rows: usize) {
     let n_in = input.len() / rows;
+    let blocked = rows - rows % DENSE_BLOCK_ROWS;
     for ((o_row, w_row), &bias) in out.chunks_exact_mut(rows).zip(w.chunks_exact(n_in)).zip(b) {
-        o_row.fill(bias);
-        for (&wv, in_row) in w_row.iter().zip(input.chunks_exact(rows)) {
-            for (o, &v) in o_row.iter_mut().zip(in_row) {
-                *o += wv * v;
+        for r0 in (0..blocked).step_by(DENSE_BLOCK_ROWS) {
+            let mut acc = [bias; DENSE_BLOCK_ROWS];
+            for (&wv, in_j) in w_row.iter().zip(input.chunks_exact(rows)) {
+                for (a, &v) in acc.iter_mut().zip(&in_j[r0..r0 + DENSE_BLOCK_ROWS]) {
+                    *a += wv * v;
+                }
+            }
+            o_row[r0..r0 + DENSE_BLOCK_ROWS].copy_from_slice(&acc);
+        }
+    }
+    for r in blocked..rows {
+        for ((o_row, w_row), &bias) in out.chunks_exact_mut(rows).zip(w.chunks_exact(n_in)).zip(b) {
+            let mut acc = bias;
+            for (&wv, in_j) in w_row.iter().zip(input.chunks_exact(rows)) {
+                acc += wv * in_j[r];
+            }
+            o_row[r] = acc;
+        }
+    }
+}
+
+/// Batch-major dense-layer input gradient at output gradient `d`
+/// (`[out][row]`): `d_in[j][r] = sum_o d[o][r] * w[o][j]`, summed from
+/// zero over `o` ascending. Rows past the last full register block take an
+/// axpy over `j` per output.
+fn dense_input_grad(w: &[f64], d: &[f64], d_in: &mut [f64], rows: usize) {
+    let n_in = d_in.len() / rows;
+    let blocked = rows - rows % DENSE_BLOCK_ROWS;
+    for r0 in (0..blocked).step_by(DENSE_BLOCK_ROWS) {
+        for (j, d_j) in d_in.chunks_exact_mut(rows).enumerate() {
+            let mut acc = [0.0; DENSE_BLOCK_ROWS];
+            for (w_row, d_o) in w.chunks_exact(n_in).zip(d.chunks_exact(rows)) {
+                let wv = w_row[j];
+                for (a, &g) in acc.iter_mut().zip(&d_o[r0..r0 + DENSE_BLOCK_ROWS]) {
+                    *a += g * wv;
+                }
+            }
+            d_j[r0..r0 + DENSE_BLOCK_ROWS].copy_from_slice(&acc);
+        }
+    }
+    for r in blocked..rows {
+        for d_j in d_in.chunks_exact_mut(rows) {
+            d_j[r] = 0.0;
+        }
+        for (w_row, d_o) in w.chunks_exact(n_in).zip(d.chunks_exact(rows)) {
+            let g = d_o[r];
+            for (d_j, &wv) in d_in.chunks_exact_mut(rows).zip(w_row) {
+                d_j[r] += g * wv;
             }
         }
     }
 }
 
-/// Row-wise dense layer: `out[o] = b[o] + sum_j w[o][j] * x[j]`, summed
-/// over `j` ascending.
-fn dense_row(w: &[f64], b: &[f64], x: &[f64], out: &mut [f64]) {
-    for ((o, w_row), &bias) in out.iter_mut().zip(w.chunks_exact(x.len())).zip(b) {
-        let mut acc = bias;
-        for (wv, xv) in w_row.iter().zip(x) {
-            acc += wv * xv;
-        }
-        *o = acc;
-    }
-}
-
-/// Batch-major dense-layer backward at output gradient `d` (`[out][row]`).
-/// Adds `d[o][r]` into `gb[o]` and `d[o][r] * input_rm[r][j]` into
-/// `gw[o][j]`, rows ascending, and, if asked, writes the input gradient
-/// `d_in[j][r] = sum_o d[o][r] * w[o][j]`, summed over `o` ascending from
-/// zero — the orders of one row at a time.
-fn dense_backward_batch(
-    w: &[f64],
+/// Batch-major dense-layer weight gradients at output gradient `d`
+/// (`[out][row]`): adds `d[o][r]` into `gb[o]` and `d[o][r] * input_rm[r][j]`
+/// into `gw[o][j]`, rows ascending.
+fn dense_weight_grads(
     d: &[f64],
     input_rm: &[f64],
     (gw, gb): (&mut [f64], &mut [f64]),
-    d_in: Option<&mut [f64]>,
     rows: usize,
 ) {
     let n_in = input_rm.len() / rows;
@@ -308,16 +272,6 @@ fn dense_backward_batch(
             *gbv += g;
             for (a, &v) in gw_row.iter_mut().zip(in_row) {
                 *a += g * v;
-            }
-        }
-    }
-    if let Some(d_in) = d_in {
-        d_in.fill(0.0);
-        for (w_row, d_o) in w.chunks_exact(n_in).zip(d.chunks_exact(rows)) {
-            for (&wv, d_j) in w_row.iter().zip(d_in.chunks_exact_mut(rows)) {
-                for (a, &g) in d_j.iter_mut().zip(d_o) {
-                    *a += g * wv;
-                }
             }
         }
     }
@@ -386,7 +340,7 @@ fn unpool2_leaky_batch(d_out: &[f64], pre: &[f64], s: f64, rows: usize, d_in: &m
 /// A conv layer's weights (`[oc][ic][dk]`) and bias with its geometry:
 /// input channels, signal length and an odd kernel with implicit
 /// same-padding. Output position `p` reads input `p + dk - pad`. Buffers
-/// are batch-major, `[ch][pos][row]`; the row-wise pass is one row.
+/// are batch-major, `[ch][pos][row]`.
 #[derive(Clone, Copy)]
 struct Conv<'a> {
     w: &'a [f64],
@@ -433,16 +387,9 @@ impl Conv<'_> {
 
     /// Writes the input gradient at output gradient `d_out` into `d_in`.
     /// An input element sums from zero over `oc` ascending, then over its
-    /// taps: `dk` ascending, or with `positions_ascending` reversed, which
-    /// visits the output positions in ascending order as training's
-    /// summation order requires.
-    fn backward_input(
-        &self,
-        d_out: &[f64],
-        d_in: &mut [f64],
-        rows: usize,
-        positions_ascending: bool,
-    ) {
+    /// taps with `dk` descending, which visits the output positions it
+    /// reaches in ascending order.
+    fn backward_input(&self, d_out: &[f64], d_in: &mut [f64], rows: usize) {
         let run = self.len * rows;
         d_in.fill(0.0);
         for (taps, g) in self
@@ -451,12 +398,7 @@ impl Conv<'_> {
             .zip(d_out.chunks_exact(run))
         {
             for (tap, d) in taps.chunks_exact(self.k).zip(d_in.chunks_exact_mut(run)) {
-                for i in 0..self.k {
-                    let dk = if positions_ascending {
-                        self.k - 1 - i
-                    } else {
-                        i
-                    };
+                for dk in (0..self.k).rev() {
                     let Some((p0, p1, q0)) = self.tap_run(dk) else {
                         continue;
                     };
@@ -659,12 +601,11 @@ impl Cnn1d {
         ]
     }
 
-    /// Batch-major forward pass over the `acts.rows` standardized rows
-    /// `x`, leaving the network output in `acts.out` as `[output][row]`.
-    /// Every element is computed with the arithmetic and summation order
-    /// of [`Cnn1d::forward_sample_into`], so each row is bit-identical to
-    /// it at any batch size. `masks`, the rows' inverted-dropout head masks
-    /// (row-major), drop head activations before the output layer.
+    /// The forward pass over the `acts.rows` standardized rows `x`, leaving
+    /// the network output in `acts.out` as `[output][row]`. Each row's
+    /// result is the same at any row count. `masks`, the rows'
+    /// inverted-dropout head masks (row-major), drop head activations
+    /// before the output layer.
     fn forward_rows<'a>(
         &self,
         x: impl Iterator<Item = &'a [f64]>,
@@ -727,12 +668,6 @@ impl Cnn1d {
         );
     }
 
-    /// [`Cnn1d::forward_rows`] over rows `r0..r0 + acts.rows` of `xs`,
-    /// without dropout.
-    fn forward_batch(&self, xs: &Matrix, r0: usize, acts: &mut BatchActs) {
-        self.forward_rows((r0..r0 + acts.rows).map(|r| xs.row(r)), None, acts);
-    }
-
     /// One training chunk, batch-major: the forward and backward pass over
     /// the standardized rows `idx` of `xs`/`ys`, adding the parameter
     /// gradients of the squared error into the zeroed `grads`. `masks`
@@ -788,31 +723,17 @@ impl Cnn1d {
             }
         }
         row_major(&gb[..h_len], head, rows, rm, |v| v);
-        dense_backward_batch(
-            &self.w_out.data,
-            &ga[..o_len],
-            &rm[..h_len],
-            (w_out, b_out),
-            Some(&mut gb[..h_len]),
-            rows,
-        );
+        dense_weight_grads(&ga[..o_len], &rm[..h_len], (w_out, b_out), rows);
+        dense_input_grad(&self.w_out.data, &ga[..o_len], &mut gb[..h_len], rows);
         if let Some(masks) = masks {
             mask_rows(&mut gb[..h_len], masks, rows);
         }
-        for (dv, &z) in gb[..h_len].iter_mut().zip(&h_pre[..h_len]) {
-            *dv *= leaky_d(z, s);
-        }
+        mul_leaky_d(&mut gb[..h_len], &h_pre[..h_len], s);
 
         // Head layer.
         row_major(&p2[..p2_len], p2_len / rows, rows, rm, |v| v);
-        dense_backward_batch(
-            &self.w_head.data,
-            &gb[..h_len],
-            &rm[..p2_len],
-            (w_head, b_head),
-            Some(&mut ga[..p2_len]),
-            rows,
-        );
+        dense_weight_grads(&gb[..h_len], &rm[..p2_len], (w_head, b_head), rows);
+        dense_input_grad(&self.w_head.data, &gb[..h_len], &mut ga[..p2_len], rows);
 
         // Pool2 + conv2.
         unpool2_leaky_batch(&ga[..p2_len], &z2[..p1_len], s, rows, &mut gb[..p1_len]);
@@ -820,7 +741,7 @@ impl Cnn1d {
         self.conv2()
             .weight_grads(&gb[..p1_len], &rm[..p1_len], acc, (w_conv2, b_conv2), rows);
         self.conv2()
-            .backward_input(&gb[..p1_len], &mut ga[..p1_len], rows, true);
+            .backward_input(&gb[..p1_len], &mut ga[..p1_len], rows);
 
         // Pool1 + conv1.
         unpool2_leaky_batch(&ga[..p1_len], &z1[..a1_len], s, rows, &mut gb[..a1_len]);
@@ -828,61 +749,59 @@ impl Cnn1d {
         self.conv1()
             .weight_grads(&gb[..a1_len], &rm[..e_len], acc, (w_conv1, b_conv1), rows);
         self.conv1()
-            .backward_input(&gb[..a1_len], &mut ga[..e_len], rows, true);
+            .backward_input(&gb[..a1_len], &mut ga[..e_len], rows);
 
         // Expansion layer; its input gradient is not needed.
-        for (dv, &z) in ga[..e_len].iter_mut().zip(&e_pre[..e_len]) {
-            *dv *= leaky_d(z, s);
-        }
+        mul_leaky_d(&mut ga[..e_len], &e_pre[..e_len], s);
         for (rm_r, &i) in rm.chunks_exact_mut(d).zip(idx) {
             rm_r.copy_from_slice(xs.row(i));
         }
-        dense_backward_batch(
-            &self.w_expand.data,
-            &ga[..e_len],
-            &rm[..d * rows],
-            (w_expand, b_expand),
-            None,
-            rows,
-        );
+        dense_weight_grads(&ga[..e_len], &rm[..d * rows], (w_expand, b_expand), rows);
     }
 
-    /// Row-wise forward pass on one standardized sample into `c`.
-    fn forward_sample_into(&self, x: &[f64], c: &mut Caches) {
-        let s = self.cfg.leaky_slope;
-        dense_row(&self.w_expand.data, &self.b_expand.data, x, &mut c.e_pre);
-        leaky_into(&c.e_pre, s, &mut c.e_act);
-        self.conv1().forward(&c.e_act, &mut c.z1, 1);
-        leaky_into(&c.z1, s, &mut c.a1);
-        avg_pool2_batch(&c.a1, 1, &mut c.p1);
-        self.conv2().forward(&c.p1, &mut c.z2, 1);
-        leaky_into(&c.z2, s, &mut c.a2);
-        avg_pool2_batch(&c.a2, 1, &mut c.p2);
-        dense_row(&self.w_head.data, &self.b_head.data, &c.p2, &mut c.h_pre);
-        leaky_into(&c.h_pre, s, &mut c.h_act);
-        dense_row(&self.w_out.data, &self.b_out.data, &c.h_act, &mut c.out);
-    }
-
-    /// Input-only backward pass of one row at inference: no dropout mask
-    /// and no parameter gradients. Leaves the gradient with respect to the
-    /// standardized input in `scratch.d_x`.
-    fn backward_input(&self, caches: &Caches, d_out: &[f64], scratch: &mut BackScratch) {
-        let s = self.cfg.leaky_slope;
-        row_combination(&self.w_out.data, d_out, &mut scratch.d_h);
-        for (dh, &z) in scratch.d_h.iter_mut().zip(&caches.h_pre) {
-            *dh *= leaky_d(z, s);
-        }
-        row_combination(&self.w_head.data, &scratch.d_h, &mut scratch.d_p2);
-        unpool2_leaky_batch(&scratch.d_p2, &caches.z2, s, 1, &mut scratch.d_a2);
+    /// The input-gradient chain of [`Cnn1d::train_chunk`], with its
+    /// kernels and summation order but no dropout and no weight gradients,
+    /// over the `acts.rows` rows that [`Cnn1d::forward_rows`] left in
+    /// `acts`, at the output gradient in `acts.ga` (`[output][row]`).
+    /// Returns the gradient with respect to the standardized input,
+    /// `[feature][row]`. It reads only the forward pass's buffers, so one
+    /// forward pass serves any number of backward passes.
+    fn backward_input<'a>(&self, acts: &'a mut BatchActs) -> &'a [f64] {
+        let (rows, s) = (acts.rows, self.cfg.leaky_slope);
+        let [e_len, a1_len, p1_len, p2_len, h_len] = self.act_lens(rows);
+        let BatchActs {
+            e_pre,
+            z1,
+            z2,
+            h_pre,
+            ga,
+            gb,
+            rm,
+            ..
+        } = acts;
+        let o_len = self.n_outputs * rows;
+        dense_input_grad(&self.w_out.data, &ga[..o_len], &mut gb[..h_len], rows);
+        mul_leaky_d(&mut gb[..h_len], &h_pre[..h_len], s);
+        dense_input_grad(&self.w_head.data, &gb[..h_len], &mut ga[..p2_len], rows);
+        unpool2_leaky_batch(&ga[..p2_len], &z2[..p1_len], s, rows, &mut gb[..p1_len]);
         self.conv2()
-            .backward_input(&scratch.d_a2, &mut scratch.d_p1, 1, false);
-        unpool2_leaky_batch(&scratch.d_p1, &caches.z1, s, 1, &mut scratch.d_a1);
+            .backward_input(&gb[..p1_len], &mut ga[..p1_len], rows);
+        unpool2_leaky_batch(&ga[..p1_len], &z1[..a1_len], s, rows, &mut gb[..a1_len]);
         self.conv1()
-            .backward_input(&scratch.d_a1, &mut scratch.d_e, 1, false);
-        for (de, &z) in scratch.d_e.iter_mut().zip(&caches.e_pre) {
-            *de *= leaky_d(z, s);
-        }
-        row_combination(&self.w_expand.data, &scratch.d_e, &mut scratch.d_x);
+            .backward_input(&gb[..a1_len], &mut ga[..e_len], rows);
+        mul_leaky_d(&mut ga[..e_len], &e_pre[..e_len], s);
+        let d_x = &mut rm[..self.n_features * rows];
+        dense_input_grad(&self.w_expand.data, &ga[..e_len], d_x, rows);
+        d_x
+    }
+
+    /// The forward pass over one raw input row, in a one-row workspace.
+    fn forward_one(&self, x: &[f64], x_scaler: &Scaler) -> BatchActs {
+        let mut row = x.to_vec();
+        x_scaler.transform_row(&mut row);
+        let mut acts = BatchActs::zeros_like(self, 1);
+        self.forward_rows(std::iter::once(row.as_slice()), None, &mut acts);
+        acts
     }
 
     /// The fitted scalers, after checking the model is fitted and `x` has
@@ -1079,29 +998,20 @@ impl Regressor for Cnn1d {
             .ok_or(MlError::NotFitted)?
             .transform(x);
         let y_scaler = self.y_scaler.as_ref().ok_or(MlError::NotFitted)?;
-        // Batch-major blocks of rows; each row's result is bit-identical
-        // to the row-wise training forward pass, which a single row takes
-        // directly because the batch kernel only pays off across rows.
         let n = x.rows();
         let mut out = Matrix::zeros(n, self.n_outputs);
-        if n == 1 {
-            let mut caches = Caches::zeros_like(self);
-            self.forward_sample_into(xs.row(0), &mut caches);
-            out.row_mut(0).copy_from_slice(&caches.out);
-        } else {
-            let mut acts = BatchActs::zeros_like(self, n.min(PREDICT_BLOCK_ROWS));
-            for r0 in (0..n).step_by(PREDICT_BLOCK_ROWS) {
-                acts.rows = PREDICT_BLOCK_ROWS.min(n - r0);
-                self.forward_batch(&xs, r0, &mut acts);
-                for (o, col) in acts
-                    .out
-                    .chunks_exact(acts.rows)
-                    .take(self.n_outputs)
-                    .enumerate()
-                {
-                    for (r, &v) in col.iter().enumerate() {
-                        out[(r0 + r, o)] = v;
-                    }
+        let mut acts = BatchActs::zeros_like(self, n.min(PREDICT_BLOCK_ROWS));
+        for r0 in (0..n).step_by(PREDICT_BLOCK_ROWS) {
+            acts.rows = PREDICT_BLOCK_ROWS.min(n - r0);
+            self.forward_rows((r0..r0 + acts.rows).map(|r| xs.row(r)), None, &mut acts);
+            for (o, col) in acts
+                .out
+                .chunks_exact(acts.rows)
+                .take(self.n_outputs)
+                .enumerate()
+            {
+                for (r, &v) in col.iter().enumerate() {
+                    out[(r0 + r, o)] = v;
                 }
             }
         }
@@ -1119,25 +1029,15 @@ impl Differentiable for Cnn1d {
     /// [`Differentiable::value_and_vjp`] with cotangent `e_o`.
     fn input_jacobian(&self, x: &[f64]) -> Result<Matrix, MlError> {
         let (x_scaler, y_scaler) = self.fitted_scalers(x)?;
-        let mut row = x.to_vec();
-        x_scaler.transform_row(&mut row);
-        let mut caches = Caches::zeros_like(self);
-        self.forward_sample_into(&row, &mut caches);
-
-        let mut jac = Matrix::zeros(self.n_outputs, self.n_features);
-        let mut scratch = BackScratch::zeros_like(self);
-        for o in 0..self.n_outputs {
-            let d_out: Vec<f64> = (0..self.n_outputs)
-                .zip(y_scaler.stds())
-                .map(|(i, sd)| f64::from(u8::from(i == o)) * sd)
-                .collect();
-            self.backward_input(&caches, &d_out, &mut scratch);
-            for ((j, g), sd) in jac
-                .row_mut(o)
-                .iter_mut()
-                .zip(&scratch.d_x)
-                .zip(x_scaler.stds())
-            {
+        let mut acts = self.forward_one(x, x_scaler);
+        let m = self.n_outputs;
+        let mut jac = Matrix::zeros(m, self.n_features);
+        for o in 0..m {
+            for ((d, i), sd) in acts.ga[..m].iter_mut().zip(0..).zip(y_scaler.stds()) {
+                *d = f64::from(u8::from(i == o)) * sd;
+            }
+            let d_x = self.backward_input(&mut acts);
+            for ((j, g), sd) in jac.row_mut(o).iter_mut().zip(d_x).zip(x_scaler.stds()) {
                 *j = g / sd;
             }
         }
@@ -1153,28 +1053,21 @@ impl Differentiable for Cnn1d {
         cotangent: &dyn Fn(&[f64]) -> Vec<f64>,
     ) -> Result<(Vec<f64>, Vec<f64>), MlError> {
         let (x_scaler, y_scaler) = self.fitted_scalers(x)?;
-        let mut row = x.to_vec();
-        x_scaler.transform_row(&mut row);
-        let mut caches = Caches::zeros_like(self);
-        self.forward_sample_into(&row, &mut caches);
-        let y: Vec<f64> = caches
-            .out
+        let mut acts = self.forward_one(x, x_scaler);
+        let m = self.n_outputs;
+        let y: Vec<f64> = acts.out[..m]
             .iter()
             .zip(y_scaler.stds().iter().zip(y_scaler.means()))
             .map(|(v, (sd, mean))| v * sd + mean)
             .collect();
 
         let dy = cotangent(&y);
-        assert_eq!(dy.len(), self.n_outputs, "one cotangent per output");
-        let d_out: Vec<f64> = dy
-            .iter()
-            .zip(y_scaler.stds())
-            .map(|(d, sd)| d * sd)
-            .collect();
-        let mut scratch = BackScratch::zeros_like(self);
-        self.backward_input(&caches, &d_out, &mut scratch);
-        let grad = scratch
-            .d_x
+        assert_eq!(dy.len(), m, "one cotangent per output");
+        for ((d, dyv), sd) in acts.ga[..m].iter_mut().zip(&dy).zip(y_scaler.stds()) {
+            *d = dyv * sd;
+        }
+        let grad = self
+            .backward_input(&mut acts)
             .iter()
             .zip(x_scaler.stds())
             .map(|(g, sd)| g / sd)
@@ -1299,39 +1192,44 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The batch-major kernel reproduces the row-wise forward pass bit
-    /// for bit at every batch size, and `predict` (which runs it in
-    /// blocks) matches both the row-wise pass and the prediction half of
-    /// the fused value-and-gradient call.
+    /// `predict` runs its rows in blocks, yet at every row count each row
+    /// equals that row predicted alone and the prediction half of the
+    /// fused value-and-gradient call, bit for bit.
     #[test]
-    fn batch_kernel_is_bit_identical_to_the_row_pass() {
+    fn predict_is_bit_identical_at_every_row_count() {
         let (m, probe) = wide_model_and_probe();
-        let xs = m.x_scaler.as_ref().unwrap().transform(&probe);
-        let mut caches = Caches::zeros_like(&m);
-        for n in [1, 2, 3, 64, 300] {
-            let mut acts = BatchActs::zeros_like(&m, n);
-            m.forward_batch(&xs, 0, &mut acts);
-            for r in 0..n {
-                m.forward_sample_into(xs.row(r), &mut caches);
-                let col: Vec<f64> = (0..m.n_outputs).map(|o| acts.out[o * n + r]).collect();
-                assert_eq!(bits(&col), bits(&caches.out), "batch {n}, row {r}");
-            }
-
+        let singles: Vec<Vec<u64>> = (0..probe.rows())
+            .map(|r| {
+                let x = probe.row(r);
+                let single = m.predict(&Matrix::from_rows(&[x.to_vec()])).unwrap();
+                let (y, _) = m.value_and_vjp(x, &|y| y.to_vec()).unwrap();
+                assert_eq!(bits(single.row(0)), bits(&y), "row {r} vs fused");
+                bits(&y)
+            })
+            .collect();
+        for n in [1, 2, 3, 8, 9, 64, 300] {
             let batch =
                 Matrix::from_rows(&(0..n).map(|r| probe.row(r).to_vec()).collect::<Vec<_>>());
             let pred = m.predict(&batch).unwrap();
-            for r in 0..n {
-                let single = m
-                    .predict(&Matrix::from_rows(&[probe.row(r).to_vec()]))
-                    .unwrap();
-                assert_eq!(bits(pred.row(r)), bits(single.row(0)), "batch {n}, row {r}");
-                let (y, _) = m.value_and_vjp(probe.row(r), &|y| y.to_vec()).unwrap();
-                assert_eq!(bits(pred.row(r)), bits(&y), "batch {n}, row {r} vs fused");
+            for (r, single) in singles.iter().take(n).enumerate() {
+                assert_eq!(&bits(pred.row(r)), single, "batch {n}, row {r}");
             }
         }
     }
 
-    /// FNV-1a over the bits of every parameter, in parameter order.
+    /// FNV-1a over the bits of `vals`, in order.
+    fn hash_bits<'a>(vals: impl IntoIterator<Item = &'a f64>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in vals {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The hash of every parameter, in parameter order.
     fn param_hash(m: &Cnn1d) -> u64 {
         let tensors = [
             &m.w_expand,
@@ -1345,14 +1243,7 @@ mod tests {
             &m.w_out,
             &m.b_out,
         ];
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for v in tensors.iter().flat_map(|t| &t.data) {
-            for b in v.to_bits().to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        hash_bits(tensors.iter().flat_map(|t| &t.data))
     }
 
     /// The parameter hash and the first output's bits on the first three
@@ -1438,6 +1329,28 @@ mod tests {
             want,
             "{:#x?}",
             [got_wide, got_tiny, got_k5]
+        );
+    }
+
+    /// One-row predictions and VJP gradients over the 300-row probe are
+    /// pinned by hash, so a change to the inference or input-gradient
+    /// kernels that moves any rounding fails here.
+    #[test]
+    fn one_row_predict_and_vjp_are_pinned() {
+        let (m, probe) = wide_model_and_probe();
+        let (mut preds, mut grads) = (Vec::new(), Vec::new());
+        for r in 0..probe.rows() {
+            let x = probe.row(r);
+            preds.extend_from_slice(m.predict(&Matrix::from_rows(&[x.to_vec()])).unwrap().row(0));
+            let cotangent =
+                |y: &[f64]| y.iter().zip([1.0, -0.5, 2.0]).map(|(v, w)| v * w).collect();
+            grads.extend(m.value_and_vjp(x, &cotangent).unwrap().1);
+        }
+        let got = (hash_bits(&preds), hash_bits(&grads));
+        assert_eq!(
+            got,
+            (0x0c10_e264_2662_9e44, 0xb4b4_8317_10bc_f78b),
+            "{got:#x?}"
         );
     }
 
