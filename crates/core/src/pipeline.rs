@@ -52,10 +52,7 @@ pub struct IsopConfig {
     /// Use Hyperband (vs plain random sampling) to pick GD seeds.
     pub use_hyperband: bool,
     /// Hyperband settings. Each fidelity probe scores up to
-    /// `max_resource` rows in one surrogate batch; with an MLP surrogate,
-    /// probes of 16 or more rows take the MLP's batch kernel, so their
-    /// last bits can differ from single-row calls (every shipped config
-    /// uses 9).
+    /// `max_resource` rows in one surrogate batch.
     pub hyperband: HyperbandConfig,
     /// Number of candidates fed to the local stage (`p`).
     pub gd_candidates: usize,
@@ -452,9 +449,7 @@ impl<'a> IsopOptimizer<'a> {
                     }
                     // Every RNG draw happened above. The probe is scored
                     // in one batch, the same path as a Harmonica stage,
-                    // and the fold runs in variant order (see
-                    // `IsopConfig::hyperband` for when an MLP's batch
-                    // kernel changes the last bits).
+                    // and the fold runs in variant order.
                     let mut total = 0.0;
                     let mut count = 0usize;
                     for g in bin_obj.eval_batch(&variants).into_iter().flatten() {

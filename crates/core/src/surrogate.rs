@@ -178,8 +178,9 @@ pub trait Surrogate: Send + Sync {
     /// Predicts the metric vector for a batch of designs, one result per
     /// row so a single invalid design does not poison the batch.
     ///
-    /// The default loops over [`Surrogate::predict`]; neural surrogates
-    /// override it with a single batched matrix forward pass.
+    /// The default loops over [`Surrogate::predict`]; the neural and
+    /// `MLP_XGB` surrogates override it with one batched forward pass,
+    /// whose rows equal single-row predictions bit for bit.
     fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<Result<[f64; 3], MlError>> {
         xs.iter().map(|x| self.predict(x)).collect()
     }
@@ -370,6 +371,24 @@ impl Surrogate for MlpXgbSurrogate {
     fn jacobian(&self, _x: &[f64]) -> Option<Result<Matrix, MlError>> {
         // The XGBoost part is piecewise-constant: no usable gradient.
         None
+    }
+
+    /// One batched MLP forward pass plus the XGB rows.
+    fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<Result<[f64; 3], MlError>> {
+        if xs.is_empty() {
+            return Vec::new();
+        }
+        let batch = Matrix::from_rows(xs);
+        let both = (self.mlp.predict(&batch))
+            .and_then(|zl| self.xgb.predict(&batch).map(|next| (zl, next)));
+        match both {
+            Ok((zl, next)) => (0..batch.rows())
+                .map(|r| Ok([zl[(r, 0)], zl[(r, 1)], next[(r, 0)]]))
+                .collect(),
+            // As in `NeuralSurrogate::predict_batch`: a whole-batch failure
+            // applies to every row.
+            Err(e) => xs.iter().map(|_| Err(e.clone())).collect(),
+        }
     }
 
     fn name(&self) -> String {
@@ -580,6 +599,34 @@ mod tests {
             "tree part is not differentiable"
         );
         assert_eq!(s.name(), "MLP_XGB");
+    }
+
+    /// The batched `MLP_XGB` forward pass predicts each row bit for bit as
+    /// `predict` does, at row counts on both sides of the dense kernels'
+    /// register blocks and the predict blocks, and an instrumented wrapper
+    /// counts one batch call per call and its rows, never a per-row call.
+    #[test]
+    fn mlp_xgb_batch_rows_match_single_predictions() {
+        let data = tiny_dataset(320);
+        let s = MlpXgbSurrogate::fit(tiny_mlp(), XgbRegressor::new(30, 0.2, 4, 1.0, 0.0), &data)
+            .expect("trains");
+        let rows: Vec<Vec<f64>> = (0..300).map(|r| data.x.row(r).to_vec()).collect();
+        let tele = Telemetry::enabled();
+        let wrapped = InstrumentedSurrogate::new(&s, tele.clone());
+        let mut batch_rows = 0;
+        for n in [1, 2, 9, 17, 300] {
+            let batch = wrapped.predict_batch(&rows[..n]);
+            batch_rows += n as u64;
+            assert_eq!(batch.len(), n);
+            for (r, got) in batch.into_iter().enumerate() {
+                let got = got.expect("predicts").map(f64::to_bits);
+                let want = s.predict(&rows[r]).expect("predicts").map(f64::to_bits);
+                assert_eq!(got, want, "batch {n}, row {r}");
+            }
+        }
+        assert_eq!(tele.counter(Counter::SurrogatePredict), 0);
+        assert_eq!(tele.counter(Counter::SurrogatePredictBatch), 5);
+        assert_eq!(tele.counter(Counter::SurrogatePredictBatchRows), batch_rows);
     }
 
     #[test]

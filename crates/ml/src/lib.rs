@@ -144,12 +144,8 @@ pub trait Differentiable: Regressor {
     /// Prediction at one input row plus the vector–Jacobian product
     /// `(d y / d x)^T · dy`, where `dy = cotangent(y)` is computed from
     /// that prediction (one entry per output). Returns `(y, grad_x)`; `y`
-    /// is bit-identical to [`predict_row`] at `x`.
-    ///
-    /// The default evaluates `predict` and the full
-    /// [`Differentiable::input_jacobian`], then contracts with
-    /// [`Matrix::vecmat`]. The neural models override it with one forward
-    /// pass and one input-only backward pass.
+    /// is bit-identical to [`predict_row`] at `x`. One forward pass and one
+    /// input-only backward pass, with no `m x d` Jacobian.
     ///
     /// # Errors
     ///
@@ -159,14 +155,7 @@ pub trait Differentiable: Regressor {
         &self,
         x: &[f64],
         cotangent: &dyn Fn(&[f64]) -> Vec<f64>,
-    ) -> Result<(Vec<f64>, Vec<f64>), MlError> {
-        let y = self
-            .predict(&Matrix::from_rows(&[x.to_vec()]))?
-            .row(0)
-            .to_vec();
-        let grad = self.input_jacobian(x)?.vecmat(&cotangent(&y));
-        Ok((y, grad))
-    }
+    ) -> Result<(Vec<f64>, Vec<f64>), MlError>;
 }
 
 /// Convenience: predicts a single row, returning the output vector.

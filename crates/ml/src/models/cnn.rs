@@ -15,28 +15,27 @@
 //! one forward pass plus one input-only backward pass, with no
 //! weight-gradient writes and no full Jacobian.
 //!
-//! Every pass is batch-major: activations are laid out `[feature][row]`, so
-//! the inner loops run over rows, and one kernel per layer kind serves every
-//! row count: a Harmonica stage's 300 rows, a training chunk of
-//! [`CNN_CHUNK_ROWS`], and the single row of a Hyperband probe or a VJP.
-//! Training and the VJP run the same input-gradient kernels; weight
-//! gradients read a row-major copy of the layer input instead. The dense
-//! kernels hold their sums in registers over blocks of [`DENSE_BLOCK_ROWS`]
-//! rows and take the rest one row at a time; each conv kernel tap is one
-//! contiguous run over the positions it reaches inside the padding. No
-//! element's summation order depends on how rows are blocked, so a batch
-//! prediction is bit-identical to predicting each row alone, and the fitted
-//! weights do not depend on the chunking.
+//! The network is a [`Network`] layer stack over the shared core in
+//! [`nn`]: the dense layers, leaky-ReLU, dropout, the minibatch trainer,
+//! the blocked predict and the VJP and Jacobian passes live there. This
+//! file adds the conv and pool kernels. Every pass is batch-major,
+//! `[feature][row]`, with one kernel per layer kind at every row count: a
+//! training chunk of [`CNN_CHUNK_ROWS`] rows, a predict block, or the one
+//! row of a VJP. Each conv kernel tap is one contiguous run over the
+//! positions it reaches inside the padding. No element's summation order
+//! depends on how rows are blocked, so a batch prediction is bit-identical
+//! to predicting each row alone, and the fitted weights do not depend on
+//! the chunking.
 
+use super::nn::{
+    self, batch_major, dense_batch, dense_input_grad, dense_weight_grads, leaky, leaky_d,
+    leaky_into, mask_rows, mul_leaky_d, row_major, squared_error_grad, Network, Schedule,
+};
 use crate::dataset::{Dataset, Scaler};
 use crate::linalg::Matrix;
-use crate::optim::Adam;
 use crate::train::{TrainContext, CNN_CHUNK_ROWS};
 use crate::{Differentiable, MlError, Regressor};
-use isop_exec::{fixed_chunks, par_map_mut};
-use isop_telemetry::Counter;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -86,31 +85,6 @@ impl Default for Cnn1dConfig {
     }
 }
 
-#[inline]
-fn leaky(v: f64, s: f64) -> f64 {
-    if v >= 0.0 {
-        v
-    } else {
-        s * v
-    }
-}
-
-#[inline]
-fn leaky_d(v: f64, s: f64) -> f64 {
-    if v >= 0.0 {
-        1.0
-    } else {
-        s
-    }
-}
-
-/// `d *= leaky'(pre)` element-wise: a gradient back through leaky-ReLU.
-fn mul_leaky_d(d: &mut [f64], pre: &[f64], s: f64) {
-    for (dv, &z) in d.iter_mut().zip(pre) {
-        *dv *= leaky_d(z, s);
-    }
-}
-
 /// Flat parameter tensor with shape metadata left to the call sites.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Tensor {
@@ -134,15 +108,6 @@ impl Tensor {
     }
 }
 
-/// Rows per block of the batch-major inference kernel: a block's
-/// activations stay cache-resident while the inner loops still run over
-/// enough rows to vectorize.
-const PREDICT_BLOCK_ROWS: usize = 32;
-
-/// Rows per register block of the dense kernels: the block's running sums
-/// stay in registers for the whole inner loop.
-const DENSE_BLOCK_ROWS: usize = 8;
-
 /// Batch-major buffers for up to `rows` rows, each laid out
 /// `[feature][row]`. The forward pass keeps what the backward passes read:
 /// the pre-activations that leaky-ReLU's derivative needs, each pooled
@@ -153,7 +118,7 @@ const DENSE_BLOCK_ROWS: usize = 8;
 /// way in, then the row-major copy of the layer input whose weight gradient
 /// is being summed, or the input-only pass's gradient at the input; `acc`
 /// holds a conv layer's weight gradient as `[oc][dk][ic]`.
-struct BatchActs {
+pub(super) struct BatchActs {
     rows: usize,
     e_pre: Vec<f64>,
     z1: Vec<f64>,
@@ -166,147 +131,6 @@ struct BatchActs {
     gb: Vec<f64>,
     rm: Vec<f64>,
     acc: Vec<f64>,
-}
-
-impl BatchActs {
-    fn zeros_like(model: &Cnn1d, rows: usize) -> Self {
-        let cfg = &model.cfg;
-        let (c0, c1, head, m) = (cfg.channels, cfg.conv_channels, cfg.head, model.n_outputs);
-        let (l0, l1) = (model.l0(), model.l1());
-        let grad_len = (c0.max(c1) * l0).max(head).max(m) * rows;
-        let rm_len = (c0 * l0).max(c1 * l1).max(head).max(model.n_features) * rows;
-        Self {
-            rows,
-            e_pre: vec![0.0; c0 * l0 * rows],
-            z1: vec![0.0; c1 * l0 * rows],
-            p1: vec![0.0; c1 * l1 * rows],
-            z2: vec![0.0; c1 * l1 * rows],
-            p2: vec![0.0; model.flat_len() * rows],
-            h_pre: vec![0.0; head * rows],
-            out: vec![0.0; m * rows],
-            ga: vec![0.0; grad_len],
-            gb: vec![0.0; grad_len],
-            rm: vec![0.0; rm_len],
-            acc: vec![0.0; c1 * cfg.kernel * c0.max(c1)],
-        }
-    }
-}
-
-/// Batch-major dense layer:
-/// `out[o][r] = b[o] + sum_j w[o][j] * input[j][r]`, summed from the bias
-/// over `j` ascending.
-fn dense_batch(w: &[f64], b: &[f64], input: &[f64], out: &mut [f64], rows: usize) {
-    let n_in = input.len() / rows;
-    let blocked = rows - rows % DENSE_BLOCK_ROWS;
-    for ((o_row, w_row), &bias) in out.chunks_exact_mut(rows).zip(w.chunks_exact(n_in)).zip(b) {
-        for r0 in (0..blocked).step_by(DENSE_BLOCK_ROWS) {
-            let mut acc = [bias; DENSE_BLOCK_ROWS];
-            for (&wv, in_j) in w_row.iter().zip(input.chunks_exact(rows)) {
-                for (a, &v) in acc.iter_mut().zip(&in_j[r0..r0 + DENSE_BLOCK_ROWS]) {
-                    *a += wv * v;
-                }
-            }
-            o_row[r0..r0 + DENSE_BLOCK_ROWS].copy_from_slice(&acc);
-        }
-    }
-    for r in blocked..rows {
-        for ((o_row, w_row), &bias) in out.chunks_exact_mut(rows).zip(w.chunks_exact(n_in)).zip(b) {
-            let mut acc = bias;
-            for (&wv, in_j) in w_row.iter().zip(input.chunks_exact(rows)) {
-                acc += wv * in_j[r];
-            }
-            o_row[r] = acc;
-        }
-    }
-}
-
-/// Batch-major dense-layer input gradient at output gradient `d`
-/// (`[out][row]`): `d_in[j][r] = sum_o d[o][r] * w[o][j]`, summed from
-/// zero over `o` ascending. Rows past the last full register block take an
-/// axpy over `j` per output.
-fn dense_input_grad(w: &[f64], d: &[f64], d_in: &mut [f64], rows: usize) {
-    let n_in = d_in.len() / rows;
-    let blocked = rows - rows % DENSE_BLOCK_ROWS;
-    for r0 in (0..blocked).step_by(DENSE_BLOCK_ROWS) {
-        for (j, d_j) in d_in.chunks_exact_mut(rows).enumerate() {
-            let mut acc = [0.0; DENSE_BLOCK_ROWS];
-            for (w_row, d_o) in w.chunks_exact(n_in).zip(d.chunks_exact(rows)) {
-                let wv = w_row[j];
-                for (a, &g) in acc.iter_mut().zip(&d_o[r0..r0 + DENSE_BLOCK_ROWS]) {
-                    *a += g * wv;
-                }
-            }
-            d_j[r0..r0 + DENSE_BLOCK_ROWS].copy_from_slice(&acc);
-        }
-    }
-    for r in blocked..rows {
-        for d_j in d_in.chunks_exact_mut(rows) {
-            d_j[r] = 0.0;
-        }
-        for (w_row, d_o) in w.chunks_exact(n_in).zip(d.chunks_exact(rows)) {
-            let g = d_o[r];
-            for (d_j, &wv) in d_in.chunks_exact_mut(rows).zip(w_row) {
-                d_j[r] += g * wv;
-            }
-        }
-    }
-}
-
-/// Batch-major dense-layer weight gradients at output gradient `d`
-/// (`[out][row]`): adds `d[o][r]` into `gb[o]` and `d[o][r] * input_rm[r][j]`
-/// into `gw[o][j]`, rows ascending.
-fn dense_weight_grads(
-    d: &[f64],
-    input_rm: &[f64],
-    (gw, gb): (&mut [f64], &mut [f64]),
-    rows: usize,
-) {
-    let n_in = input_rm.len() / rows;
-    for (r, in_row) in input_rm.chunks_exact(n_in).enumerate() {
-        for ((gw_row, gbv), d_o) in gw
-            .chunks_exact_mut(n_in)
-            .zip(gb.iter_mut())
-            .zip(d.chunks_exact(rows))
-        {
-            let g = d_o[r];
-            *gbv += g;
-            for (a, &v) in gw_row.iter_mut().zip(in_row) {
-                *a += g * v;
-            }
-        }
-    }
-}
-
-/// `out = leaky(pre)` element-wise.
-fn leaky_into(pre: &[f64], s: f64, out: &mut [f64]) {
-    for (a, &z) in out.iter_mut().zip(pre) {
-        *a = leaky(z, s);
-    }
-}
-
-/// Multiplies the batch-major `v` (`[feature][row]`) by the row-major
-/// inverted-dropout masks (`[row][feature]`).
-fn mask_rows(v: &mut [f64], masks: &[f64], rows: usize) {
-    let width = v.len() / rows;
-    for (j, v_j) in v.chunks_exact_mut(rows).enumerate() {
-        for (r, x) in v_j.iter_mut().enumerate() {
-            *x *= masks[r * width + j];
-        }
-    }
-}
-
-/// Writes `rm[r][q][c] = f(cols[c][q][r])`: the row-major copy of a
-/// `[channel][pos][row]` block that a weight gradient reads, with `f`
-/// applied on the way. A dense layer's input is the case of one position.
-fn row_major(cols: &[f64], ch: usize, rows: usize, rm: &mut [f64], f: impl Fn(f64) -> f64) {
-    let len = cols.len() / (ch * rows);
-    for (c, col) in cols.chunks_exact(len * rows).enumerate() {
-        for (q, pos) in col.chunks_exact(rows).enumerate() {
-            for (r, &v) in pos.iter().enumerate() {
-                rm[(r * len + q) * ch + c] = f(v);
-            }
-        }
-    }
 }
 
 /// Batch-major average pool of width 2 over `[c][pos][row]` buffers.
@@ -584,10 +408,31 @@ impl Cnn1d {
             k: self.cfg.kernel,
         }
     }
+}
 
-    /// The parameter tensors, in optimizer order.
-    fn params_mut(&mut self) -> [&mut Vec<f64>; 10] {
-        [
+impl Network for Cnn1d {
+    type Workspace = BatchActs;
+
+    fn scalers(&self) -> Option<(&Scaler, &Scaler)> {
+        self.x_scaler
+            .as_ref()
+            .zip(self.y_scaler.as_ref())
+            .filter(|_| self.fitted)
+    }
+
+    fn schedule(&self) -> Schedule {
+        Schedule {
+            epochs: self.cfg.epochs,
+            batch_size: self.cfg.batch_size,
+            lr: self.cfg.lr,
+            dropout: self.cfg.dropout,
+            mask_widths: vec![self.cfg.head],
+            chunk_rows: CNN_CHUNK_ROWS,
+        }
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut [f64]> {
+        vec![
             &mut self.w_expand.data,
             &mut self.b_expand.data,
             &mut self.w_conv1.data,
@@ -601,18 +446,38 @@ impl Cnn1d {
         ]
     }
 
-    /// The forward pass over the `acts.rows` standardized rows `x`, leaving
-    /// the network output in `acts.out` as `[output][row]`. Each row's
-    /// result is the same at any row count. `masks`, the rows'
-    /// inverted-dropout head masks (row-major), drop head activations
-    /// before the output layer.
-    fn forward_rows<'a>(
+    fn workspace(&self, rows: usize) -> BatchActs {
+        let cfg = &self.cfg;
+        let (c0, c1, head, m) = (cfg.channels, cfg.conv_channels, cfg.head, self.n_outputs);
+        let (l0, l1) = (self.l0(), self.l1());
+        let grad_len = (c0.max(c1) * l0).max(head).max(m) * rows;
+        let rm_len = (c0 * l0).max(c1 * l1).max(head).max(self.n_features) * rows;
+        BatchActs {
+            rows,
+            e_pre: vec![0.0; c0 * l0 * rows],
+            z1: vec![0.0; c1 * l0 * rows],
+            p1: vec![0.0; c1 * l1 * rows],
+            z2: vec![0.0; c1 * l1 * rows],
+            p2: vec![0.0; self.flat_len() * rows],
+            h_pre: vec![0.0; head * rows],
+            out: vec![0.0; m * rows],
+            ga: vec![0.0; grad_len],
+            gb: vec![0.0; grad_len],
+            rm: vec![0.0; rm_len],
+            acc: vec![0.0; c1 * cfg.kernel * c0.max(c1)],
+        }
+    }
+
+    /// The head mask, the only one, drops head activations before the
+    /// output layer.
+    fn forward_rows<'a, 'w>(
         &self,
-        x: impl Iterator<Item = &'a [f64]>,
-        masks: Option<&[f64]>,
-        acts: &mut BatchActs,
-    ) {
-        let (rows, s) = (acts.rows, self.cfg.leaky_slope);
+        x: impl ExactSizeIterator<Item = &'a [f64]>,
+        masks: &[&[f64]],
+        acts: &'w mut BatchActs,
+    ) -> &'w [f64] {
+        let (rows, s) = (x.len(), self.cfg.leaky_slope);
+        acts.rows = rows;
         let [e_len, a1_len, p1_len, p2_len, h_len] = self.act_lens(rows);
         let BatchActs {
             e_pre,
@@ -627,11 +492,7 @@ impl Cnn1d {
             rm,
             ..
         } = acts;
-        for (r, row) in x.enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                rm[j * rows + r] = v;
-            }
-        }
+        batch_major(x, rows, rm);
         let e_pre = &mut e_pre[..e_len];
         dense_batch(
             &self.w_expand.data,
@@ -656,40 +517,29 @@ impl Cnn1d {
         );
         let h = &mut gb[..h_len];
         leaky_into(&h_pre[..h_len], s, h);
-        if let Some(masks) = masks {
+        if let Some(masks) = masks.first() {
             mask_rows(h, masks, rows);
         }
-        dense_batch(
-            &self.w_out.data,
-            &self.b_out.data,
-            h,
-            &mut out[..self.n_outputs * rows],
-            rows,
-        );
+        let out = &mut out[..self.n_outputs * rows];
+        dense_batch(&self.w_out.data, &self.b_out.data, h, out, rows);
+        out
     }
 
-    /// One training chunk, batch-major: the forward and backward pass over
-    /// the standardized rows `idx` of `xs`/`ys`, adding the parameter
-    /// gradients of the squared error into the zeroed `grads`. `masks`
-    /// holds the rows' inverted-dropout head masks, row-major.
-    ///
     /// Every element keeps the arithmetic and summation order of running
     /// the rows one at a time: a weight or bias gradient sums over the
     /// rows in chunk order, then positions ascending; an input gradient
     /// sums over output features ascending (for a conv input, `oc`, then
-    /// positions ascending). So the fitted weights do not depend on how
-    /// rows are blocked. Terms with a zero output gradient add a signed
-    /// zero to a sum that started at +0, which leaves it unchanged while
-    /// the weights stay finite.
+    /// positions ascending). Terms with a zero output gradient add a
+    /// signed zero to a sum that started at +0, which leaves it unchanged
+    /// while the weights stay finite.
     fn train_chunk(
         &self,
         (xs, ys): (&Matrix, &Matrix),
         idx: &[usize],
-        masks: Option<&[f64]>,
+        masks: &[&[f64]],
         acts: &mut BatchActs,
-        grads: &mut CnnGrads,
+        grads: &mut [Vec<f64>],
     ) {
-        acts.rows = idx.len();
         self.forward_rows(idx.iter().map(|&i| xs.row(i)), masks, acts);
         let (rows, s, d) = (acts.rows, self.cfg.leaky_slope, self.n_features);
         let (c0, c1, head) = (self.cfg.channels, self.cfg.conv_channels, self.cfg.head);
@@ -710,22 +560,17 @@ impl Cnn1d {
             ..
         } = acts;
         let [w_expand, b_expand, w_conv1, b_conv1, w_conv2, b_conv2, w_head, b_head, w_out, b_out] =
-            &mut grads.0;
+            grads
+        else {
+            unreachable!("ten parameter tensors");
+        };
 
         // Output layer; the dropped head activation is still in `gb`.
-        for (o, (d_o, out_o)) in ga
-            .chunks_exact_mut(rows)
-            .zip(out[..o_len].chunks_exact(rows))
-            .enumerate()
-        {
-            for ((dv, &p), &i) in d_o.iter_mut().zip(out_o).zip(idx) {
-                *dv = 2.0 * (p - ys[(i, o)]);
-            }
-        }
+        squared_error_grad(&out[..o_len], ys, idx, &mut ga[..o_len]);
         row_major(&gb[..h_len], head, rows, rm, |v| v);
         dense_weight_grads(&ga[..o_len], &rm[..h_len], (w_out, b_out), rows);
         dense_input_grad(&self.w_out.data, &ga[..o_len], &mut gb[..h_len], rows);
-        if let Some(masks) = masks {
+        if let Some(masks) = masks.first() {
             mask_rows(&mut gb[..h_len], masks, rows);
         }
         mul_leaky_d(&mut gb[..h_len], &h_pre[..h_len], s);
@@ -759,14 +604,9 @@ impl Cnn1d {
         dense_weight_grads(&ga[..e_len], &rm[..d * rows], (w_expand, b_expand), rows);
     }
 
-    /// The input-gradient chain of [`Cnn1d::train_chunk`], with its
-    /// kernels and summation order but no dropout and no weight gradients,
-    /// over the `acts.rows` rows that [`Cnn1d::forward_rows`] left in
-    /// `acts`, at the output gradient in `acts.ga` (`[output][row]`).
-    /// Returns the gradient with respect to the standardized input,
-    /// `[feature][row]`. It reads only the forward pass's buffers, so one
-    /// forward pass serves any number of backward passes.
-    fn backward_input<'a>(&self, acts: &'a mut BatchActs) -> &'a [f64] {
+    /// The input-gradient chain of [`Network::train_chunk`], with its
+    /// kernels and summation order.
+    fn backward_input<'w>(&self, d_out: &[f64], acts: &'w mut BatchActs) -> &'w [f64] {
         let (rows, s) = (acts.rows, self.cfg.leaky_slope);
         let [e_len, a1_len, p1_len, p2_len, h_len] = self.act_lens(rows);
         let BatchActs {
@@ -779,8 +619,12 @@ impl Cnn1d {
             rm,
             ..
         } = acts;
-        let o_len = self.n_outputs * rows;
-        dense_input_grad(&self.w_out.data, &ga[..o_len], &mut gb[..h_len], rows);
+        let d_out = {
+            let ga_out = &mut ga[..d_out.len()];
+            ga_out.copy_from_slice(d_out);
+            &*ga_out
+        };
+        dense_input_grad(&self.w_out.data, d_out, &mut gb[..h_len], rows);
         mul_leaky_d(&mut gb[..h_len], &h_pre[..h_len], s);
         dense_input_grad(&self.w_head.data, &gb[..h_len], &mut ga[..p2_len], rows);
         unpool2_leaky_batch(&ga[..p2_len], &z2[..p1_len], s, rows, &mut gb[..p1_len]);
@@ -794,65 +638,6 @@ impl Cnn1d {
         dense_input_grad(&self.w_expand.data, &ga[..e_len], d_x, rows);
         d_x
     }
-
-    /// The forward pass over one raw input row, in a one-row workspace.
-    fn forward_one(&self, x: &[f64], x_scaler: &Scaler) -> BatchActs {
-        let mut row = x.to_vec();
-        x_scaler.transform_row(&mut row);
-        let mut acts = BatchActs::zeros_like(self, 1);
-        self.forward_rows(std::iter::once(row.as_slice()), None, &mut acts);
-        acts
-    }
-
-    /// The fitted scalers, after checking the model is fitted and `x` has
-    /// its feature width.
-    fn fitted_scalers(&self, x: &[f64]) -> Result<(&Scaler, &Scaler), MlError> {
-        if !self.fitted {
-            return Err(MlError::NotFitted);
-        }
-        if x.len() != self.n_features {
-            return Err(MlError::ShapeMismatch {
-                expected: self.n_features,
-                got: x.len(),
-            });
-        }
-        Ok((
-            self.x_scaler.as_ref().ok_or(MlError::NotFitted)?,
-            self.y_scaler.as_ref().ok_or(MlError::NotFitted)?,
-        ))
-    }
-}
-
-/// Gradient accumulator mirroring the parameter tensors, in optimizer
-/// order.
-struct CnnGrads([Vec<f64>; 10]);
-
-impl CnnGrads {
-    fn zeros(lens: &[usize; 10]) -> Self {
-        Self(lens.map(|n| vec![0.0; n]))
-    }
-
-    fn zero_fill(&mut self) {
-        for t in &mut self.0 {
-            t.fill(0.0);
-        }
-    }
-
-    /// Element-wise accumulation; tensors are summed left-to-right by the
-    /// caller, which keeps the chunk-order reduction a fixed association.
-    fn add_in_place(&mut self, rhs: &CnnGrads) {
-        for (t, r) in self.0.iter_mut().zip(&rhs.0) {
-            for (a, b) in t.iter_mut().zip(r) {
-                *a += b;
-            }
-        }
-    }
-
-    fn scale(&mut self, k: f64) {
-        for v in self.0.iter_mut().flatten() {
-            *v *= k;
-        }
-    }
 }
 
 impl Regressor for Cnn1d {
@@ -864,12 +649,12 @@ impl Regressor for Cnn1d {
         let _span = isop_telemetry::span!(ctx.telemetry, "ml.fit.cnn");
         self.n_features = data.n_features();
         self.n_outputs = data.n_outputs();
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         let (c0, c1, k) = (cfg.channels, cfg.conv_channels, cfg.kernel);
-        let flat = self.flat_len();
+        let (d, m, flat) = (self.n_features, self.n_outputs, self.flat_len());
 
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        self.w_expand = Tensor::init(cfg.expand * self.n_features, self.n_features, &mut rng);
+        self.w_expand = Tensor::init(cfg.expand * d, d, &mut rng);
         self.b_expand = Tensor::zeros(cfg.expand);
         self.w_conv1 = Tensor::init(c1 * c0 * k, c0 * k, &mut rng);
         self.b_conv1 = Tensor::zeros(c1);
@@ -877,105 +662,10 @@ impl Regressor for Cnn1d {
         self.b_conv2 = Tensor::zeros(c1);
         self.w_head = Tensor::init(cfg.head * flat, flat, &mut rng);
         self.b_head = Tensor::zeros(cfg.head);
-        self.w_out = Tensor::init(self.n_outputs * cfg.head, cfg.head, &mut rng);
-        self.b_out = Tensor::zeros(self.n_outputs);
+        self.w_out = Tensor::init(m * cfg.head, cfg.head, &mut rng);
+        self.b_out = Tensor::zeros(m);
 
-        let x_scaler = Scaler::fit(&data.x);
-        let y_scaler = Scaler::fit(&data.y);
-        let xs = x_scaler.transform(&data.x);
-        let ys = y_scaler.transform(&data.y);
-
-        let lens = self.params_mut().map(|p| p.len());
-        let mut opts: Vec<Adam> = lens.iter().map(|&n| Adam::new(cfg.lr, n)).collect();
-
-        let n = data.len();
-        let bs = cfg.batch_size.clamp(1, n);
-        let keep = 1.0 - cfg.dropout;
-        let has_dropout = cfg.dropout > 0.0;
-        let mut order: Vec<usize> = (0..n).collect();
-        let threads = ctx.parallelism.threads;
-
-        // Reusable training state: one workspace per worker, one gradient
-        // partial per chunk, the reduced per-batch gradient, and the
-        // pre-drawn head dropout masks for the whole minibatch.
-        let mut workspaces: Vec<BatchActs> = Vec::new();
-        let mut partials: Vec<CnnGrads> = Vec::new();
-        let mut totals = CnnGrads::zeros(&lens);
-        let mut head_masks = Matrix::zeros(0, 0);
-
-        for epoch in 0..cfg.epochs {
-            // Step decay mirroring the MLP schedule.
-            let decay = if epoch * 4 >= cfg.epochs * 3 {
-                0.25
-            } else if epoch * 2 >= cfg.epochs {
-                0.5
-            } else {
-                1.0
-            };
-            for opt in &mut opts {
-                opt.set_learning_rate(cfg.lr * decay);
-            }
-            order.shuffle(&mut rng);
-            for batch in order.chunks(bs) {
-                // All randomness is drawn serially before the parallel
-                // section: one inverted-dropout head mask per sample, in
-                // sample order — the same stream the serial trainer drew.
-                if has_dropout {
-                    head_masks.reset(batch.len(), cfg.head);
-                    for v in head_masks.as_mut_slice() {
-                        *v = if rng.gen::<f64>() < keep {
-                            1.0 / keep
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-
-                // Chunk boundaries depend only on the batch length, never
-                // the thread count, and every chunk sums its own partial,
-                // so the chunk-order reduction below associates identically
-                // at any parallelism width. Each worker runs a run of
-                // consecutive chunks through its own workspace.
-                let ranges = fixed_chunks(batch.len(), CNN_CHUNK_ROWS);
-                ctx.telemetry.add(Counter::TrainChunks, ranges.len() as u64);
-                let per_worker = ranges.len().div_ceil(threads.max(1));
-                while partials.len() < ranges.len() {
-                    partials.push(CnnGrads::zeros(&lens));
-                }
-                while workspaces.len() * per_worker < ranges.len() {
-                    workspaces.push(BatchActs::zeros_like(self, CNN_CHUNK_ROWS));
-                }
-                let mut work: Vec<_> = workspaces
-                    .iter_mut()
-                    .zip(partials[..ranges.len()].chunks_mut(per_worker))
-                    .zip(ranges.chunks(per_worker))
-                    .collect();
-                let model: &Cnn1d = self;
-                let masks = has_dropout.then(|| head_masks.as_slice());
-                par_map_mut(threads, &mut work, |_, ((ws, parts), chunks)| {
-                    for (grads, &(r0, r1)) in parts.iter_mut().zip(chunks.iter()) {
-                        grads.zero_fill();
-                        let mask = masks.map(|m| &m[r0 * cfg.head..r1 * cfg.head]);
-                        model.train_chunk((&xs, &ys), &batch[r0..r1], mask, ws, grads);
-                    }
-                });
-
-                // Reduce chunk partials in chunk order (fixed association),
-                // then take the optimizer steps serially.
-                totals.zero_fill();
-                for part in &partials[..ranges.len()] {
-                    totals.add_in_place(part);
-                }
-                totals.scale(1.0 / batch.len() as f64);
-                for ((opt, p), g) in opts.iter_mut().zip(self.params_mut()).zip(&totals.0) {
-                    opt.step(p, g);
-                }
-            }
-        }
-
-        if !self.w_expand.data.iter().all(|v| v.is_finite()) {
-            return Err(MlError::Diverged);
-        }
+        let (x_scaler, y_scaler) = nn::train(self, data, &mut rng, ctx)?;
         self.x_scaler = Some(x_scaler);
         self.y_scaler = Some(y_scaler);
         self.fitted = true;
@@ -983,39 +673,7 @@ impl Regressor for Cnn1d {
     }
 
     fn predict(&self, x: &Matrix) -> Result<Matrix, MlError> {
-        if !self.fitted {
-            return Err(MlError::NotFitted);
-        }
-        if x.cols() != self.n_features {
-            return Err(MlError::ShapeMismatch {
-                expected: self.n_features,
-                got: x.cols(),
-            });
-        }
-        let xs = self
-            .x_scaler
-            .as_ref()
-            .ok_or(MlError::NotFitted)?
-            .transform(x);
-        let y_scaler = self.y_scaler.as_ref().ok_or(MlError::NotFitted)?;
-        let n = x.rows();
-        let mut out = Matrix::zeros(n, self.n_outputs);
-        let mut acts = BatchActs::zeros_like(self, n.min(PREDICT_BLOCK_ROWS));
-        for r0 in (0..n).step_by(PREDICT_BLOCK_ROWS) {
-            acts.rows = PREDICT_BLOCK_ROWS.min(n - r0);
-            self.forward_rows((r0..r0 + acts.rows).map(|r| xs.row(r)), None, &mut acts);
-            for (o, col) in acts
-                .out
-                .chunks_exact(acts.rows)
-                .take(self.n_outputs)
-                .enumerate()
-            {
-                for (r, &v) in col.iter().enumerate() {
-                    out[(r0 + r, o)] = v;
-                }
-            }
-        }
-        Ok(y_scaler.inverse_transform(&out))
+        nn::predict(self, x)
     }
 
     fn name(&self) -> &'static str {
@@ -1024,55 +682,16 @@ impl Regressor for Cnn1d {
 }
 
 impl Differentiable for Cnn1d {
-    /// One forward pass, then one input-only backward pass per output with
-    /// a one-hot cotangent: row `o` is bit-identical to
-    /// [`Differentiable::value_and_vjp`] with cotangent `e_o`.
     fn input_jacobian(&self, x: &[f64]) -> Result<Matrix, MlError> {
-        let (x_scaler, y_scaler) = self.fitted_scalers(x)?;
-        let mut acts = self.forward_one(x, x_scaler);
-        let m = self.n_outputs;
-        let mut jac = Matrix::zeros(m, self.n_features);
-        for o in 0..m {
-            for ((d, i), sd) in acts.ga[..m].iter_mut().zip(0..).zip(y_scaler.stds()) {
-                *d = f64::from(u8::from(i == o)) * sd;
-            }
-            let d_x = self.backward_input(&mut acts);
-            for ((j, g), sd) in jac.row_mut(o).iter_mut().zip(d_x).zip(x_scaler.stds()) {
-                *j = g / sd;
-            }
-        }
-        Ok(jac)
+        nn::input_jacobian(self, x)
     }
 
-    /// One forward pass and one input-only backward pass: no weight
-    /// gradients and no `m x d` Jacobian. The prediction is de-scaled
-    /// exactly as [`Regressor::predict`] does it.
     fn value_and_vjp(
         &self,
         x: &[f64],
         cotangent: &dyn Fn(&[f64]) -> Vec<f64>,
     ) -> Result<(Vec<f64>, Vec<f64>), MlError> {
-        let (x_scaler, y_scaler) = self.fitted_scalers(x)?;
-        let mut acts = self.forward_one(x, x_scaler);
-        let m = self.n_outputs;
-        let y: Vec<f64> = acts.out[..m]
-            .iter()
-            .zip(y_scaler.stds().iter().zip(y_scaler.means()))
-            .map(|(v, (sd, mean))| v * sd + mean)
-            .collect();
-
-        let dy = cotangent(&y);
-        assert_eq!(dy.len(), m, "one cotangent per output");
-        for ((d, dyv), sd) in acts.ga[..m].iter_mut().zip(&dy).zip(y_scaler.stds()) {
-            *d = dyv * sd;
-        }
-        let grad = self
-            .backward_input(&mut acts)
-            .iter()
-            .zip(x_scaler.stds())
-            .map(|(g, sd)| g / sd)
-            .collect();
-        Ok((y, grad))
+        nn::value_and_vjp(self, x, cotangent)
     }
 }
 

@@ -79,9 +79,7 @@ impl Regressor for PolynomialRidge {
         let phi = self.expand(&xs);
         // Normal equations with ridge: (Phi^T Phi + lambda I) W = Phi^T Y.
         let pt = phi.transpose();
-        // Phi^T Phi as `pt * pt^T`: the kernel consumes the transposed
-        // right operand directly, so `phi` is never re-transposed.
-        let mut gram = pt.matmul_transposed(&pt);
+        let mut gram = pt.matmul(&phi);
         for i in 0..gram.rows() {
             gram[(i, i)] += self.lambda.max(1e-10);
         }

@@ -1,19 +1,23 @@
 //! Multilayer perceptron regressor (the paper's "MLPR") with leaky-ReLU
 //! activations, inverted dropout, Adam training, and **input gradients**.
 //!
-//! The input gradient (one forward plus one row-vector backward pass per
-//! step) is what lets the ISOP+ local-exploration stage run gradient descent
-//! on *design parameters* through the surrogate.
+//! The network is a [`Network`] layer stack of dense layers over the
+//! shared core in [`nn`], the same kernels, trainer, blocked predict and
+//! VJP the 1D-CNN runs. Every pass is batch-major, so a batch prediction
+//! is bit-identical to predicting each row alone at any row count. The
+//! input gradient (one forward plus one input-only backward pass per step)
+//! is what lets the ISOP+ local-exploration stage run gradient descent on
+//! *design parameters* through the surrogate.
 
+use super::nn::{
+    self, batch_major, dense_batch, dense_input_grad, dense_weight_grads, leaky_into, mask_rows,
+    mul_leaky_d, row_major, squared_error_grad, Network, Schedule,
+};
 use crate::dataset::{Dataset, Scaler};
 use crate::linalg::Matrix;
-use crate::optim::Adam;
 use crate::train::{TrainContext, MLP_CHUNK_ROWS};
 use crate::{Differentiable, MlError, Regressor};
-use isop_exec::{fixed_chunks, par_map_mut};
-use isop_telemetry::Counter;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -51,7 +55,7 @@ impl Default for MlpConfig {
     }
 }
 
-/// One dense layer: `out = a_in * w^T + b`.
+/// One dense layer: `out = w · a_in + b`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Dense {
     /// `n_out x n_in`.
@@ -72,97 +76,20 @@ impl Dense {
             b: vec![0.0; n_out],
         }
     }
-
-    /// `a (n x in) -> z (n x out)`.
-    fn forward(&self, a: &Matrix) -> Matrix {
-        // `w` is stored `out x in`, i.e. already the transposed right
-        // operand — feed it to the kernel directly instead of paying a
-        // transpose allocation per layer per call.
-        let mut z = a.matmul_transposed(&self.w);
-        for r in 0..z.rows() {
-            for (v, b) in z.row_mut(r).iter_mut().zip(&self.b) {
-                *v += b;
-            }
-        }
-        z
-    }
 }
 
-/// Gradient accumulator for one dense layer: `gw` is `out x in` like the
-/// weights, `gb` is per-output.
-struct LayerGrads {
-    gw: Matrix,
+/// Batch-major buffers for up to `rows` rows, each `[feature][row]`:
+/// `a[l]` is layer `l`'s input (`a[0]` the standardized input rows, the
+/// rest activated and dropped), `z[l]` its pre-activation output, the last
+/// one the network output. `ga` and `gb` are the gradient pair; `rm` holds
+/// the row-major copy of the input whose weight gradient is being summed.
+pub(super) struct MlpActs {
+    rows: usize,
+    a: Vec<Vec<f64>>,
+    z: Vec<Vec<f64>>,
+    ga: Vec<f64>,
     gb: Vec<f64>,
-}
-
-impl LayerGrads {
-    fn empty() -> Self {
-        Self {
-            gw: Matrix::zeros(0, 0),
-            gb: Vec::new(),
-        }
-    }
-
-    fn reset(&mut self, n_out: usize, n_in: usize) {
-        self.gw.reset(n_out, n_in);
-        self.gb.clear();
-        self.gb.resize(n_out, 0.0);
-    }
-}
-
-/// Reusable workspace for one gradient chunk of the data-parallel backprop:
-/// one slot per chunk (not per worker — the chunk's partial gradients stay
-/// in the slot until the in-order reduction), allocated once per `fit` and
-/// recycled every minibatch so the training loop is allocation-free.
-struct ChunkSlot {
-    /// Row range `[r0, r1)` into the current minibatch, set before dispatch.
-    r0: usize,
-    r1: usize,
-    /// Gathered targets for this chunk's rows.
-    yb: Matrix,
-    /// `a[l]` = input to layer `l` (post-activation/dropout of `l - 1`,
-    /// `a[0]` = the gathered input rows).
-    a: Vec<Matrix>,
-    /// `z[l]` = pre-activation output of layer `l` (bias included).
-    z: Vec<Matrix>,
-    /// Loss gradient flowing backwards, plus its swap partner.
-    delta: Matrix,
-    next_delta: Matrix,
-    /// Per-layer gradient partials for this chunk.
-    grads: Vec<LayerGrads>,
-}
-
-impl ChunkSlot {
-    fn new(n_layers: usize) -> Self {
-        Self {
-            r0: 0,
-            r1: 0,
-            yb: Matrix::zeros(0, 0),
-            a: (0..n_layers).map(|_| Matrix::zeros(0, 0)).collect(),
-            z: (0..n_layers).map(|_| Matrix::zeros(0, 0)).collect(),
-            delta: Matrix::zeros(0, 0),
-            next_delta: Matrix::zeros(0, 0),
-            grads: (0..n_layers).map(|_| LayerGrads::empty()).collect(),
-        }
-    }
-}
-
-#[inline]
-fn leaky(v: f64, slope: f64) -> f64 {
-    if v >= 0.0 {
-        v
-    } else {
-        slope * v
-    }
-}
-
-#[inline]
-fn leaky_deriv(v: f64, slope: f64) -> f64 {
-    if v >= 0.0 {
-        1.0
-    } else {
-        slope
-    }
+    rm: Vec<f64>,
 }
 
 /// Multilayer perceptron regressor.
@@ -199,26 +126,143 @@ impl Mlp {
         &self.cfg
     }
 
-    /// Forward pass in the standardized space, returning pre-activations per
-    /// layer and the final output. `zs[l]` is the pre-activation of layer `l`.
-    fn forward_all(&self, x: &Matrix) -> (Vec<Matrix>, Matrix) {
-        let mut zs = Vec::with_capacity(self.layers.len());
-        let mut a = x.clone();
-        for (l, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward(&a);
-            if l + 1 < self.layers.len() {
-                let mut act = z.clone();
-                for v in act.as_mut_slice() {
-                    *v = leaky(*v, self.cfg.leaky_slope);
+    /// The backward pass over the rows the last forward pass left in `ws`,
+    /// from the output gradient in `ws.ga`. With `grads`, it adds each
+    /// layer's weight and bias gradients (through the dropout `masks`) and
+    /// stops at the first layer; without, it carries the gradient to the
+    /// standardized input and returns it.
+    fn backward<'w>(
+        &self,
+        masks: &[&[f64]],
+        mut grads: Option<&mut [Vec<f64>]>,
+        ws: &'w mut MlpActs,
+    ) -> &'w [f64] {
+        let (rows, s) = (ws.rows, self.cfg.leaky_slope);
+        let MlpActs {
+            a, z, ga, gb, rm, ..
+        } = ws;
+        for (l, layer) in self.layers.iter().enumerate().rev() {
+            let (n_out, n_in) = (layer.w.rows(), layer.w.cols());
+            let d = &ga[..n_out * rows];
+            if let Some(grads) = grads.as_deref_mut() {
+                let [gw, gbias] = &mut grads[2 * l..2 * l + 2] else {
+                    unreachable!("a weight and a bias tensor per layer");
+                };
+                row_major(&a[l][..n_in * rows], n_in, rows, rm, |v| v);
+                dense_weight_grads(d, &rm[..n_in * rows], (gw, gbias), rows);
+                if l == 0 {
+                    break;
                 }
-                zs.push(z);
-                a = act;
-            } else {
-                zs.push(z.clone());
-                a = z;
+            }
+            let d_in = &mut gb[..n_in * rows];
+            dense_input_grad(layer.w.as_slice(), d, d_in, rows);
+            if l > 0 {
+                if let Some(mask) = masks.get(l - 1) {
+                    mask_rows(d_in, mask, rows);
+                }
+                mul_leaky_d(d_in, &z[l - 1][..n_in * rows], s);
+            }
+            std::mem::swap(ga, gb);
+        }
+        &ga[..self.n_features * rows]
+    }
+}
+
+impl Network for Mlp {
+    type Workspace = MlpActs;
+
+    fn scalers(&self) -> Option<(&Scaler, &Scaler)> {
+        self.x_scaler.as_ref().zip(self.y_scaler.as_ref())
+    }
+
+    fn schedule(&self) -> Schedule {
+        Schedule {
+            epochs: self.cfg.epochs,
+            batch_size: self.cfg.batch_size,
+            lr: self.cfg.lr,
+            dropout: self.cfg.dropout,
+            mask_widths: self.cfg.hidden.clone(),
+            chunk_rows: MLP_CHUNK_ROWS,
+        }
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut [f64]> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| [l.w.as_mut_slice(), &mut l.b[..]])
+            .collect()
+    }
+
+    fn workspace(&self, rows: usize) -> MlpActs {
+        let widest = self.layers.iter().map(|l| l.w.cols().max(l.w.rows()));
+        let grad_len = widest.max().unwrap_or(0) * rows;
+        MlpActs {
+            rows,
+            a: self
+                .layers
+                .iter()
+                .map(|l| vec![0.0; l.w.cols() * rows])
+                .collect(),
+            z: self
+                .layers
+                .iter()
+                .map(|l| vec![0.0; l.w.rows() * rows])
+                .collect(),
+            ga: vec![0.0; grad_len],
+            gb: vec![0.0; grad_len],
+            rm: vec![0.0; grad_len],
+        }
+    }
+
+    /// Hidden layer `l` takes mask `l`.
+    fn forward_rows<'a, 'w>(
+        &self,
+        x: impl ExactSizeIterator<Item = &'a [f64]>,
+        masks: &[&[f64]],
+        ws: &'w mut MlpActs,
+    ) -> &'w [f64] {
+        let (rows, s) = (x.len(), self.cfg.leaky_slope);
+        ws.rows = rows;
+        batch_major(x, rows, &mut ws.a[0]);
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (n_out, n_in) = (layer.w.rows(), layer.w.cols());
+            let z = &mut ws.z[l][..n_out * rows];
+            dense_batch(
+                layer.w.as_slice(),
+                &layer.b,
+                &ws.a[l][..n_in * rows],
+                z,
+                rows,
+            );
+            if let Some(next) = ws.a.get_mut(l + 1) {
+                let act = &mut next[..n_out * rows];
+                leaky_into(z, s, act);
+                if let Some(mask) = masks.get(l) {
+                    mask_rows(act, mask, rows);
+                }
             }
         }
-        (zs, a)
+        &ws.z[self.layers.len() - 1][..self.n_outputs * rows]
+    }
+
+    fn train_chunk(
+        &self,
+        (xs, ys): (&Matrix, &Matrix),
+        idx: &[usize],
+        masks: &[&[f64]],
+        ws: &mut MlpActs,
+        grads: &mut [Vec<f64>],
+    ) {
+        let out = self.forward_rows(idx.iter().map(|&i| xs.row(i)), masks, ws);
+        let o_len = out.len();
+        let last = self.layers.len() - 1;
+        squared_error_grad(&ws.z[last][..o_len], ys, idx, &mut ws.ga[..o_len]);
+        self.backward(masks, Some(grads), ws);
+    }
+
+    fn backward_input<'w>(&self, d_out: &[f64], ws: &'w mut MlpActs) -> &'w [f64] {
+        ws.ga[..d_out.len()].copy_from_slice(d_out);
+        self.backward(&[], None, ws)
     }
 }
 
@@ -231,11 +275,6 @@ impl Regressor for Mlp {
         let _span = isop_telemetry::span!(ctx.telemetry, "ml.fit.mlp");
         self.n_features = data.n_features();
         self.n_outputs = data.n_outputs();
-        let x_scaler = Scaler::fit(&data.x);
-        let y_scaler = Scaler::fit(&data.y);
-        let xs = x_scaler.transform(&data.x);
-        let ys = y_scaler.transform(&data.y);
-
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut dims = vec![self.n_features];
         dims.extend_from_slice(&self.cfg.hidden);
@@ -244,225 +283,14 @@ impl Regressor for Mlp {
             .windows(2)
             .map(|w| Dense::init(w[0], w[1], &mut rng))
             .collect();
-        let n_layers = self.layers.len();
-
-        // One Adam per parameter tensor.
-        let mut opts: Vec<(Adam, Adam)> = self
-            .layers
-            .iter()
-            .map(|l| {
-                (
-                    Adam::new(self.cfg.lr, l.w.rows() * l.w.cols()),
-                    Adam::new(self.cfg.lr, l.b.len()),
-                )
-            })
-            .collect();
-
-        let n = data.len();
-        let bs = self.cfg.batch_size.clamp(1, n);
-        let mut order: Vec<usize> = (0..n).collect();
-        let keep = 1.0 - self.cfg.dropout;
-        let has_dropout = self.cfg.dropout > 0.0;
-        let slope = self.cfg.leaky_slope;
-        let threads = ctx.parallelism.threads;
-
-        // Reusable training state: gradient-chunk slots, per-layer gradient
-        // totals, batch-wide dropout masks, and per-batch weight transposes
-        // (`w^T` once per layer per step instead of once per chunk).
-        let mut slots: Vec<ChunkSlot> = Vec::new();
-        let mut totals: Vec<LayerGrads> = (0..n_layers).map(|_| LayerGrads::empty()).collect();
-        let mut masks: Vec<Matrix> = (1..n_layers).map(|_| Matrix::zeros(0, 0)).collect();
-        let mut w_t: Vec<Matrix> = (0..n_layers).map(|_| Matrix::zeros(0, 0)).collect();
-
-        for epoch in 0..self.cfg.epochs {
-            // Step decay: halve the learning rate at 50% and again at 75%
-            // of training, a standard schedule that lets Adam settle.
-            let decay = if epoch * 4 >= self.cfg.epochs * 3 {
-                0.25
-            } else if epoch * 2 >= self.cfg.epochs {
-                0.5
-            } else {
-                1.0
-            };
-            for (w_opt, b_opt) in &mut opts {
-                w_opt.set_learning_rate(self.cfg.lr * decay);
-                b_opt.set_learning_rate(self.cfg.lr * decay);
-            }
-            order.shuffle(&mut rng);
-            for batch in order.chunks(bs) {
-                // All randomness is drawn serially before the parallel
-                // section: dropout masks for the whole minibatch, in
-                // (layer, element) order — the same stream the serial
-                // trainer consumed.
-                if has_dropout {
-                    for (l, mask) in masks.iter_mut().enumerate() {
-                        mask.reset(batch.len(), dims[l + 1]);
-                        for v in mask.as_mut_slice() {
-                            *v = if rng.gen::<f64>() < keep {
-                                1.0 / keep
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
-                }
-                for (layer, t) in self.layers.iter().zip(&mut w_t) {
-                    layer.w.transpose_into(t);
-                }
-
-                // Chunk boundaries depend only on the batch length, never
-                // the thread count, so the chunk-order gradient reduction
-                // below associates identically at every width.
-                let ranges = fixed_chunks(batch.len(), MLP_CHUNK_ROWS);
-                ctx.telemetry.add(Counter::TrainChunks, ranges.len() as u64);
-                while slots.len() < ranges.len() {
-                    slots.push(ChunkSlot::new(n_layers));
-                }
-                for (slot, &(r0, r1)) in slots.iter_mut().zip(&ranges) {
-                    slot.r0 = r0;
-                    slot.r1 = r1;
-                }
-
-                let layers = &self.layers;
-                let scale = 2.0 / batch.len() as f64;
-                par_map_mut(threads, &mut slots[..ranges.len()], |_, slot| {
-                    let rows = slot.r1 - slot.r0;
-                    // Gather this chunk's input and target rows.
-                    slot.a[0].reset(rows, dims[0]);
-                    slot.yb.reset(rows, *dims.last().expect("nonempty dims"));
-                    for r in 0..rows {
-                        let i = batch[slot.r0 + r];
-                        slot.a[0].row_mut(r).copy_from_slice(xs.row(i));
-                        slot.yb.row_mut(r).copy_from_slice(ys.row(i));
-                    }
-
-                    // Forward, caching pre-activations `z` and layer inputs
-                    // `a`, applying the pre-drawn inverted-dropout masks.
-                    for l in 0..n_layers {
-                        let (done, rest) = slot.a.split_at_mut(l + 1);
-                        done[l].matmul_into(&w_t[l], &mut slot.z[l]);
-                        for r in 0..rows {
-                            for (v, b) in slot.z[l].row_mut(r).iter_mut().zip(&layers[l].b) {
-                                *v += b;
-                            }
-                        }
-                        if l + 1 < n_layers {
-                            let act = &mut rest[0];
-                            act.reset(rows, dims[l + 1]);
-                            for r in 0..rows {
-                                let zr = slot.z[l].row(r);
-                                let ar = act.row_mut(r);
-                                if has_dropout {
-                                    let mr = masks[l].row(slot.r0 + r);
-                                    for ((v, z), k) in ar.iter_mut().zip(zr).zip(mr) {
-                                        *v = leaky(*z, slope) * k;
-                                    }
-                                } else {
-                                    for (v, z) in ar.iter_mut().zip(zr) {
-                                        *v = leaky(*z, slope);
-                                    }
-                                }
-                            }
-                        }
-                    }
-
-                    // Backward: squared loss, delta = 2 (pred - y) / batch.
-                    let pred = &slot.z[n_layers - 1];
-                    slot.delta.reset(rows, pred.cols());
-                    for r in 0..rows {
-                        for c in 0..pred.cols() {
-                            slot.delta[(r, c)] = scale * (pred[(r, c)] - slot.yb[(r, c)]);
-                        }
-                    }
-                    for l in (0..n_layers).rev() {
-                        // grad_w = delta^T * a[l], accumulated row by row so
-                        // every (out, in) entry is a left fold over the
-                        // chunk's rows in input order.
-                        let g = &mut slot.grads[l];
-                        g.reset(layers[l].w.rows(), layers[l].w.cols());
-                        for r in 0..rows {
-                            let ar = slot.a[l].row(r);
-                            for o in 0..g.gw.rows() {
-                                let d = slot.delta[(r, o)];
-                                g.gb[o] += d;
-                                for (gv, av) in g.gw.row_mut(o).iter_mut().zip(ar) {
-                                    *gv += d * av;
-                                }
-                            }
-                        }
-                        if l > 0 {
-                            slot.delta.matmul_into(&layers[l].w, &mut slot.next_delta);
-                            let nd = &mut slot.next_delta;
-                            for r in 0..rows {
-                                let zr = slot.z[l - 1].row(r);
-                                let dr = nd.row_mut(r);
-                                if has_dropout {
-                                    let mr = masks[l - 1].row(slot.r0 + r);
-                                    for ((v, z), k) in dr.iter_mut().zip(zr).zip(mr) {
-                                        *v *= leaky_deriv(*z, slope) * k;
-                                    }
-                                } else {
-                                    for (v, z) in dr.iter_mut().zip(zr) {
-                                        *v *= leaky_deriv(*z, slope);
-                                    }
-                                }
-                            }
-                            std::mem::swap(&mut slot.delta, &mut slot.next_delta);
-                        }
-                    }
-                });
-
-                // Reduce chunk partials in chunk order (fixed association),
-                // then take the optimizer steps serially.
-                for l in (0..n_layers).rev() {
-                    let total = &mut totals[l];
-                    total.reset(self.layers[l].w.rows(), self.layers[l].w.cols());
-                    for slot in &slots[..ranges.len()] {
-                        total.gw.add_in_place(&slot.grads[l].gw);
-                        for (t, g) in total.gb.iter_mut().zip(&slot.grads[l].gb) {
-                            *t += g;
-                        }
-                    }
-                    let (w_opt, b_opt) = &mut opts[l];
-                    w_opt.step(self.layers[l].w.as_mut_slice(), total.gw.as_slice());
-                    b_opt.step(&mut self.layers[l].b, &total.gb);
-                }
-            }
-        }
-
-        if self
-            .layers
-            .iter()
-            .any(|l| !l.w.as_slice().iter().all(|v| v.is_finite()))
-        {
-            return Err(MlError::Diverged);
-        }
+        let (x_scaler, y_scaler) = nn::train(self, data, &mut rng, ctx)?;
         self.x_scaler = Some(x_scaler);
         self.y_scaler = Some(y_scaler);
         Ok(())
     }
 
     fn predict(&self, x: &Matrix) -> Result<Matrix, MlError> {
-        if self.layers.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        if x.cols() != self.n_features {
-            return Err(MlError::ShapeMismatch {
-                expected: self.n_features,
-                got: x.cols(),
-            });
-        }
-        let xs = self
-            .x_scaler
-            .as_ref()
-            .ok_or(MlError::NotFitted)?
-            .transform(x);
-        let (_, out) = self.forward_all(&xs);
-        Ok(self
-            .y_scaler
-            .as_ref()
-            .ok_or(MlError::NotFitted)?
-            .inverse_transform(&out))
+        nn::predict(self, x)
     }
 
     fn name(&self) -> &'static str {
@@ -470,98 +298,17 @@ impl Regressor for Mlp {
     }
 }
 
-impl Mlp {
-    /// The fitted scalers, after checking the model is fitted and `x` has
-    /// its feature width.
-    fn fitted_scalers(&self, x: &[f64]) -> Result<(&Scaler, &Scaler), MlError> {
-        if self.layers.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        if x.len() != self.n_features {
-            return Err(MlError::ShapeMismatch {
-                expected: self.n_features,
-                got: x.len(),
-            });
-        }
-        Ok((
-            self.x_scaler.as_ref().ok_or(MlError::NotFitted)?,
-            self.y_scaler.as_ref().ok_or(MlError::NotFitted)?,
-        ))
-    }
-}
-
 impl Differentiable for Mlp {
     fn input_jacobian(&self, x: &[f64]) -> Result<Matrix, MlError> {
-        let (x_scaler, y_scaler) = self.fitted_scalers(x)?;
-        let mut row = x.to_vec();
-        x_scaler.transform_row(&mut row);
-        let xm = Matrix::from_rows(&[row]);
-        let (zs, _) = self.forward_all(&xm);
-
-        // Chain rule, back to front: J = W_L * D_{L-1} * W_{L-1} * ... * W_1,
-        // where D_l = diag(leaky'(z_l)).
-        let n_layers = self.layers.len();
-        let mut jac = self.layers[n_layers - 1].w.clone();
-        for l in (0..n_layers - 1).rev() {
-            let z = &zs[l];
-            let mut scaled = jac; // m x width(l+1)
-            for r in 0..scaled.rows() {
-                for (c, v) in scaled.row_mut(r).iter_mut().enumerate() {
-                    *v *= leaky_deriv(z[(0, c)], self.cfg.leaky_slope);
-                }
-            }
-            jac = scaled.matmul(&self.layers[l].w);
-        }
-
-        // Undo standardization: d y_real / d x_real = s_y * J / s_x.
-        let sy = y_scaler.stds();
-        let sx = x_scaler.stds();
-        for o in 0..jac.rows() {
-            for c in 0..jac.cols() {
-                jac[(o, c)] *= sy[o] / sx[c];
-            }
-        }
-        Ok(jac)
+        nn::input_jacobian(self, x)
     }
 
-    /// One forward pass and one row-vector backward pass through the
-    /// layers, instead of the full `m x d` Jacobian. The prediction is
-    /// de-scaled exactly as [`Regressor::predict`] does it.
     fn value_and_vjp(
         &self,
         x: &[f64],
         cotangent: &dyn Fn(&[f64]) -> Vec<f64>,
     ) -> Result<(Vec<f64>, Vec<f64>), MlError> {
-        let (x_scaler, y_scaler) = self.fitted_scalers(x)?;
-        let mut row = x.to_vec();
-        x_scaler.transform_row(&mut row);
-        let (zs, out) = self.forward_all(&Matrix::from_rows(&[row]));
-        let y: Vec<f64> = out
-            .row(0)
-            .iter()
-            .zip(y_scaler.stds().iter().zip(y_scaler.means()))
-            .map(|(v, (sd, mean))| v * sd + mean)
-            .collect();
-
-        let dy = cotangent(&y);
-        assert_eq!(dy.len(), self.n_outputs, "one cotangent per output");
-        let mut delta: Vec<f64> = dy
-            .iter()
-            .zip(y_scaler.stds())
-            .map(|(d, sd)| d * sd)
-            .collect();
-        for l in (0..self.layers.len()).rev() {
-            delta = self.layers[l].w.vecmat(&delta);
-            if l > 0 {
-                for (d, &z) in delta.iter_mut().zip(zs[l - 1].row(0)) {
-                    *d *= leaky_deriv(z, self.cfg.leaky_slope);
-                }
-            }
-        }
-        for (d, sd) in delta.iter_mut().zip(x_scaler.stds()) {
-            *d /= sd;
-        }
-        Ok((y, delta))
+        nn::value_and_vjp(self, x, cotangent)
     }
 }
 
@@ -617,42 +364,143 @@ mod tests {
         assert!(r2(&d.y.col_vec(1), &pred.col_vec(1)) > 0.95);
     }
 
-    /// A batch of 2..=15 rows predicts each row bit for bit as a single-row
-    /// call does, because `Matrix::matmul` keeps its row-independent dot
-    /// kernel below 16 rows. At 16 or more rows it switches to the axpy
-    /// kernel, whose accumulation order differs.
-    #[test]
-    fn small_batches_match_single_row_predictions_bit_for_bit() {
-        let rows: Vec<Vec<f64>> = (0..60)
-            .map(|i| {
-                let t = i as f64 / 60.0;
-                vec![t, (3.0 * t).sin(), 1.0 - t * t]
-            })
-            .collect();
+    /// An MLP with three hidden layers, briefly fitted with dropout on a
+    /// 15-feature, 3-output dataset whose 120 rows leave a short last
+    /// minibatch chunk, and a probe matrix of 300 rows that also reach
+    /// outside the training range.
+    fn wide_model_and_probe() -> (Mlp, Matrix) {
+        let row = |i: usize, scale: f64| -> Vec<f64> {
+            (0..15)
+                .map(|j| (((i * 31 + j * 17) % 97) as f64 / 48.0 - 1.0) * scale)
+                .collect()
+        };
+        let rows: Vec<Vec<f64>> = (0..120).map(|i| row(i, 1.0)).collect();
         let ys: Vec<Vec<f64>> = rows
             .iter()
-            .map(|r| vec![r[0] * r[1] + r[2], r[0] - r[2]])
+            .map(|r| vec![r[0] * r[1], r[2].sin(), r[3] - r[4] * r[4]])
             .collect();
         let d = Dataset::new(Matrix::from_rows(&rows), Matrix::from_rows(&ys)).unwrap();
         let mut m = Mlp::new(MlpConfig {
-            epochs: 5,
-            ..small_cfg()
+            hidden: vec![48, 40, 24],
+            epochs: 3,
+            batch_size: 40,
+            lr: 1.5e-3,
+            dropout: 0.05,
+            seed: 7,
+            ..MlpConfig::default()
         });
         m.fit(&d).unwrap();
-        let single: Vec<Vec<u64>> = rows
-            .iter()
+        let probe: Vec<Vec<f64>> = (0..300).map(|i| row(i + 7, 1.5)).collect();
+        (m, Matrix::from_rows(&probe))
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `predict` runs its rows in blocks, yet at every row count each row
+    /// equals that row predicted alone and the prediction half of the
+    /// fused value-and-gradient call, bit for bit.
+    #[test]
+    fn predict_is_bit_identical_at_every_row_count() {
+        let (m, probe) = wide_model_and_probe();
+        let singles: Vec<Vec<u64>> = (0..probe.rows())
             .map(|r| {
-                let p = m
-                    .predict(&Matrix::from_rows(std::slice::from_ref(r)))
-                    .unwrap();
-                p.row(0).iter().map(|v| v.to_bits()).collect()
+                let x = probe.row(r);
+                let single = m.predict(&Matrix::from_rows(&[x.to_vec()])).unwrap();
+                let (y, _) = m.value_and_vjp(x, &|y| y.to_vec()).unwrap();
+                assert_eq!(bits(single.row(0)), bits(&y), "row {r} vs fused");
+                bits(&y)
             })
             .collect();
-        for n in 2..=15 {
-            let batch = m.predict(&Matrix::from_rows(&rows[..n])).unwrap();
-            for (i, want) in single.iter().take(n).enumerate() {
-                let got: Vec<u64> = batch.row(i).iter().map(|v| v.to_bits()).collect();
-                assert_eq!(&got, want, "batch of {n}, row {i}");
+        for n in [1, 2, 3, 8, 9, 16, 17, 64, 300] {
+            let batch =
+                Matrix::from_rows(&(0..n).map(|r| probe.row(r).to_vec()).collect::<Vec<_>>());
+            let pred = m.predict(&batch).unwrap();
+            for (r, single) in singles.iter().take(n).enumerate() {
+                assert_eq!(&bits(pred.row(r)), single, "batch {n}, row {r}");
+            }
+        }
+    }
+
+    /// FNV-1a over the bits of `vals`, in order.
+    fn hash_bits<'a>(vals: impl IntoIterator<Item = &'a f64>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in vals {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The hash of every weight and bias, layer by layer, and the first
+    /// output's bits on the first three rows of `probe`.
+    fn fit_pin(m: &Mlp, probe: &Matrix) -> (u64, [u64; 3]) {
+        let params = m
+            .layers
+            .iter()
+            .flat_map(|l| l.w.as_slice().iter().chain(&l.b));
+        let rows: Vec<Vec<f64>> = (0..3).map(|r| probe.row(r).to_vec()).collect();
+        let pred = m.predict(&Matrix::from_rows(&rows)).unwrap();
+        (hash_bits(params), [0, 1, 2].map(|r| pred[(r, 0)].to_bits()))
+    }
+
+    /// Fitted weights and predictions are pinned bit for bit, so a change
+    /// to the training kernels, the trainer or the RNG stream that moves
+    /// any rounding fails here. The pins cover the three-hidden-layer
+    /// dropout fit (16/16/8-row chunks) and the small config without
+    /// dropout.
+    #[test]
+    fn fitted_weights_are_pinned() {
+        let (wide, probe) = wide_model_and_probe();
+        let got_wide = fit_pin(&wide, &probe);
+
+        let d = sine_dataset(100);
+        let mut small = Mlp::new(MlpConfig {
+            epochs: 6,
+            ..small_cfg()
+        });
+        small.fit(&d).unwrap();
+        let got_small = fit_pin(&small, &d.x);
+
+        let want = [
+            (
+                0xffdf_9b99_3d44_8bc3,
+                [
+                    0x3fba_afa9_79db_0ed4,
+                    0x3fa8_d1c2_cac1_5178,
+                    0xbfa0_3c0c_a27e_e743,
+                ],
+            ),
+            (
+                0x3aa5_cc2f_0bd1_75ea,
+                [
+                    0xbfb2_11b3_f955_737b,
+                    0xbfb1_b2aa_7af9_1a86,
+                    0xbfb1_53a0_fc9c_c196,
+                ],
+            ),
+        ];
+        assert_eq!([got_wide, got_small], want, "{:#x?}", [got_wide, got_small]);
+    }
+
+    /// Row `o` of the Jacobian is the VJP with the one-hot cotangent `e_o`,
+    /// bit for bit.
+    #[test]
+    fn input_jacobian_rows_are_one_hot_vjps() {
+        let (m, probe) = wide_model_and_probe();
+        for r in [0, 5, 299] {
+            let x = probe.row(r);
+            let jac = m.input_jacobian(x).unwrap();
+            for o in 0..m.n_outputs {
+                let (_, g) = m
+                    .value_and_vjp(x, &|y| {
+                        (0..y.len()).map(|i| f64::from(u8::from(i == o))).collect()
+                    })
+                    .unwrap();
+                assert_eq!(bits(jac.row(o)), bits(&g), "row {r}, output {o}");
             }
         }
     }

@@ -10,6 +10,7 @@ mod cnn;
 mod forest;
 mod linear;
 mod mlp;
+mod nn;
 mod svr;
 mod tree;
 

@@ -35,32 +35,21 @@ pub struct Adam {
 impl Adam {
     /// Creates an optimizer for `n` parameters with learning rate `lr` and
     /// the canonical `beta1 = 0.9`, `beta2 = 0.999`.
-    pub fn new(lr: f64, n: usize) -> Self {
-        Self::with_betas(lr, n, 0.9, 0.999)
-    }
-
-    /// Creates an optimizer with explicit moment decay rates.
     ///
     /// # Panics
     ///
-    /// Panics if `lr <= 0` or the betas are outside `[0, 1)`.
-    pub fn with_betas(lr: f64, n: usize, beta1: f64, beta2: f64) -> Self {
+    /// Panics if `lr <= 0`.
+    pub fn new(lr: f64, n: usize) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
         Self {
             lr,
-            beta1,
-            beta2,
+            beta1: 0.9,
+            beta2: 0.999,
             eps: 1e-8,
             t: 0,
             m: vec![0.0; n],
             v: vec![0.0; n],
         }
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.lr
     }
 
     /// Overrides the learning rate (e.g. for decay schedules).
@@ -88,13 +77,6 @@ impl Adam {
             let v_hat = self.v[i] / bc2;
             params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
-    }
-
-    /// Resets moments and step count, keeping hyperparameters.
-    pub fn reset(&mut self) {
-        self.t = 0;
-        self.m.iter_mut().for_each(|v| *v = 0.0);
-        self.v.iter_mut().for_each(|v| *v = 0.0);
     }
 }
 
@@ -139,17 +121,6 @@ mod tests {
         let mut opt = Adam::new(0.1, 1);
         opt.step(&mut x, &[123.0]);
         assert!((x[0] + 0.1).abs() < 1e-6, "x = {}", x[0]);
-    }
-
-    #[test]
-    fn reset_restores_fresh_state() {
-        let mut opt = Adam::new(0.1, 1);
-        let mut x = vec![0.0];
-        opt.step(&mut x, &[1.0]);
-        opt.reset();
-        let mut y = vec![0.0];
-        opt.step(&mut y, &[1.0]);
-        assert!((x[0] - y[0]).abs() < 1e-12);
     }
 
     #[test]

@@ -136,6 +136,25 @@ fn mlp_with_dropout_identical_across_widths() {
     assert_bit_identical("Mlp", make(), make(), &data, 3);
 }
 
+/// Three hidden layers, and a 40-row minibatch that splits into chunks of
+/// 16, 16 and 8 rows: the short chunk and every hidden layer's dropout
+/// mask go through the data-parallel backward pass.
+#[test]
+fn mlp_short_chunk_identical_across_widths() {
+    let data = synth(200, 8);
+    let make = || {
+        Box::new(Mlp::new(MlpConfig {
+            hidden: vec![24, 20, 16],
+            epochs: 6,
+            batch_size: 40,
+            dropout: 0.1,
+            seed: 11,
+            ..MlpConfig::default()
+        }))
+    };
+    assert_bit_identical("Mlp 16/16/8", make(), make(), &data, 3);
+}
+
 #[test]
 fn cnn_with_dropout_identical_across_widths() {
     let data = synth(240, 6);
